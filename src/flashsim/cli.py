@@ -13,17 +13,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .commands import validate, written_pages, erased_blocks
-from .engine import Policy, idle_accounting, run
+from .engine import Policy, idle_accounting, replay, run
 from .errors import (
     FlashSimError,
     Severity,
     TraceParseError,
     ValidationFatal,
-    Violation,
 )
 from .stats import build_report, emit
-from .topology import SubsystemState
 from .trace_io import parse_config, parse_trace
 
 
@@ -119,30 +116,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _check_only(trace, config, policy: Policy, trace_path: str, err) -> int:
-    """Validate every command and replay state constraints; emit no report."""
-    state = SubsystemState(
-        config.geometry,
-        endurance_limit=policy.endurance_limit,
-        initially_written=policy.initially_written,
-    )
-    findings: list[Violation] = []
-    for cmd in trace:
-        findings.extend(
-            validate(
-                cmd,
-                config.geometry,
-                config.supported,
-                same_offsets=policy.multi_plane_same_offsets,
-            )
-        )
-        for addr in written_pages(cmd):
-            findings.extend(
-                v.located(cmd.sequence_id, cmd.line) for v in state.write_page(addr)
-            )
-        for addr in erased_blocks(cmd):
-            findings.extend(
-                v.located(cmd.sequence_id, cmd.line) for v in state.erase_block(addr)
-            )
+    """Replay the constraint checks over every command; emit no report."""
+    findings = [
+        v
+        for _, violations in replay(trace, config.geometry, config.supported, policy)
+        for v in violations
+    ]
     _print_violations(findings, trace_path, err)
     errors = sum(1 for v in findings if v.severity is Severity.ERROR)
     warnings = len(findings) - errors

@@ -18,7 +18,6 @@ from .topology import (
     FlashAddress,
     Geometry,
     Resource,
-    SubsystemState,
     bus_resource,
     plane_resource,
 )
@@ -127,10 +126,6 @@ class Command:
         elif self.page_count != 1:
             raise ValueError(f"{self.kind.value} does not take a page count")
 
-    @property
-    def arrival_us(self) -> float:
-        return self.arrival_ns / 1000
-
     def pairs(self) -> tuple[tuple[FlashAddress, FlashAddress], ...]:
         """(source, destination) pairs for the copy-back kinds."""
         ops = self.operands
@@ -159,7 +154,6 @@ def validate(
     cmd: Command,
     geometry: Geometry,
     supported: frozenset[CommandKind],
-    state: SubsystemState | None = None,
     same_offsets: bool = True,
 ) -> list[Violation]:
     """Check one command, returning every violation found.
@@ -168,12 +162,13 @@ def validate(
     finding: supported kind, operand address ranges, then the kind-specific
     structural rules. Structural impossibilities (cross-plane copy-back,
     repeated planes or dies, cache extents past the block end) are errors;
-    device-constraint violations (copy-back page parity, and with `state`
-    given, erase-before-write) are warnings that a strict policy may
-    escalate. Die-interleaving requires only distinct dies of one chip; no
-    offset rule is imposed across dies. `same_offsets` enforces identical
-    (block, page) offsets across multi-plane operands and can be switched
-    off for chips without that restriction.
+    copy-back page parity is a warning that a strict policy may escalate.
+    Erase-before-write and endurance depend on device state and are flagged
+    by `SubsystemState` during the engine's replay. Die-interleaving
+    requires only distinct dies of one chip; no offset rule is imposed
+    across dies. `same_offsets` enforces identical (block, page) offsets
+    across multi-plane operands and can be switched off for chips without
+    that restriction.
     """
     out: list[Violation] = []
 
@@ -200,21 +195,6 @@ def validate(
 
     structural = _structural_rules(cmd, geometry, same_offsets)
     out.extend(v.located(cmd.sequence_id, cmd.line) for v in structural)
-    if any(v.severity is Severity.ERROR for v in out):
-        return out
-
-    if state is not None:
-        for addr in written_pages(cmd):
-            if state.page_state(addr).value == "written":
-                out.append(
-                    Violation(
-                        Rule.ERASE_BEFORE_WRITE,
-                        Severity.WARNING,
-                        f"page {addr} written again without an intervening erase",
-                        cmd.sequence_id,
-                        cmd.line,
-                    )
-                )
     return out
 
 

@@ -17,7 +17,7 @@ as double-precision microjoules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .commands import (
     Command,
@@ -107,6 +107,40 @@ def effective_resource(resource: Resource | None, policy: Policy) -> Resource | 
     return resource
 
 
+def replay(
+    trace: Iterable[Command],
+    geometry: Geometry,
+    supported: frozenset[CommandKind],
+    policy: Policy = Policy(),
+) -> Iterator[tuple[Command, list[Violation]]]:
+    """Check each command against the device constraints, in trace order.
+
+    Yields every command with its located violations: the structural checks
+    of `validate`, then the erase-before-write and endurance warnings from
+    applying its page writes and block erases to the subsystem state. A
+    command with an error-severity violation changes no state.
+    """
+    state = SubsystemState(
+        geometry,
+        endurance_limit=policy.endurance_limit,
+        initially_written=policy.initially_written,
+    )
+    for cmd in trace:
+        violations = validate(
+            cmd, geometry, supported, same_offsets=policy.multi_plane_same_offsets
+        )
+        if not any(v.severity is Severity.ERROR for v in violations):
+            for addr in written_pages(cmd):
+                violations.extend(
+                    v.located(cmd.sequence_id, cmd.line) for v in state.write_page(addr)
+                )
+            for addr in erased_blocks(cmd):
+                violations.extend(
+                    v.located(cmd.sequence_id, cmd.line) for v in state.erase_block(addr)
+                )
+        yield cmd, violations
+
+
 def run(
     trace: Sequence[Command],
     geometry: Geometry,
@@ -116,19 +150,13 @@ def run(
 ) -> RunResult:
     """Simulate a validated, arrival-sorted command stream.
 
-    Commands are processed in trace order; each one is validated, its state
-    effects applied (flagging erase-before-write and endurance violations),
-    and its event DAG placed on the timeline per the module's scheduling
-    discipline. Structural validation errors abort the run; warnings abort
-    only under a strict policy.
+    Commands are checked by `replay` in trace order and each one's event DAG
+    is placed on the timeline per the module's scheduling discipline.
+    Structural validation errors abort the run; warnings abort only under a
+    strict policy.
     """
     validate_geometry(geometry)
     _check_order(trace)
-    state = SubsystemState(
-        geometry,
-        endurance_limit=policy.endurance_limit,
-        initially_written=policy.initially_written,
-    )
 
     busy_until: dict[Resource, int] = {}
     results: list[CommandResult] = []
@@ -136,26 +164,10 @@ def run(
     all_warnings: list[Violation] = []
     last_end = 0
 
-    for cmd in trace:
-        violations = validate(
-            cmd,
-            geometry,
-            supported,
-            same_offsets=policy.multi_plane_same_offsets,
-        )
-        fatal = [v for v in violations if v.severity is Severity.ERROR]
+    for cmd, warnings in replay(trace, geometry, supported, policy):
+        fatal = [v for v in warnings if v.severity is Severity.ERROR]
         if fatal:
             raise ValidationFatal(fatal)
-
-        warnings = list(violations)
-        for addr in written_pages(cmd):
-            warnings.extend(
-                v.located(cmd.sequence_id, cmd.line) for v in state.write_page(addr)
-            )
-        for addr in erased_blocks(cmd):
-            warnings.extend(
-                v.located(cmd.sequence_id, cmd.line) for v in state.erase_block(addr)
-            )
         if policy.strict and warnings:
             raise ValidationFatal(warnings)
 

@@ -47,10 +47,6 @@ class UnknownIdentifierError(FlashSimError):
         super().__init__(f"unknown identifier '{name}' (at offset {position})")
 
 
-class UnboundEventError(FlashSimError):
-    """A model set has no binding for the queried event kind."""
-
-
 class NegativeResultError(FlashSimError):
     """A model expression evaluated to a negative latency or energy."""
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .commands import EventKind
-from .errors import NegativeResultError, UnboundEventError
+from .errors import NegativeResultError
 from .expr import Expression, parse_expression
 from .topology import FlashAddress, Geometry
 
@@ -180,13 +180,11 @@ class ModelSet:
         power: PowerParams | None = None,
         latency_exprs: Mapping[EventKind, Expression] | None = None,
         power_exprs: Mapping[EventKind, Expression] | None = None,
-        builtin_defaults: bool = True,
     ):
         self.timing = timing or TimingParams()
         self.power = power or PowerParams()
         self.latency_exprs = dict(latency_exprs or {})
         self.power_exprs = dict(power_exprs or {})
-        self._builtin_defaults = builtin_defaults
 
     def latency_us(self, ctx: EventContext) -> float:
         """Duration of one event in microseconds; always >= 0."""
@@ -195,8 +193,6 @@ class ModelSet:
         expr = self.latency_exprs.get(ctx.kind)
         if expr is not None:
             return _checked(expr.evaluate(ctx.variables()), ctx.kind, "latency")
-        if not self._builtin_defaults:
-            raise UnboundEventError(f"no latency binding for {ctx.kind.value}")
         if ctx.kind in (EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT):
             return ctx.byte_count * self.timing.t_bus_per_byte
         return getattr(self.timing, _TIMING_PARAM_FOR[ctx.kind])
@@ -208,8 +204,6 @@ class ModelSet:
         expr = self.power_exprs.get(ctx.kind)
         if expr is not None:
             return _checked(expr.evaluate(ctx.variables()), ctx.kind, "energy")
-        if not self._builtin_defaults:
-            raise UnboundEventError(f"no power binding for {ctx.kind.value}")
         milliwatts = getattr(self.power, _POWER_PARAM_FOR[ctx.kind])
         return milliwatts * ctx.duration_us / 1000
 

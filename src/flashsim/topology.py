@@ -52,10 +52,6 @@ class Geometry:
             * self.pages_per_block
         )
 
-    @property
-    def total_blocks(self) -> int:
-        return self.total_pages // self.pages_per_block
-
     def counts(self) -> tuple[int, int, int, int, int, int]:
         """Per-level sizes in most-significant-first order (channel..page)."""
         return (

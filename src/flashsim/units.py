@@ -12,7 +12,3 @@ NS_PER_US = 1000
 def us_to_ns(us: float) -> int:
     """Microseconds to the internal integer-nanosecond timebase (rounded)."""
     return round(us * NS_PER_US)
-
-
-def ns_to_us(ns: int) -> float:
-    return ns / NS_PER_US

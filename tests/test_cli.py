@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from flashsim.cli import main
-from flashsim.trace_io import TRACE_HEADER
+from flashsim.trace_io import TRACE_HEADER, emit_trace, parse_config
+
+from gen import random_trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -93,6 +96,37 @@ def test_check_mode_structural_error_exit_2(fixture_paths, capsys, tmp_path):
     code, _, err = invoke(capsys, "--config", config, "--trace", trace, "--check")
     assert code == 2
     assert "copy_back_cross_plane" in err
+
+
+def test_check_mode_cache_extent_past_block_end_exit_2(fixture_paths, capsys, tmp_path):
+    config, _ = fixture_paths
+    trace = tmp_path / "extent.trace"
+    # pages 6..9 of an 8-page block: the extent runs past the block end
+    trace.write_text(f"{TRACE_HEADER}\n0,cache_write,0.0.0.0.0.6,4\n")
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace, "--check")
+    assert code == 2
+    assert out == ""
+    assert f"{trace}:2: error:" in err and "[cache_extent]" in err
+    assert "checked 1 commands: 1 errors, 0 warnings" in err
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_and_simulation_print_the_same_violations(
+    fixture_paths, capsys, tmp_path, seed
+):
+    config, _ = fixture_paths
+    config.write_text(config.read_text() + "[policy]\nendurance_limit = 1\n")
+    geometry = parse_config(config.read_text()).geometry
+    trace = tmp_path / "random.trace"
+    trace.write_text(emit_trace(random_trace(random.Random(seed), geometry, 120)))
+    code, _, simulated = invoke(capsys, "--config", config, "--trace", trace)
+    assert code == 0
+    assert "[erase_before_write]" in simulated and "[endurance_exceeded]" in simulated
+    code, _, checked = invoke(capsys, "--config", config, "--trace", trace, "--check")
+    assert code == 0
+    *violations, summary = checked.splitlines()
+    assert violations == simulated.splitlines()
+    assert summary == f"checked 120 commands: 0 errors, {len(violations)} warnings"
 
 
 def test_run_mode_strict_warning_exit_1(fixture_paths, capsys, tmp_path):

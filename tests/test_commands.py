@@ -14,7 +14,7 @@ from flashsim.commands import (
     validate,
 )
 from flashsim.errors import Rule, Severity
-from flashsim.topology import Resource, SubsystemState
+from flashsim.topology import Resource
 
 from conftest import A
 from gen import random_trace
@@ -147,14 +147,6 @@ class TestValidate:
         assert Rule.MULTI_PLANE_SHAPE in rules(
             validate(repeated_plane, geometry, supported)
         )
-
-    def test_erase_before_write_check_with_state_view(self, geometry, supported):
-        state = SubsystemState(geometry)
-        c = cmd(CommandKind.WRITE, A(page=1))
-        assert validate(c, geometry, supported, state=state) == []
-        state.write_page(A(page=1))
-        found = validate(c, geometry, supported, state=state)
-        assert rules(found) == [Rule.ERASE_BEFORE_WRITE]
 
     def test_checks_stop_at_first_error(self, geometry):
         c = cmd(CommandKind.COPY_BACK, A(block=99), A(plane=1))

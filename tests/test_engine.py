@@ -12,6 +12,7 @@ from flashsim.engine import (
     all_resources,
     busy_time_ns,
     idle_accounting,
+    replay,
     run,
 )
 from flashsim.errors import (
@@ -357,3 +358,28 @@ class TestPolicies:
         busy = busy_time_ns(result.schedule)
         assert busy[Resource("plane", (0, 0, 0, 0))] == 25000
         assert busy[Resource("bus", (0,))] == 102400
+
+
+class TestReplay:
+    def test_erase_before_write_flagged_once_at_its_line(self, geometry):
+        trace = [
+            Command(0, CommandKind.WRITE, (A(page=1),), sequence_id=0, line=2),
+            Command(0, CommandKind.WRITE, (A(page=1),), sequence_id=1, line=3),
+        ]
+        found = [v for _, vs in replay(trace, geometry, ALL_KINDS) for v in vs]
+        assert [(v.rule, v.sequence_id, v.line) for v in found] == [
+            (Rule.ERASE_BEFORE_WRITE, 1, 3)
+        ]
+
+    def test_command_with_an_error_changes_no_state(self, geometry):
+        # the cross-plane copy-back is rejected, so its destination stays erased
+        trace = [
+            cmd(CommandKind.COPY_BACK, A(plane=0), A(plane=1, page=2), seq=0),
+            cmd(CommandKind.WRITE, A(plane=1, page=2), seq=1),
+        ]
+        found = [
+            (c.sequence_id, v.rule)
+            for c, vs in replay(trace, geometry, ALL_KINDS)
+            for v in vs
+        ]
+        assert found == [(0, Rule.COPY_BACK_CROSS_PLANE)]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashsim.commands import EventKind
-from flashsim.errors import NegativeResultError, UnboundEventError
+from flashsim.errors import NegativeResultError
 from flashsim.models import (
     EventContext,
     ModelSet,
@@ -76,19 +76,6 @@ def test_negative_expression_result_rejected_not_clamped():
     assert custom.latency_us(ctx(EventKind.ARRAY_SENSE, page=10)) == 0.0
     with pytest.raises(NegativeResultError):
         custom.latency_us(ctx(EventKind.ARRAY_SENSE, page=3))
-
-
-def test_unbound_event_kind():
-    bare = ModelSet(builtin_defaults=False)
-    with pytest.raises(UnboundEventError):
-        bare.latency_us(ctx(EventKind.ARRAY_SENSE))
-    with pytest.raises(UnboundEventError):
-        bare.energy_uj(ctx(EventKind.ARRAY_SENSE, duration_us=1.0))
-    bound = ModelSet(
-        latency_exprs={EventKind.ARRAY_SENSE: parse_latency_expression("25")},
-        builtin_defaults=False,
-    )
-    assert bound.latency_us(ctx(EventKind.ARRAY_SENSE)) == 25.0
 
 
 def test_address_dependent_expression():
