@@ -16,6 +16,7 @@ from pathlib import Path
 from .engine import Policy, idle_accounting, replay, run
 from .errors import (
     FlashSimError,
+    ModelEvaluationError,
     Severity,
     TraceParseError,
     ValidationFatal,
@@ -92,9 +93,9 @@ def main(argv: list[str] | None = None) -> int:
         if any(v.severity is Severity.ERROR for v in exc.violations):
             return 2
         return 1  # warnings escalated by strict policy
-    except ZeroDivisionError as exc:
-        # a model expression divided by zero for some event context
-        print(f"{args.config}: model evaluation failed: {exc}", file=err)
+    except ModelEvaluationError as exc:
+        where = args.trace if exc.line is None else f"{args.trace}:{exc.line}"
+        print(f"{where}: error: {exc}", file=err)
         return 2
     except FlashSimError as exc:
         print(f"{args.trace}: {exc}", file=err)

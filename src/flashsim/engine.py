@@ -28,10 +28,21 @@ from .commands import (
     validate,
     written_pages,
 )
-from .errors import Severity, TraceOrderError, ValidationFatal, Violation
-from .models import EventContext, ModelSet
-from .topology import Geometry, Resource, SubsystemState, validate_geometry
-from .units import us_to_ns
+from .errors import (
+    ModelEvaluationError,
+    Severity,
+    TraceOrderError,
+    ValidationFatal,
+    Violation,
+)
+from .models import ModelSet
+from .topology import (
+    FlashAddress,
+    Geometry,
+    Resource,
+    SubsystemState,
+    validate_geometry,
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ class ScheduledEvent:
     sequence_id: int
     event_id: int
     kind: EventKind
-    target_label: str
+    target: FlashAddress
     resource: Resource | None
     start_ns: int
     duration_ns: int
@@ -153,10 +164,12 @@ def run(
     Commands are checked by `replay` in trace order and each one's event DAG
     is placed on the timeline per the module's scheduling discipline.
     Structural validation errors abort the run; warnings abort only under a
-    strict policy.
+    strict policy. A model binding that fails on an event aborts the run
+    with a ModelEvaluationError located at its command's trace line.
     """
     validate_geometry(geometry)
     _check_order(trace)
+    price = models.pricer(geometry)
 
     busy_until: dict[Resource, int] = {}
     results: list[CommandResult] = []
@@ -184,19 +197,14 @@ def run(
                 start = ready
             else:
                 start = max(ready, busy_until.get(resource, 0))
-            ctx = EventContext.for_event(
-                event.kind, event.target, event.byte_count, geometry
-            )
-            duration = us_to_ns(models.latency_us(ctx))
-            energy = models.energy_uj(
-                EventContext.for_event(
-                    event.kind,
-                    event.target,
-                    event.byte_count,
-                    geometry,
-                    duration_us=duration / 1000,
-                )
-            )
+            try:
+                duration, energy = price(event.kind, event.target, event.byte_count)
+            except ModelEvaluationError as exc:
+                raise exc.located(
+                    cmd.line,
+                    f"the {event.kind.value} event of {cmd.kind.value} command "
+                    f"{cmd.sequence_id}",
+                ) from exc
             end = start + duration
             if resource is not None:
                 busy_until[resource] = end
@@ -208,7 +216,7 @@ def run(
                     cmd.sequence_id,
                     event_id,
                     event.kind,
-                    str(event.target),
+                    event.target,
                     resource,
                     start,
                     duration,

@@ -47,8 +47,27 @@ class UnknownIdentifierError(FlashSimError):
         super().__init__(f"unknown identifier '{name}' (at offset {position})")
 
 
-class NegativeResultError(FlashSimError):
-    """A model expression evaluated to a negative latency or energy."""
+class ModelEvaluationError(FlashSimError):
+    """A model binding failed to price an event.
+
+    `key` names the binding as ``[section] key`` of the config; `line` is
+    the trace line of the command whose event failed, once the engine has
+    located it.
+    """
+
+    def __init__(self, key: str, detail: str, line: int | None = None):
+        self.key = key
+        self.detail = detail
+        self.line = line
+        super().__init__(f"{key}: {detail}")
+
+    def located(self, line: int | None, event: str) -> ModelEvaluationError:
+        """Copy naming the event being priced and its command's trace line."""
+        return type(self)(self.key, f"{self.detail} for {event}", line)
+
+
+class NegativeResultError(ModelEvaluationError):
+    """A model binding evaluated to a negative, NaN or infinite latency or energy."""
 
 
 class ValidationFatal(FlashSimError):

@@ -17,8 +17,8 @@ division by zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExpressionSyntaxError, UnknownIdentifierError
 
@@ -176,27 +176,45 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected '{token.text}'", token.position)
 
 
-def _evaluate(node: Node, env: Mapping[str, float]) -> float:
+def _compile(node: Node, slots: Mapping[str, object]) -> Callable[[object], float]:
+    """Turn an AST into nested closures over one `values` argument.
+
+    A variable reads ``values[slots[name]]``, so the same compiler serves a
+    name-keyed environment (each slot is the name) and a positional tuple.
+    Operands are evaluated left to right, as they are written.
+    """
     if isinstance(node, _Num):
-        return node.value
+        constant = node.value
+        return lambda values: constant
     if isinstance(node, _Var):
-        return env[node.name]
+        slot = slots[node.name]
+        return lambda values: values[slot]
     if isinstance(node, _Unary):
-        value = _evaluate(node.operand, env)
-        return -value if node.op == "-" else value
-    if isinstance(node, _Binary):
-        left = _evaluate(node.left, env)
-        right = _evaluate(node.right, env)
-        if node.op == "+":
-            return left + right
+        operand = _compile(node.operand, slots)
         if node.op == "-":
-            return left - right
+            return lambda values: -operand(values)
+        return operand
+    if isinstance(node, _Binary):
+        left = _compile(node.left, slots)
+        right = _compile(node.right, slots)
+        if node.op == "+":
+            return lambda values: left(values) + right(values)
+        if node.op == "-":
+            return lambda values: left(values) - right(values)
         if node.op == "*":
-            return left * right
-        if right == 0:
-            raise ZeroDivisionError("division by zero in expression")
-        return left / right
-    return _FUNCTIONS[node.func](_evaluate(arg, env) for arg in node.args)
+            return lambda values: left(values) * right(values)
+
+        def divide(values):
+            dividend = left(values)
+            divisor = right(values)
+            if divisor == 0:
+                raise ZeroDivisionError("division by zero in expression")
+            return dividend / divisor
+
+        return divide
+    func = _FUNCTIONS[node.func]
+    args = tuple(_compile(arg, slots) for arg in node.args)
+    return lambda values: func([arg(values) for arg in args])
 
 
 @dataclass(frozen=True)
@@ -206,6 +224,22 @@ class Expression:
     source: str
     root: Node
     variables: frozenset[str]
+    _by_name: Callable[[Mapping[str, float]], float] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        slots = {name: name for name in _referenced(self.root)}
+        object.__setattr__(self, "_by_name", _compile(self.root, slots))
+
+    def compile(self, slots: Mapping[str, int]) -> Callable[[Sequence[float]], float]:
+        """The equation as a function of one positional tuple of floats.
+
+        `slots` maps every referenced variable to its index in the tuple.
+        The function computes exactly what `evaluate` computes from the same
+        values, and likewise raises only ZeroDivisionError.
+        """
+        return _compile(self.root, slots)
 
     def evaluate(self, env: Mapping[str, float]) -> float:
         """Evaluate against a complete variable environment.
@@ -213,7 +247,7 @@ class Expression:
         Pure: identical (expression, env) pairs always produce identical
         results. The only possible failure is ZeroDivisionError.
         """
-        return _evaluate(self.root, env)
+        return self._by_name(env)
 
 
 def _referenced(node: Node) -> frozenset[str]:

@@ -20,34 +20,46 @@ cost their parameter directly; bus transfers cost byte_count *
 t_bus_per_byte. Built-in energy is p_kind (mW) * duration (us) / 1000,
 giving microjoules. Idle power parameters price the time a resource spends
 unoccupied within the run's makespan.
+
+Every binding, built-in or expression, is compiled once into a function of
+one positional tuple of floats, in ``VARIABLE_ORDER``; pricing an event is
+one call of its kind's latency function and one of its energy function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .commands import EventKind
-from .errors import NegativeResultError
+from .errors import ModelEvaluationError, NegativeResultError
 from .expr import Expression, parse_expression
 from .topology import FlashAddress, Geometry
+from .units import us_to_ns
 
-# Variables every expression may reference; power expressions additionally
-# see the event's scheduled duration.
-PERF_VARIABLES = frozenset(
-    {
-        "byte_count",
-        "page_size",
-        "oob_size",
-        "channel",
-        "chip",
-        "die",
-        "plane",
-        "block",
-        "page",
-    }
+# The tuple a compiled binding reads. Every expression may reference the
+# first nine; power expressions additionally see the event's scheduled
+# duration, which comes last.
+VARIABLE_ORDER = (
+    "byte_count",
+    "page_size",
+    "oob_size",
+    "channel",
+    "chip",
+    "die",
+    "plane",
+    "block",
+    "page",
+    "duration",
 )
-POWER_VARIABLES = PERF_VARIABLES | {"duration"}
+_SLOTS = {name: index for index, name in enumerate(VARIABLE_ORDER)}
+_BYTE_COUNT, _DURATION = _SLOTS["byte_count"], _SLOTS["duration"]
+PERF_VARIABLES = frozenset(VARIABLE_ORDER[:_DURATION])
+POWER_VARIABLES = frozenset(VARIABLE_ORDER)
+
+# A compiled binding and the config key it comes from, "[section] key".
+Binding = tuple[Callable[[tuple[float, ...]], float], str]
 
 
 @dataclass(frozen=True)
@@ -62,7 +74,7 @@ class TimingParams:
     t_buf: float = 0.0
 
     def __post_init__(self) -> None:
-        _reject_negatives(self)
+        _reject_out_of_range(self)
 
 
 @dataclass(frozen=True)
@@ -79,13 +91,14 @@ class PowerParams:
     p_idle_bus: float = 0.0
 
     def __post_init__(self) -> None:
-        _reject_negatives(self)
+        _reject_out_of_range(self)
 
 
-def _reject_negatives(params) -> None:
+def _reject_out_of_range(params) -> None:
     for f in fields(params):
-        if getattr(params, f.name) < 0:
-            raise ValueError(f"{f.name} must be >= 0, got {getattr(params, f.name)}")
+        value = getattr(params, f.name)
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -131,22 +144,6 @@ class EventContext:
             duration_us,
         )
 
-    def variables(self) -> dict[str, float]:
-        env = {
-            "byte_count": float(self.byte_count),
-            "page_size": float(self.page_size),
-            "oob_size": float(self.oob_size),
-            "channel": float(self.channel),
-            "chip": float(self.chip),
-            "die": float(self.die),
-            "plane": float(self.plane),
-            "block": float(self.block),
-            "page": float(self.page),
-        }
-        if self.duration_us is not None:
-            env["duration"] = self.duration_us
-        return env
-
 
 _TIMING_PARAM_FOR = {
     EventKind.CMD_OVERHEAD: "t_cmd",
@@ -185,39 +182,107 @@ class ModelSet:
         self.power = power or PowerParams()
         self.latency_exprs = dict(latency_exprs or {})
         self.power_exprs = dict(power_exprs or {})
+        self._latency = {kind: self._latency_binding(kind) for kind in EventKind}
+        self._energy = {kind: self._energy_binding(kind) for kind in EventKind}
+
+    def _latency_binding(self, kind: EventKind) -> Binding:
+        expr = self.latency_exprs.get(kind)
+        if expr is not None:
+            return expr.compile(_SLOTS), f"[performance] {kind.value}"
+        if kind in (EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT):
+            per_byte = self.timing.t_bus_per_byte
+            return (
+                lambda values: values[_BYTE_COUNT] * per_byte,
+                "[performance] t_bus_per_byte",
+            )
+        name = _TIMING_PARAM_FOR[kind]
+        constant = getattr(self.timing, name)
+        return (lambda values: constant), f"[performance] {name}"
+
+    def _energy_binding(self, kind: EventKind) -> Binding:
+        expr = self.power_exprs.get(kind)
+        if expr is not None:
+            return expr.compile(_SLOTS), f"[power] {kind.value}"
+        name = _POWER_PARAM_FOR[kind]
+        milliwatts = getattr(self.power, name)
+        return (
+            lambda values: milliwatts * values[_DURATION] / 1000,
+            f"[power] {name}",
+        )
+
+    def pricer(
+        self, geometry: Geometry
+    ) -> Callable[[EventKind, FlashAddress, int], tuple[int, float]]:
+        """The function that prices one event on `geometry`.
+
+        It maps (kind, target, byte_count) to (duration_ns, energy_uj): the
+        latency binding gives the duration, rounded to whole nanoseconds,
+        and the power binding sees that rounded duration. It raises
+        ModelEvaluationError, naming the binding, when either one divides
+        by zero or yields a negative, NaN or infinite result.
+        """
+        page_size, oob_size = float(geometry.page_size), float(geometry.oob_size)
+        latency, energy = self._latency, self._energy
+
+        def price(
+            kind: EventKind, target: FlashAddress, byte_count: int
+        ) -> tuple[int, float]:
+            values = (
+                float(byte_count),
+                page_size,
+                oob_size,
+                float(target.channel),
+                float(target.chip),
+                float(target.die),
+                float(target.plane),
+                float(target.block),
+                float(target.page),
+            )
+            duration_ns = us_to_ns(_evaluated(latency[kind], values))
+            return duration_ns, _evaluated(energy[kind], (*values, duration_ns / 1000))
+
+        return price
 
     def latency_us(self, ctx: EventContext) -> float:
-        """Duration of one event in microseconds; always >= 0."""
+        """Duration of one event in microseconds; always finite and >= 0."""
         if ctx.duration_us is not None:
             raise ValueError("latency context must not carry a duration")
-        expr = self.latency_exprs.get(ctx.kind)
-        if expr is not None:
-            return _checked(expr.evaluate(ctx.variables()), ctx.kind, "latency")
-        if ctx.kind in (EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT):
-            return ctx.byte_count * self.timing.t_bus_per_byte
-        return getattr(self.timing, _TIMING_PARAM_FOR[ctx.kind])
+        return _evaluated(self._latency[ctx.kind], _values(ctx))
 
     def energy_uj(self, ctx: EventContext) -> float:
-        """Energy of one event in microjoules; always >= 0."""
+        """Energy of one event in microjoules; always finite and >= 0."""
         if ctx.duration_us is None:
             raise ValueError("energy context requires the event duration")
-        expr = self.power_exprs.get(ctx.kind)
-        if expr is not None:
-            return _checked(expr.evaluate(ctx.variables()), ctx.kind, "energy")
-        milliwatts = getattr(self.power, _POWER_PARAM_FOR[ctx.kind])
-        return milliwatts * ctx.duration_us / 1000
+        return _evaluated(self._energy[ctx.kind], (*_values(ctx), ctx.duration_us))
 
     def idle_power_mw(self, resource_kind: str) -> float:
         # die resources stand in for their planes under die serialization
         return self.power.p_idle_bus if resource_kind == "bus" else self.power.p_idle_plane
 
 
-def _checked(value: float, kind: EventKind, what: str) -> float:
-    if value < 0:
-        raise NegativeResultError(
-            f"{what} expression for {kind.value} evaluated to {value}"
-        )
-    return value
+def _values(ctx: EventContext) -> tuple[float, ...]:
+    return (
+        float(ctx.byte_count),
+        float(ctx.page_size),
+        float(ctx.oob_size),
+        float(ctx.channel),
+        float(ctx.chip),
+        float(ctx.die),
+        float(ctx.plane),
+        float(ctx.block),
+        float(ctx.page),
+    )
+
+
+def _evaluated(binding: Binding, values: tuple[float, ...]) -> float:
+    function, key = binding
+    try:
+        value = function(values)
+    except ZeroDivisionError as exc:
+        raise ModelEvaluationError(key, str(exc)) from None
+    if 0 <= value < math.inf:  # false for NaN as well
+        return value
+    raise NegativeResultError(key, f"evaluated to {value}")
 
 
 def parse_latency_expression(text: str) -> Expression:

@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .commands import CommandKind, EventKind
 from .engine import RunResult, busy_time_ns
 from .errors import Rule, Violation
-from .topology import Resource
+from .topology import FlashAddress, Resource
 
 REPORT_SCHEMA = "flashsim-report v1"
 
@@ -47,11 +47,13 @@ class ResourceUsage:
 
 @dataclass(frozen=True)
 class EventLogRecord:
+    """One event of the log; addresses and resources are rendered by emit."""
+
     sequence_id: int
     event_id: int
     kind: EventKind
-    target: str
-    resource: str | None
+    target: FlashAddress
+    resource: Resource | None
     start_us: float
     duration_us: float
     energy_uj: float
@@ -166,8 +168,8 @@ def build_report(
             e.sequence_id,
             e.event_id,
             e.kind,
-            e.target_label,
-            e.resource.label if e.resource else None,
+            e.target,
+            e.resource,
             e.start_ns / 1000,
             e.duration_ns / 1000,
             e.energy_uj,
@@ -209,6 +211,27 @@ def emit(report: Report, format: str = "structured", event_log: bool = False) ->
     if format == "table":
         return _emit_table(report, event_log)
     raise ValueError(f"unknown report format '{format}'")
+
+
+def _labelled(
+    events: Iterable[EventLogRecord],
+) -> Iterator[tuple[EventLogRecord, str, str | None]]:
+    """Each event with its target and resource rendered as text.
+
+    Events share few resources and often a target, so each distinct one is
+    rendered once and its text reused.
+    """
+    labels: dict[FlashAddress | Resource, str] = {}
+    for e in events:
+        target = labels.get(e.target)
+        if target is None:
+            target = labels[e.target] = str(e.target)
+        resource = None
+        if e.resource is not None:
+            resource = labels.get(e.resource)
+            if resource is None:
+                resource = labels[e.resource] = e.resource.label
+        yield e, target, resource
 
 
 def _emit_structured(report: Report, event_log: bool) -> str:
@@ -279,13 +302,13 @@ def _emit_structured(report: Report, event_log: bool) -> str:
                 "sequence_id": e.sequence_id,
                 "event_id": e.event_id,
                 "kind": e.kind.value,
-                "target": e.target,
-                "resource": e.resource,
+                "target": target,
+                "resource": resource,
                 "start_us": e.start_us,
                 "duration_us": e.duration_us,
                 "energy_uj": e.energy_uj,
             }
-            for e in report.events
+            for e, target, resource in _labelled(report.events)
         ]
     return json.dumps(doc, indent=2) + "\n"
 
@@ -328,9 +351,9 @@ def _emit_table(report: Report, event_log: bool) -> str:
             lines.append(f"  {where}{w.message} [{w.rule.value}]")
     if event_log:
         lines += ["", "event log (start us, duration us, kind, target, resource, energy uJ)"]
-        for e in report.events:
+        for e, target, resource in _labelled(report.events):
             lines.append(
                 f"{e.start_us:>12.3f}{e.duration_us:>12.3f}  {e.kind.value:<18}"
-                f"{e.target:<16}{e.resource or '-':<16}{e.energy_uj:>10.3f}"
+                f"{target:<16}{resource or '-':<16}{e.energy_uj:>10.3f}"
             )
     return "\n".join(lines) + "\n"

@@ -64,7 +64,7 @@ class Geometry:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlashAddress:
     """Hierarchical physical page coordinate; every index is zero-based."""
 

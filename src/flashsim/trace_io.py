@@ -105,7 +105,8 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
             continue
         try:
             arrival_us = float(fields[0])
-        except ValueError:
+            arrival_ns = us_to_ns(arrival_us)  # NaN and infinities do not convert
+        except (ValueError, OverflowError):
             problems.append(Diagnostic(lineno, f"bad arrival time '{fields[0]}'"))
             continue
         if arrival_us < 0:
@@ -115,7 +116,7 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
         if kind_name not in _KIND_BY_NAME:
             problems.append(Diagnostic(lineno, f"unknown command kind '{kind_name}'"))
             continue
-        parsed.append((us_to_ns(arrival_us), lineno, kind_name, fields[2:]))
+        parsed.append((arrival_ns, lineno, kind_name, fields[2:]))
 
     if not header_seen and not problems:
         problems.append(Diagnostic(len(lines) + 1, f"missing header '{TRACE_HEADER}'"))

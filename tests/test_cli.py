@@ -227,6 +227,64 @@ def test_model_division_by_zero_is_a_diagnostic(fixture_paths, capsys, tmp_path)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "binding,diagnostic",
+    [
+        (
+            "[performance]\narray_sense = 10 - 20 * block",
+            "[performance] array_sense: evaluated to -10.0 for the array_sense event",
+        ),
+        (
+            "[performance]\narray_sense = 25 / (block - 1)",
+            "[performance] array_sense: division by zero in expression "
+            "for the array_sense event",
+        ),
+        (
+            "[performance]\narray_sense = 1e308 * 10 + byte_count",
+            "[performance] array_sense: evaluated to inf for the array_sense event",
+        ),
+        (
+            "[power]\narray_sense = 1e308 * duration * 1e10",
+            "[power] array_sense: evaluated to inf for the array_sense event",
+        ),
+        (
+            "[power]\narray_sense = 1e308 * 10 - 1e308 * 10",
+            "[power] array_sense: evaluated to nan for the array_sense event",
+        ),
+        (
+            "[performance]\nt_bus_per_byte = 1e308",
+            "[performance] t_bus_per_byte: evaluated to inf "
+            "for the bus_transfer_out event",
+        ),
+    ],
+    ids=["negative", "zero_divisor", "latency_inf", "energy_inf", "energy_nan",
+         "builtin_inf"],
+)
+def test_failing_model_binding_is_located_at_its_trace_line(
+    fixture_paths, capsys, tmp_path, binding, diagnostic
+):
+    config, _ = fixture_paths
+    config.write_text(config.read_text() + binding + "\n")
+    trace = tmp_path / "one.trace"
+    trace.write_text(f"{TRACE_HEADER}\n# block 1\n0,read,0.0.0.0.1.0\n")
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace)
+    assert code == 2
+    assert out == ""
+    assert err == f"{trace}:3: error: {diagnostic} of read command 0\n"
+
+
+def test_expression_models_event_log_matches_golden(capsys, tmp_path):
+    # every event kind priced by a latency and a power expression; the golden
+    # bytes were produced by the tree-walking evaluator this one replaced
+    out_file = tmp_path / "report.json"
+    code, _, err = invoke(
+        capsys, "--config", DATA / "expr_models.ini",
+        "--trace", DATA / "expr_models.trace", "--events", "--out", out_file,
+    )
+    assert (code, err) == (0, "")
+    assert out_file.read_bytes() == (DATA / "golden_expr_events.json").read_bytes()
+
+
 def test_duplicate_config_key_rejected(fixture_paths, capsys, tmp_path):
     _, trace = fixture_paths
     config = tmp_path / "dup.ini"

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import math
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flashsim.errors import ExpressionSyntaxError, UnknownIdentifierError
@@ -103,3 +106,52 @@ def test_arithmetic_agrees_with_python(byte_count, page_size, duration):
         duration=duration,
     )
     assert got == byte_count * duration / page_size + max(byte_count, page_size)
+
+
+# Grammar-valid sources that Python parses with the same precedence and
+# associativity. Every literal is written as a Python float (repr always has
+# a '.' or an exponent), so Python computes in floats as the evaluator does.
+_LEAVES = st.floats(0, 1e3).map(repr) | st.sampled_from(sorted(POWER_VARIABLES))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds("{} {} {}".format, children, st.sampled_from("+-*/"), children),
+        st.builds("{}{}".format, st.sampled_from("+-"), children),
+        st.builds("({})".format, children),
+        st.builds(
+            lambda func, args: f"{func}({', '.join(args)})",
+            st.sampled_from(("min", "max")),
+            st.lists(children, min_size=2, max_size=3),
+        ),
+    )
+
+
+SOURCES = st.recursive(_LEAVES, _extend, max_leaves=12)
+ENVIRONMENTS = st.fixed_dictionaries(
+    {name: st.floats(-1e3, 1e3) for name in sorted(POWER_VARIABLES)}
+)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@given(SOURCES, ENVIRONMENTS, st.sampled_from(sorted(POWER_VARIABLES)))
+# signed zeros tell apart negation from subtraction and pin min/max argument order
+@example("-page", ENV, "page")
+@example("min(0.0, -0.0) + max(-0.0, 0.0) * -1.0", ENV, "block")
+def test_evaluation_is_python_float_arithmetic_bit_for_bit(source, env, divisor):
+    expr = parse_expression(source, POWER_VARIABLES)
+    try:
+        expected = eval(source, {"__builtins__": {}, "min": min, "max": max}, env)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="^division by zero in expression$"):
+            expr.evaluate(env)
+    else:
+        got = expr.evaluate(env)
+        assert _bits(got) == _bits(expected) or math.isnan(got) and math.isnan(expected)
+    # the same source over a divisor that is exactly zero
+    zero = parse_expression(f"({source}) / {divisor}", POWER_VARIABLES)
+    with pytest.raises(ZeroDivisionError, match="^division by zero in expression$"):
+        zero.evaluate({**env, divisor: 0.0})

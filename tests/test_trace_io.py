@@ -104,6 +104,14 @@ class TestParseTrace:
         lines = [d.line for d in excinfo.value.diagnostics]
         assert lines == [3, 4, 5, 6, 7, 8, 9, 10]
 
+    # 1e306 us is finite, but not in nanoseconds
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "1e400", "1e306"])
+    def test_non_finite_arrival_rejected_with_line(self, geometry, arrival):
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(trace_text("0,read,0", f"{arrival},read,1"), geometry)
+        (diag,) = excinfo.value.diagnostics
+        assert (diag.line, diag.message) == (3, f"bad arrival time '{arrival}'")
+
     def test_multi_plane_and_interleave_lists(self, geometry):
         commands = parse_trace(
             trace_text(
@@ -221,6 +229,10 @@ class TestParseConfig:
             parse_config(MINIMAL_CONFIG.replace("channels = 2", "channels = 0"))
         with pytest.raises(ConfigError):
             parse_config(MINIMAL_CONFIG + "[performance]\nt_sense = -4\n")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(MINIMAL_CONFIG + "[performance]\nt_sense = nan\n")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(MINIMAL_CONFIG + "[power]\np_idle_bus = inf\n")
         with pytest.raises(ConfigError):
             parse_config(
                 MINIMAL_CONFIG.replace("supported = read, write, erase",
