@@ -57,15 +57,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     err = sys.stderr
 
-    try:
-        config_text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"{args.config}: cannot read config: {exc.strerror}", file=err)
+    config_text = _read(args.config, "config", err)
+    if config_text is None:
         return 2
-    try:
-        trace_text = Path(args.trace).read_text()
-    except OSError as exc:
-        print(f"{args.trace}: cannot read trace: {exc.strerror}", file=err)
+    trace_text = _read(args.trace, "trace", err)
+    if trace_text is None:
         return 2
 
     try:
@@ -88,6 +84,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result = run(trace, config.geometry, config.supported, config.models, policy)
+        _print_violations(result.warnings, args.trace, err)
+        idle = idle_accounting(result, config.geometry, config.models, policy)
+        report = build_report(result, idle)
     except ValidationFatal as exc:
         _print_violations(exc.violations, args.trace, err)
         if any(v.severity is Severity.ERROR for v in exc.violations):
@@ -101,9 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.trace}: {exc}", file=err)
         return 2
 
-    _print_violations(result.warnings, args.trace, err)
-    idle = idle_accounting(result, config.geometry, config.models, policy)
-    report = build_report(result, idle)
     rendered = emit(report, format=args.format, event_log=args.events)
     if args.out:
         try:
@@ -114,6 +110,18 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.write(rendered)
     return 0
+
+
+def _read(path: str, what: str, err) -> str | None:
+    """The file's text, or None after printing why it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    print(f"{path}: cannot read {what}: {reason}", file=err)
+    return None
 
 
 def _check_only(trace, config, policy: Policy, trace_path: str, err) -> int:

@@ -91,13 +91,18 @@ class CommandResult:
 
 @dataclass
 class RunResult:
-    """Everything a run produced: per-command results, event log, warnings."""
+    """Everything a run produced: per-command results, event log, busy time."""
 
     results: list[CommandResult]
     schedule: list[ScheduledEvent]
-    warnings: list[Violation]
+    busy_ns: dict[Resource, int]  # occupied nanoseconds per resource, exact
     first_arrival_ns: int
     last_end_ns: int
+
+    @property
+    def warnings(self) -> list[Violation]:
+        """Every command's warnings, in result order."""
+        return [w for r in self.results for w in r.warnings]
 
     @property
     def makespan_ns(self) -> int:
@@ -172,9 +177,9 @@ def run(
     price = models.pricer(geometry)
 
     busy_until: dict[Resource, int] = {}
+    busy: dict[Resource, int] = {}
     results: list[CommandResult] = []
     schedule: list[ScheduledEvent] = []
-    all_warnings: list[Violation] = []
     last_end = 0
 
     for cmd, warnings in replay(trace, geometry, supported, policy):
@@ -208,6 +213,7 @@ def run(
             end = start + duration
             if resource is not None:
                 busy_until[resource] = end
+                busy[resource] = busy.get(resource, 0) + duration
             ends.append(end)
             completion = max(completion, end)
             energy_total += energy
@@ -224,7 +230,6 @@ def run(
                 )
             )
         last_end = max(last_end, completion)
-        all_warnings.extend(warnings)
         results.append(
             CommandResult(
                 cmd.sequence_id,
@@ -237,7 +242,7 @@ def run(
         )
 
     first_arrival = trace[0].arrival_ns if trace else 0
-    return RunResult(results, schedule, all_warnings, first_arrival, last_end)
+    return RunResult(results, schedule, busy, first_arrival, last_end)
 
 
 def all_resources(geometry: Geometry, policy: Policy = Policy()) -> list[Resource]:
@@ -256,15 +261,6 @@ def all_resources(geometry: Geometry, policy: Policy = Policy()) -> list[Resourc
     return sorted(out)
 
 
-def busy_time_ns(schedule: Iterable[ScheduledEvent]) -> dict[Resource, int]:
-    """Total occupied nanoseconds per resource (exclusivity makes sums exact)."""
-    busy: dict[Resource, int] = {}
-    for ev in schedule:
-        if ev.resource is not None:
-            busy[ev.resource] = busy.get(ev.resource, 0) + ev.duration_ns
-    return busy
-
-
 def idle_accounting(
     run_result: RunResult,
     geometry: Geometry,
@@ -277,7 +273,7 @@ def idle_accounting(
     never touched; all zeros when no idle power is configured.
     """
     makespan_us = run_result.makespan_ns / 1000
-    busy = busy_time_ns(run_result.schedule)
+    busy = run_result.busy_ns
     out: dict[Resource, float] = {}
     for resource in all_resources(geometry, policy):
         idle_us = makespan_us - busy.get(resource, 0) / 1000

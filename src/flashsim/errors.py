@@ -48,11 +48,11 @@ class UnknownIdentifierError(FlashSimError):
 
 
 class ModelEvaluationError(FlashSimError):
-    """A model binding failed to price an event.
+    """A model binding failed to price an event, or an energy total overflowed.
 
-    `key` names the binding as ``[section] key`` of the config; `line` is
-    the trace line of the command whose event failed, once the engine has
-    located it.
+    `key` names the binding as ``[section] key`` of the config, or the
+    overflowing total after ``[power]``; `line` is the trace line of the
+    command whose event failed, once the engine has located it.
     """
 
     def __init__(self, key: str, detail: str, line: int | None = None):

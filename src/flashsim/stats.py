@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .commands import CommandKind, EventKind
-from .engine import RunResult, busy_time_ns
-from .errors import Rule, Violation
+from .engine import CommandResult, RunResult, ScheduledEvent
+from .errors import ModelEvaluationError, Rule, Violation
 from .topology import FlashAddress, Resource
 
 REPORT_SCHEMA = "flashsim-report v1"
@@ -46,35 +47,12 @@ class ResourceUsage:
 
 
 @dataclass(frozen=True)
-class EventLogRecord:
-    """One event of the log; addresses and resources are rendered by emit."""
-
-    sequence_id: int
-    event_id: int
-    kind: EventKind
-    target: FlashAddress
-    resource: Resource | None
-    start_us: float
-    duration_us: float
-    energy_uj: float
-
-
-@dataclass(frozen=True)
-class CommandRow:
-    sequence_id: int
-    kind: CommandKind
-    arrival_us: float
-    completion_us: float
-    latency_us: float
-    energy_uj: float
-    warning_count: int
-
-
-@dataclass(frozen=True)
 class Report:
+    """A run's aggregates; `commands` and `events` are the run's own records."""
+
     command_count: int
     makespan_us: float
-    commands: tuple[CommandRow, ...]
+    commands: Sequence[CommandResult]
     kind_stats: tuple[KindStats, ...]
     energy_by_kind: tuple[tuple[EventKind, float], ...]
     event_energy_uj: float
@@ -83,7 +61,7 @@ class Report:
     usage: tuple[ResourceUsage, ...]
     warning_counts: tuple[tuple[Rule, int], ...]
     warnings: tuple[Violation, ...]
-    events: tuple[EventLogRecord, ...]
+    events: Sequence[ScheduledEvent]
 
 
 def nearest_rank(sorted_values: list[float], percentile: int) -> float:
@@ -95,48 +73,40 @@ def nearest_rank(sorted_values: list[float], percentile: int) -> float:
 def build_report(
     run: RunResult, idle: Mapping[Resource, float] | None = None
 ) -> Report:
-    """Aggregate a completed run (plus optional idle energies) into a Report."""
+    """Aggregate a completed run (plus optional idle energies) into a Report.
+
+    Reads the run's results, schedule and warnings once each. It raises
+    ModelEvaluationError when an energy total overflows to infinity.
+    """
     idle = idle or {}
 
-    rows = tuple(
-        CommandRow(
-            r.sequence_id,
-            r.kind,
-            r.arrival_ns / 1000,
-            r.completion_ns / 1000,
-            r.latency_ns / 1000,
-            r.energy_uj,
-            len(r.warnings),
-        )
-        for r in run.results
-    )
-
+    latencies: dict[CommandKind, list[float]] = {}
+    for r in run.results:
+        latencies.setdefault(r.kind, []).append(r.latency_ns / 1000)
     kind_stats = []
     for kind in CommandKind:
-        latencies = sorted(
-            r.latency_ns / 1000 for r in run.results if r.kind is kind
-        )
-        if not latencies:
+        values = latencies.get(kind)
+        if values is None:
             continue
+        values.sort()
         kind_stats.append(
             KindStats(
                 kind,
-                len(latencies),
-                sum(latencies) / len(latencies),
-                latencies[0],
-                latencies[-1],
-                tuple(nearest_rank(latencies, p) for p in PERCENTILES),
+                len(values),
+                sum(values) / len(values),
+                values[0],
+                values[-1],
+                tuple(nearest_rank(values, p) for p in PERCENTILES),
             )
         )
 
-    energy_by_kind = []
-    for kind in EventKind:
-        events = [e for e in run.schedule if e.kind is kind]
-        if events:
-            total = 0.0
-            for e in events:
-                total += e.energy_uj
-            energy_by_kind.append((kind, total))
+    # each kind's total is 0.0 + e1 + e2 + ... in schedule order
+    kind_energy: dict[EventKind, float] = {}
+    for e in run.schedule:
+        kind_energy[e.kind] = kind_energy.get(e.kind, 0.0) + e.energy_uj
+    energy_by_kind = tuple(
+        (kind, kind_energy[kind]) for kind in EventKind if kind in kind_energy
+    )
 
     event_energy = 0.0
     for _, kind_total in energy_by_kind:
@@ -147,7 +117,7 @@ def build_report(
         idle_energy += idle[resource]
 
     makespan_us = run.makespan_ns / 1000
-    busy = busy_time_ns(run.schedule)
+    busy = run.busy_ns
     usage = []
     for resource in sorted(set(busy) | set(idle)):
         busy_us = busy.get(resource, 0) / 1000
@@ -157,42 +127,48 @@ def build_report(
         utilization = busy_us / makespan_us if makespan_us > 0 else 0.0
         usage.append(ResourceUsage(resource, busy_us, utilization, idle_uj))
 
-    warning_counts = []
-    for rule in Rule:
-        count = sum(1 for w in run.warnings if w.rule is rule)
-        if count:
-            warning_counts.append((rule, count))
-
-    events = tuple(
-        EventLogRecord(
-            e.sequence_id,
-            e.event_id,
-            e.kind,
-            e.target,
-            e.resource,
-            e.start_ns / 1000,
-            e.duration_ns / 1000,
-            e.energy_uj,
-        )
-        for e in run.schedule
-    )
+    warnings = tuple(run.warnings)
+    rule_counts = Counter(w.rule for w in warnings)
 
     report = Report(
         command_count=len(run.results),
         makespan_us=makespan_us,
-        commands=rows,
+        commands=run.results,
         kind_stats=tuple(kind_stats),
-        energy_by_kind=tuple(energy_by_kind),
+        energy_by_kind=energy_by_kind,
         event_energy_uj=event_energy,
         idle_energy_uj=idle_energy,
         total_energy_uj=event_energy + idle_energy,
         usage=tuple(usage),
-        warning_counts=tuple(warning_counts),
-        warnings=tuple(run.warnings),
-        events=events,
+        warning_counts=tuple(
+            (rule, rule_counts[rule]) for rule in Rule if rule in rule_counts
+        ),
+        warnings=warnings,
+        events=run.schedule,
     )
+    _reject_overflow(report)
     _assert_conserved(report)
     return report
+
+
+def _reject_overflow(report: Report) -> None:
+    """Raise if an energy total overflowed, naming the first part that did.
+
+    Event and idle energies are >= 0, so the total is finite exactly when
+    every part of it is.
+    """
+    if math.isfinite(report.total_energy_uj):
+        return
+    parts = [
+        (f"energy of {kind.value} events", value)
+        for kind, value in report.energy_by_kind
+    ]
+    parts.append(("energy of all events", report.event_energy_uj))
+    parts += [(f"idle energy of {u.resource.label}", u.idle_energy_uj) for u in report.usage]
+    parts.append(("idle energy of all resources", report.idle_energy_uj))
+    parts.append(("total energy", report.total_energy_uj))
+    name, value = next((n, v) for n, v in parts if not math.isfinite(v))
+    raise ModelEvaluationError(f"[power] {name}", f"overflows to {value}")
 
 
 def _assert_conserved(report: Report) -> None:
@@ -214,8 +190,8 @@ def emit(report: Report, format: str = "structured", event_log: bool = False) ->
 
 
 def _labelled(
-    events: Iterable[EventLogRecord],
-) -> Iterator[tuple[EventLogRecord, str, str | None]]:
+    events: Iterable[ScheduledEvent],
+) -> Iterator[tuple[ScheduledEvent, str, str | None]]:
     """Each event with its target and resource rendered as text.
 
     Events share few resources and often a target, so each distinct one is
@@ -246,11 +222,11 @@ def _emit_structured(report: Report, event_log: bool) -> str:
             {
                 "sequence_id": c.sequence_id,
                 "kind": c.kind.value,
-                "arrival_us": c.arrival_us,
-                "completion_us": c.completion_us,
-                "latency_us": c.latency_us,
+                "arrival_us": c.arrival_ns / 1000,
+                "completion_us": c.completion_ns / 1000,
+                "latency_us": c.latency_ns / 1000,
                 "energy_uj": c.energy_uj,
-                "warning_count": c.warning_count,
+                "warning_count": len(c.warnings),
             }
             for c in report.commands
         ],
@@ -304,8 +280,8 @@ def _emit_structured(report: Report, event_log: bool) -> str:
                 "kind": e.kind.value,
                 "target": target,
                 "resource": resource,
-                "start_us": e.start_us,
-                "duration_us": e.duration_us,
+                "start_us": e.start_ns / 1000,
+                "duration_us": e.duration_ns / 1000,
                 "energy_uj": e.energy_uj,
             }
             for e, target, resource in _labelled(report.events)
@@ -353,7 +329,7 @@ def _emit_table(report: Report, event_log: bool) -> str:
         lines += ["", "event log (start us, duration us, kind, target, resource, energy uJ)"]
         for e, target, resource in _labelled(report.events):
             lines.append(
-                f"{e.start_us:>12.3f}{e.duration_us:>12.3f}  {e.kind.value:<18}"
+                f"{e.start_ns / 1000:>12.3f}{e.duration_ns / 1000:>12.3f}  {e.kind.value:<18}"
                 f"{target:<16}{resource or '-':<16}{e.energy_uj:>10.3f}"
             )
     return "\n".join(lines) + "\n"

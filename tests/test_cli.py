@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flashsim.cli import main
+from flashsim.commands import CommandKind
 from flashsim.trace_io import TRACE_HEADER, emit_trace, parse_config
 
 from gen import random_trace
@@ -285,6 +292,73 @@ def test_expression_models_event_log_matches_golden(capsys, tmp_path):
     assert out_file.read_bytes() == (DATA / "golden_expr_events.json").read_bytes()
 
 
+def test_expression_models_table_matches_golden(capsys, tmp_path):
+    # the table report with its event log, pinned byte for byte
+    out_file = tmp_path / "report.txt"
+    code, _, err = invoke(
+        capsys, "--config", DATA / "expr_models.ini",
+        "--trace", DATA / "expr_models.trace",
+        "--format", "table", "--events", "--out", out_file,
+    )
+    assert (code, err) == (0, "")
+    assert out_file.read_bytes() == (DATA / "golden_expr_table.txt").read_bytes()
+
+
+ERASE_OVERFLOW = "[power]\nblock_erase = 1.7e308\n"
+IDLE_OVERFLOW = "[power]\np_idle_bus = 1e10\n"
+
+
+@pytest.mark.parametrize(
+    "tail,records,diagnostic",
+    [
+        (
+            ERASE_OVERFLOW,
+            "0,erase,0.0.0.0.0.0\n1,erase,0.0.0.0.1.0\n",
+            "[power] energy of block_erase events: overflows to inf",
+        ),
+        (
+            "[power]\nblock_erase = 1e308\narray_program = 1e308\n",
+            "0,erase,0.0.0.0.0.0\n1,write,0.0.0.0.1.0\n",
+            "[power] energy of all events: overflows to inf",
+        ),
+        (
+            IDLE_OVERFLOW,
+            "0,read,0.0.0.0.0.0\n1e305,read,0.0.0.0.0.0\n",
+            "[power] idle energy of bus/0: overflows to inf",
+        ),
+    ],
+    ids=["event_kind_total", "event_total", "idle"],
+)
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_energy_overflow_exits_2_without_a_report(
+    fixture_paths, capsys, tmp_path, tail, records, diagnostic, fmt
+):
+    config, _ = fixture_paths
+    config.write_text(config.read_text() + tail)
+    trace = tmp_path / "big.trace"
+    trace.write_text(f"{TRACE_HEADER}\n{records}")
+    out_file = tmp_path / "report"
+    code, out, err = invoke(
+        capsys, "--config", config, "--trace", trace, "--format", fmt
+    )
+    assert (code, out, err) == (2, "", f"{trace}: error: {diagnostic}\n")
+    code, _, _ = invoke(
+        capsys, "--config", config, "--trace", trace, "--format", fmt,
+        "--out", out_file,
+    )
+    assert code == 2 and not out_file.exists()
+
+
+@pytest.mark.parametrize("which", ["config", "trace"])
+def test_undecodable_input_exits_2(fixture_paths, capsys, which):
+    config, trace = fixture_paths
+    bad = config if which == "config" else trace
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace)
+    assert (code, out) == (2, "")
+    assert err == f"{bad}: cannot read {which}: not UTF-8 text\n"
+
+
 def test_duplicate_config_key_rejected(fixture_paths, capsys, tmp_path):
     _, trace = fixture_paths
     config = tmp_path / "dup.ini"
@@ -307,3 +381,90 @@ def test_identical_invocations_identical_bytes(fixture_paths, capsys):
         capsys, "--config", config, "--trace", trace, "--events"
     )
     assert (code1, out1, err1) == (code2, out2, err2)
+
+
+# closed input domain: traces from a small grammar of good and bad fields
+_ARRIVALS = st.one_of(
+    st.sampled_from(["0", "1.5", "-1", "nan", "1e305", ""]),
+    st.integers(0, 50).map(str),
+)
+_KINDS = st.sampled_from([kind.value for kind in CommandKind] + ["defragment"])
+_DOTTED = st.tuples(
+    st.integers(0, 2), st.integers(0, 1), st.integers(0, 1),
+    st.integers(0, 2), st.integers(0, 4), st.integers(0, 8),
+).map(lambda indices: ".".join(map(str, indices)))
+_ADDRESS = _DOTTED | st.integers(0, 600).map(str)
+_FIELD = st.one_of(
+    _ADDRESS,
+    st.lists(_ADDRESS, min_size=2, max_size=2).map(";".join),
+    st.sampled_from(["x.y", "0.0.0", "-3", "0.0.0.0.0.0.0", ";", ""]),
+    st.sampled_from(["0", "1", "3", "12"]),
+)
+_FREE_RECORD = st.builds(
+    lambda arrival, kind, fields: ",".join([arrival, kind, *fields]),
+    _ARRIVALS, _KINDS, st.lists(_FIELD, max_size=4),
+)
+_FIXTURE_GEOMETRY = parse_config((DATA / "fixture.ini").read_text()).geometry
+
+
+def _well_formed(arrival: str, seed: int) -> str:
+    """A structurally valid command of a random kind, at `arrival`."""
+    trace = emit_trace(random_trace(random.Random(seed), _FIXTURE_GEOMETRY, 1))
+    return f"{arrival},{trace.splitlines()[1].split(',', 1)[1]}"
+
+
+_WELL_FORMED_RECORD = st.builds(_well_formed, _ARRIVALS, st.integers(0, 2**32))
+# free-grammar lines alone rarely parse, so half the traces are well formed
+_RECORDS = st.one_of(
+    st.lists(_WELL_FORMED_RECORD, max_size=4),
+    st.lists(_FREE_RECORD | _WELL_FORMED_RECORD, max_size=4),
+)
+_TAILS = [
+    "",
+    "[policy]\ndie_serialization = true\ncmd_overhead_on_bus = true\n"
+    "initially_written = true\nendurance_limit = 1\n",
+    "[policy]\nviolation_severity = error\n",
+    "[performance]\narray_sense = 1 / (page - 3)\n",
+    ERASE_OVERFLOW,
+    IDLE_OVERFLOW,
+]
+_FLAGS = [[], ["--check"], ["--strict"], ["--events", "--format", "table"]]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=_RECORDS,
+    tail=st.sampled_from(_TAILS),
+    flags=st.sampled_from(_FLAGS),
+)
+@example(
+    records=["0,erase,0.0.0.0.0.0", "1,erase,0.0.0.0.1.0"], tail=ERASE_OVERFLOW,
+    flags=[],
+)
+@example(
+    records=["0,read,0.0.0.0.0.0", "1e305,read,0.0.0.0.0.0"], tail=IDLE_OVERFLOW,
+    flags=["--events", "--format", "table"],
+)
+def test_any_input_exits_0_1_or_2_with_a_finite_report(records, tail, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.ini"
+        config.write_text((DATA / "fixture.ini").read_text() + tail)
+        trace = Path(tmp) / "fuzz.trace"
+        trace.write_text("\n".join([TRACE_HEADER, *records]) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", str(config), "--trace", str(trace), *flags])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "--strict" in flags or "violation_severity = error" in tail
+        assert "warning:" in err
+    if code == 0 and "--check" not in flags:
+        if "table" in flags:
+            assert not re.search(r"\b(inf|nan)\b", out)
+        else:
+            json.loads(out, parse_constant=_reject_constant)

@@ -10,7 +10,6 @@ from flashsim.commands import Command, CommandKind, EventKind
 from flashsim.engine import (
     Policy,
     all_resources,
-    busy_time_ns,
     idle_accounting,
     replay,
     run,
@@ -355,7 +354,7 @@ class TestPolicies:
 
     def test_busy_time_accounting(self, geometry):
         result = run_checked([cmd(CommandKind.READ, A())], geometry)
-        busy = busy_time_ns(result.schedule)
+        busy = result.busy_ns
         assert busy[Resource("plane", (0, 0, 0, 0))] == 25000
         assert busy[Resource("bus", (0,))] == 102400
 

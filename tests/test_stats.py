@@ -85,13 +85,9 @@ def test_warning_summary_matches_warnings(geometry, models):
 def test_latency_consistency_with_event_log():
     report = fixture_run()
     for row in report.commands:
-        ends = [
-            e.start_us + e.duration_us
-            for e in report.events
-            if e.sequence_id == row.sequence_id
-        ]
-        assert row.completion_us == max(ends)
-        assert row.latency_us == row.completion_us - row.arrival_us
+        ends = [e.end_ns for e in report.events if e.sequence_id == row.sequence_id]
+        assert row.completion_ns == max(ends)
+        assert row.latency_ns == row.completion_ns - row.arrival_ns
 
 
 def test_emit_is_deterministic():
