@@ -17,7 +17,7 @@ as double-precision microjoules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .commands import (
     Command,
@@ -57,9 +57,12 @@ class Policy:
     multi_plane_same_offsets: bool = True
 
 
-@dataclass(frozen=True)
-class ScheduledEvent:
-    """One priced and placed event from the run's event log."""
+class ScheduledEvent(NamedTuple):
+    """One priced and placed event from the run's event log.
+
+    A named tuple, not a dataclass: a run builds one per event, and a tuple
+    is built without a per-field ``object.__setattr__``.
+    """
 
     sequence_id: int
     event_id: int

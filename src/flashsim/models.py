@@ -219,7 +219,8 @@ class ModelSet:
         latency binding gives the duration, rounded to whole nanoseconds,
         and the power binding sees that rounded duration. It raises
         ModelEvaluationError, naming the binding, when either one divides
-        by zero or yields a negative, NaN or infinite result.
+        by zero or yields a negative, NaN or infinite result, or when the
+        latency is too large to count in nanoseconds.
         """
         page_size, oob_size = float(geometry.page_size), float(geometry.oob_size)
         latency, energy = self._latency, self._energy
@@ -238,7 +239,14 @@ class ModelSet:
                 float(target.block),
                 float(target.page),
             )
-            duration_ns = us_to_ns(_evaluated(latency[kind], values))
+            duration_us = _evaluated(latency[kind], values)
+            try:
+                duration_ns = us_to_ns(duration_us)
+            except OverflowError:
+                raise ModelEvaluationError(
+                    latency[kind][1],
+                    f"evaluated to {duration_us} us, which overflows in nanoseconds",
+                ) from None
             return duration_ns, _evaluated(energy[kind], (*values, duration_ns / 1000))
 
         return price

@@ -16,12 +16,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .commands import CommandKind, EventKind
 from .engine import CommandResult, RunResult, ScheduledEvent
 from .errors import ModelEvaluationError, Rule, Violation
-from .topology import FlashAddress, Resource
+from .topology import Resource
 
 REPORT_SCHEMA = "flashsim-report v1"
 
@@ -190,24 +190,45 @@ def emit(report: Report, format: str = "structured", event_log: bool = False) ->
 
 
 def _labelled(
-    events: Iterable[ScheduledEvent],
-) -> Iterator[tuple[ScheduledEvent, str, str | None]]:
-    """Each event with its target and resource rendered as text.
+    events: Iterable[ScheduledEvent], render: Callable[[str | None], str]
+) -> Iterator[tuple[ScheduledEvent, str, str, str]]:
+    """Each event with its kind, target and resource rendered by `render`.
 
-    Events share few resources and often a target, so each distinct one is
-    rendered once and its text reused.
+    Events share few kinds and resources and often a target, so each
+    distinct one is rendered once and its text reused. An event without a
+    resource has it rendered from None.
     """
-    labels: dict[FlashAddress | Resource, str] = {}
+    labels: dict[object, str] = {}
     for e in events:
+        kind = labels.get(e.kind)
+        if kind is None:
+            kind = labels[e.kind] = render(e.kind.value)
         target = labels.get(e.target)
         if target is None:
-            target = labels[e.target] = str(e.target)
-        resource = None
-        if e.resource is not None:
-            resource = labels.get(e.resource)
-            if resource is None:
-                resource = labels[e.resource] = e.resource.label
-        yield e, target, resource
+            target = labels[e.target] = render(str(e.target))
+        resource = labels.get(e.resource)
+        if resource is None:
+            resource = labels[e.resource] = render(
+                None if e.resource is None else e.resource.label
+            )
+        yield e, kind, target, resource
+
+
+# One event-log row laid out exactly as json.dumps(..., indent=2) lays it out,
+# led by the comma that separates it from the row before. Labels come quoted
+# by json.dumps; floats render as float.__repr__, which is what json uses.
+_EVENT_ROW = (
+    ",\n    {\n"
+    '      "sequence_id": %d,\n'
+    '      "event_id": %d,\n'
+    '      "kind": %s,\n'
+    '      "target": %s,\n'
+    '      "resource": %s,\n'
+    '      "start_us": %r,\n'
+    '      "duration_us": %r,\n'
+    '      "energy_uj": %r\n'
+    "    }"
+)
 
 
 def _emit_structured(report: Report, event_log: bool) -> str:
@@ -272,21 +293,31 @@ def _emit_structured(report: Report, event_log: bool) -> str:
             for w in report.warnings
         ],
     }
-    if event_log:
-        doc["events"] = [
-            {
-                "sequence_id": e.sequence_id,
-                "event_id": e.event_id,
-                "kind": e.kind.value,
-                "target": target,
-                "resource": resource,
-                "start_us": e.start_ns / 1000,
-                "duration_us": e.duration_ns / 1000,
-                "energy_uj": e.energy_uj,
-            }
-            for e, target, resource in _labelled(report.events)
-        ]
-    return json.dumps(doc, indent=2) + "\n"
+    head = json.dumps(doc, indent=2)
+    if not event_log:
+        return head + "\n"
+    # "events" is the last key: the rows go where the head's closing "\n}" was
+    parts = [head[:-2], ',\n  "events": [']
+    parts += [
+        _EVENT_ROW
+        % (
+            e.sequence_id,
+            e.event_id,
+            kind,
+            target,
+            resource,
+            e.start_ns / 1000,
+            e.duration_ns / 1000,
+            e.energy_uj,
+        )
+        for e, kind, target, resource in _labelled(report.events, json.dumps)
+    ]
+    if len(parts) == 2:
+        parts.append("]\n}\n")
+    else:
+        parts[2] = parts[2][1:]  # the first row follows "[", not a comma
+        parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def _emit_table(report: Report, event_log: bool) -> str:
@@ -327,9 +358,9 @@ def _emit_table(report: Report, event_log: bool) -> str:
             lines.append(f"  {where}{w.message} [{w.rule.value}]")
     if event_log:
         lines += ["", "event log (start us, duration us, kind, target, resource, energy uJ)"]
-        for e, target, resource in _labelled(report.events):
+        for e, kind, target, resource in _labelled(report.events, lambda label: label or "-"):
             lines.append(
-                f"{e.start_ns / 1000:>12.3f}{e.duration_ns / 1000:>12.3f}  {e.kind.value:<18}"
-                f"{target:<16}{resource or '-':<16}{e.energy_uj:>10.3f}"
+                f"{e.start_ns / 1000:>12.3f}{e.duration_ns / 1000:>12.3f}  {kind:<18}"
+                f"{target:<16}{resource:<16}{e.energy_uj:>10.3f}"
             )
     return "\n".join(lines) + "\n"

@@ -93,12 +93,17 @@ class FlashAddress:
         return (self.channel, self.chip)
 
     def __str__(self) -> str:
-        return ".".join(str(i) for i in self.indices())
+        return "%d.%d.%d.%d.%d.%d" % (
+            self.channel, self.chip, self.die, self.plane, self.block, self.page
+        )
 
 
 class PageState(Enum):
     ERASED = "erased"
     WRITTEN = "written"
+
+
+_LABEL_FORMATS = {"bus": "bus/%d", "die": "die/%d.%d.%d", "plane": "plane/%d.%d.%d.%d"}
 
 
 @dataclass(frozen=True, order=True)
@@ -116,7 +121,7 @@ class Resource:
 
     @property
     def label(self) -> str:
-        return f"{self.kind}/" + ".".join(str(i) for i in self.key)
+        return _LABEL_FORMATS[self.kind] % self.key
 
 
 def plane_resource(addr: FlashAddress) -> Resource:

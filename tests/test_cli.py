@@ -234,6 +234,10 @@ def test_model_division_by_zero_is_a_diagnostic(fixture_paths, capsys, tmp_path)
     assert "Traceback" not in err
 
 
+# finite in microseconds, but not as a whole number of nanoseconds
+LATENCY_OVERFLOW = "[performance]\narray_sense = 1e306"
+
+
 @pytest.mark.parametrize(
     "binding,diagnostic",
     [
@@ -263,9 +267,14 @@ def test_model_division_by_zero_is_a_diagnostic(fixture_paths, capsys, tmp_path)
             "[performance] t_bus_per_byte: evaluated to inf "
             "for the bus_transfer_out event",
         ),
+        (
+            LATENCY_OVERFLOW,
+            "[performance] array_sense: evaluated to 1e+306 us, which overflows "
+            "in nanoseconds for the array_sense event",
+        ),
     ],
     ids=["negative", "zero_divisor", "latency_inf", "energy_inf", "energy_nan",
-         "builtin_inf"],
+         "builtin_inf", "latency_ns_overflow"],
 )
 def test_failing_model_binding_is_located_at_its_trace_line(
     fixture_paths, capsys, tmp_path, binding, diagnostic
@@ -427,8 +436,9 @@ _TAILS = [
     "[performance]\narray_sense = 1 / (page - 3)\n",
     ERASE_OVERFLOW,
     IDLE_OVERFLOW,
+    LATENCY_OVERFLOW + "\n",
 ]
-_FLAGS = [[], ["--check"], ["--strict"], ["--events", "--format", "table"]]
+_FLAGS = [[], ["--check"], ["--strict"], ["--events"], ["--events", "--format", "table"]]
 
 
 def _reject_constant(name):

@@ -5,10 +5,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flashsim.commands import Command, CommandKind, EventKind
-from flashsim.engine import idle_accounting, run
+from flashsim.engine import Policy, idle_accounting, run
+from flashsim.models import (
+    ModelSet,
+    TimingParams,
+    parse_latency_expression,
+    parse_power_expression,
+)
 from flashsim.stats import REPORT_SCHEMA, build_report, emit, nearest_rank
+from flashsim.topology import Geometry
 from flashsim.trace_io import parse_config, parse_trace
 
 from checks import assert_schedule_legal
@@ -148,3 +157,81 @@ def test_unknown_format_rejected():
     report = fixture_run()
     with pytest.raises(ValueError):
         emit(report, "yaml")
+
+
+def _reference_structured(report) -> str:
+    """The structured report with its event log, rendered as one dict per
+    event through json.dumps(doc, indent=2).
+
+    The head is re-read from the same report emitted without the event log.
+    """
+    doc = json.loads(emit(report, "structured", event_log=False))
+    doc["events"] = [
+        {
+            "sequence_id": e.sequence_id,
+            "event_id": e.event_id,
+            "kind": e.kind.value,
+            "target": str(e.target),
+            "resource": None if e.resource is None else e.resource.label,
+            "start_us": e.start_ns / 1000,
+            "duration_us": e.duration_ns / 1000,
+            "energy_uj": e.energy_uj,
+        }
+        for e in report.events
+    ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_MODELS = {
+    "builtin": ModelSet(),
+    "expressions": ModelSet(
+        latency_exprs={
+            kind: parse_latency_expression("0.3 + page / 7 + block * 1.1 + byte_count / 3e4")
+            for kind in EventKind
+        },
+        power_exprs={
+            kind: parse_power_expression("duration * (channel + 0.1) / 3")
+            for kind in EventKind
+        },
+    ),
+    "huge_sense": ModelSet(TimingParams(t_sense=1e300)),
+    "tiny_energy": ModelSet(
+        power_exprs={kind: parse_power_expression("5e-324") for kind in EventKind}
+    ),
+}
+_POLICIES = st.builds(
+    Policy,
+    endurance_limit=st.sampled_from([None, 1]),
+    die_serialization=st.booleans(),
+    cmd_overhead_on_bus=st.booleans(),
+    initially_written=st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_commands=st.integers(0, 12),
+    policy=_POLICIES,
+    models=st.sampled_from(sorted(_MODELS)),
+    expected=st.just(""),
+)
+@example(seed=0, n_commands=0, policy=Policy(), models="builtin",
+         expected='"events": []')
+@example(seed=1, n_commands=2, policy=Policy(cmd_overhead_on_bus=False),
+         models="builtin", expected='"resource": null')
+@example(seed=2, n_commands=4, policy=Policy(), models="huge_sense",
+         expected='"duration_us": 1e+300,')
+@example(seed=3, n_commands=2, policy=Policy(), models="tiny_energy",
+         expected='"energy_uj": 5e-324\n')
+def test_event_log_has_the_bytes_of_json_dumps(
+    seed, n_commands, policy, models, expected
+):
+    geometry = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)
+    trace = random_trace(random.Random(seed), geometry, n_commands)
+    model_set = _MODELS[models]
+    result = run(trace, geometry, ALL_KINDS, model_set, policy)
+    report = build_report(result, idle_accounting(result, geometry, model_set, policy))
+    rendered = emit(report, "structured", True)
+    assert rendered == _reference_structured(report)
+    assert expected in rendered
