@@ -103,9 +103,6 @@ class PageState(Enum):
     WRITTEN = "written"
 
 
-_LABEL_FORMATS = {"bus": "bus/%d", "die": "die/%d.%d.%d", "plane": "plane/%d.%d.%d.%d"}
-
-
 @dataclass(frozen=True, order=True)
 class Resource:
     """An exclusively-occupied hardware unit: a plane or a channel bus.
@@ -121,7 +118,7 @@ class Resource:
 
     @property
     def label(self) -> str:
-        return _LABEL_FORMATS[self.kind] % self.key
+        return f"{self.kind}/" + ".".join(str(i) for i in self.key)
 
 
 def plane_resource(addr: FlashAddress) -> Resource:
