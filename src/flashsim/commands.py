@@ -354,6 +354,95 @@ def _extent_pages(cmd: Command) -> tuple[FlashAddress, ...]:
     )
 
 
+# The resource a shape step occupies, resolved against its target address.
+ROLE_NONE, ROLE_PLANE, ROLE_BUS = 0, 1, 2
+
+# One step of a decomposition shape: (event kind, index into the command's
+# targets, ids of the earlier steps it waits for, resource role).
+Step = tuple[EventKind, int, tuple[int, ...], int]
+
+# The stages each target of a non-copy-back kind runs through, in order.
+_READ_STAGES = (EventKind.ARRAY_SENSE, EventKind.BUS_TRANSFER_OUT)
+_WRITE_STAGES = (EventKind.BUS_TRANSFER_IN, EventKind.ARRAY_PROGRAM)
+_STAGES = {
+    CommandKind.READ: _READ_STAGES,
+    CommandKind.MULTI_PLANE_READ: _READ_STAGES,
+    CommandKind.INTERLEAVED_READ: _READ_STAGES,
+    CommandKind.CACHE_READ: _READ_STAGES,
+    CommandKind.WRITE: _WRITE_STAGES,
+    CommandKind.MULTI_PLANE_WRITE: _WRITE_STAGES,
+    CommandKind.INTERLEAVED_WRITE: _WRITE_STAGES,
+    CommandKind.CACHE_WRITE: _WRITE_STAGES,
+    CommandKind.ERASE: (EventKind.BLOCK_ERASE,),
+    CommandKind.MULTI_PLANE_ERASE: (EventKind.BLOCK_ERASE,),
+    CommandKind.INTERLEAVED_ERASE: (EventKind.BLOCK_ERASE,),
+}
+
+_SHAPES: dict[tuple[CommandKind, int, int, bool], tuple[Step, ...]] = {}
+
+
+def event_targets(cmd: Command) -> tuple[FlashAddress, ...]:
+    """The addresses a command's shape steps index: the extent pages of a
+    cache command, the operands of every other kind (a copy-back pair i is
+    source 2i and destination 2i+1)."""
+    return _extent_pages(cmd) if cmd.kind in CACHE_KINDS else cmd.operands
+
+
+def event_bytes(kind: EventKind, geometry: Geometry) -> int:
+    """Bytes an event of `kind` moves: a page for a bus transfer, else 0."""
+    return geometry.page_size if kind in BUS_EVENTS else 0
+
+
+def shape(
+    kind: CommandKind, n_operands: int, page_count: int, cmd_overhead_on_bus: bool
+) -> tuple[Step, ...]:
+    """The event DAG of every command of this kind, operand count and page
+    count, built once and shared; see `decompose` for the shapes."""
+    key = (kind, n_operands, page_count, cmd_overhead_on_bus)
+    steps = _SHAPES.get(key)
+    if steps is None:
+        steps = _SHAPES[key] = _build_shape(
+            kind, page_count if kind in CACHE_KINDS else n_operands, cmd_overhead_on_bus
+        )
+    return steps
+
+
+def _build_shape(
+    kind: CommandKind, n_targets: int, cmd_overhead_on_bus: bool
+) -> tuple[Step, ...]:
+    steps: list[Step] = [
+        (EventKind.CMD_OVERHEAD, 0, (), ROLE_BUS if cmd_overhead_on_bus else ROLE_NONE)
+    ]
+
+    def add(event_kind: EventKind, target: int, *deps: int) -> int:
+        role = ROLE_BUS if event_kind in BUS_EVENTS else ROLE_PLANE
+        steps.append((event_kind, target, deps, role))
+        return len(steps) - 1
+
+    if kind in PAIRED_KINDS:
+        for src in range(0, n_targets, 2):
+            sense = add(EventKind.ARRAY_SENSE, src, 0)
+            copy = add(EventKind.BUFFER_COPY, src, sense)
+            add(EventKind.ARRAY_PROGRAM, src + 1, copy)
+    elif len(_STAGES[kind]) == 1:
+        for target in range(n_targets):
+            add(_STAGES[kind][0], target, 0)
+    else:
+        # a cache command chains each stage to its own previous page, so the
+        # array pipelines against the bus; the other kinds fan out per target
+        first_kind, second_kind = _STAGES[kind]
+        chained = kind in CACHE_KINDS
+        first = second = None
+        for target in range(n_targets):
+            if chained and first is not None:
+                first = add(first_kind, target, first)
+                second = add(second_kind, target, first, second)
+            else:
+                first = add(first_kind, target, 0)
+                second = add(second_kind, target, first)
+    return tuple(steps)
+
+
 def decompose(
     cmd: Command, geometry: Geometry, cmd_overhead_on_bus: bool = False
 ) -> list[FlashEvent]:
@@ -376,86 +465,22 @@ def decompose(
 
     Event ids are list positions; the dependency sets only reference earlier
     positions. Identical (cmd, geometry) always yields an identical list.
+    This instantiates the command's `shape`, which the engine reads directly.
     """
-    first = cmd.operands[0]
-    events = [
+    targets = event_targets(cmd)
+    resource_of = (lambda a: None, plane_resource, bus_resource)
+    return [
         FlashEvent(
-            EventKind.CMD_OVERHEAD,
-            first,
-            0,
-            resource=bus_resource(first) if cmd_overhead_on_bus else None,
-            depends_on=frozenset(),
+            kind,
+            targets[index],
+            event_bytes(kind, geometry),
+            resource=resource_of[role](targets[index]),
+            depends_on=frozenset(deps),
+        )
+        for kind, index, deps, role in shape(
+            cmd.kind, len(cmd.operands), cmd.page_count, cmd_overhead_on_bus
         )
     ]
-    overhead = 0
-    page_size = geometry.page_size
-    kind = cmd.kind
-
-    def emit(event_kind: EventKind, target: FlashAddress, *deps: int) -> int:
-        if event_kind in BUS_EVENTS:
-            byte_count, resource = page_size, bus_resource(target)
-        else:
-            byte_count, resource = 0, plane_resource(target)
-        events.append(
-            FlashEvent(
-                event_kind,
-                target,
-                byte_count,
-                resource=resource,
-                depends_on=frozenset(deps),
-            )
-        )
-        return len(events) - 1
-
-    if kind is CommandKind.READ:
-        sense = emit(EventKind.ARRAY_SENSE, first, overhead)
-        emit(EventKind.BUS_TRANSFER_OUT, first, sense)
-    elif kind is CommandKind.WRITE:
-        xfer = emit(EventKind.BUS_TRANSFER_IN, first, overhead)
-        emit(EventKind.ARRAY_PROGRAM, first, xfer)
-    elif kind is CommandKind.ERASE:
-        emit(EventKind.BLOCK_ERASE, first, overhead)
-    elif kind in PAIRED_KINDS:
-        for src, dst in cmd.pairs():
-            sense = emit(EventKind.ARRAY_SENSE, src, overhead)
-            copy = emit(EventKind.BUFFER_COPY, src, sense)
-            emit(EventKind.ARRAY_PROGRAM, dst, copy)
-    elif kind is CommandKind.CACHE_READ:
-        prev_sense = prev_xfer = None
-        for page in _extent_pages(cmd):
-            sense = emit(
-                EventKind.ARRAY_SENSE,
-                page,
-                overhead if prev_sense is None else prev_sense,
-            )
-            xfer_deps = (sense,) if prev_xfer is None else (sense, prev_xfer)
-            prev_xfer = emit(EventKind.BUS_TRANSFER_OUT, page, *xfer_deps)
-            prev_sense = sense
-    elif kind is CommandKind.CACHE_WRITE:
-        prev_xfer = prev_prog = None
-        for page in _extent_pages(cmd):
-            xfer = emit(
-                EventKind.BUS_TRANSFER_IN,
-                page,
-                overhead if prev_xfer is None else prev_xfer,
-            )
-            prog_deps = (xfer,) if prev_prog is None else (xfer, prev_prog)
-            prev_prog = emit(EventKind.ARRAY_PROGRAM, page, *prog_deps)
-            prev_xfer = xfer
-    elif kind in (CommandKind.MULTI_PLANE_READ, CommandKind.INTERLEAVED_READ):
-        for addr in cmd.operands:
-            sense = emit(EventKind.ARRAY_SENSE, addr, overhead)
-            emit(EventKind.BUS_TRANSFER_OUT, addr, sense)
-    elif kind in (CommandKind.MULTI_PLANE_WRITE, CommandKind.INTERLEAVED_WRITE):
-        for addr in cmd.operands:
-            xfer = emit(EventKind.BUS_TRANSFER_IN, addr, overhead)
-            emit(EventKind.ARRAY_PROGRAM, addr, xfer)
-    elif kind in (CommandKind.MULTI_PLANE_ERASE, CommandKind.INTERLEAVED_ERASE):
-        for addr in cmd.operands:
-            emit(EventKind.BLOCK_ERASE, addr, overhead)
-    else:  # pragma: no cover - kinds are exhaustive
-        raise AssertionError(f"unhandled command kind {kind}")
-    return events
 
 
 def _error(rule: Rule, message: str, cmd: Command) -> Violation:

@@ -20,11 +20,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .commands import (
+    ROLE_BUS,
+    ROLE_NONE,
     Command,
     CommandKind,
     EventKind,
-    decompose,
+    decompose,  # noqa: F401 - unused here; perfbench's tracer hooks engine.decompose
     erased_blocks,
+    event_bytes,
+    event_targets,
+    shape,
     validate,
     written_pages,
 )
@@ -41,6 +46,8 @@ from .topology import (
     Geometry,
     Resource,
     SubsystemState,
+    bus_resource,
+    plane_resource,
     validate_geometry,
 )
 
@@ -113,19 +120,6 @@ class RunResult:
         return max(0, self.last_end_ns - self.first_arrival_ns)
 
 
-def effective_resource(resource: Resource | None, policy: Policy) -> Resource | None:
-    """Map an event's natural resource to its scheduling unit.
-
-    Die serialization coarsens every plane to its die, modeling chips that
-    cannot run plane operations concurrently.
-    """
-    if resource is None:
-        return None
-    if policy.die_serialization and resource.kind == "plane":
-        return Resource("die", resource.key[:3])
-    return resource
-
-
 def replay(
     trace: Iterable[Command],
     geometry: Geometry,
@@ -178,9 +172,22 @@ def run(
     validate_geometry(geometry)
     _check_order(trace)
     price = models.pricer(geometry)
+    overhead_on_bus = policy.cmd_overhead_on_bus
+    serialize_dies = policy.die_serialization
+    chips, dies = geometry.chips_per_channel, geometry.dies_per_chip
+    planes = geometry.planes_per_die
 
-    busy_until: dict[Resource, int] = {}
-    busy: dict[Resource, int] = {}
+    # Each (command kind, operand count, page count) shape with its steps'
+    # byte counts and pricing entries, resolved once per run.
+    compiled: dict[tuple[CommandKind, int, int], tuple] = {}
+    # Resources are interned to dense slots the first time an event occupies
+    # them, so memory follows the trace, not the geometry. A plane (or, under
+    # die serialization, a die) is keyed by its mixed-radix index, a channel
+    # bus by the bitwise complement of its channel.
+    slot_of: dict[int, int] = {}
+    resources: list[Resource] = []
+    busy_until: list[int] = []
+    busy: list[int] = []
     results: list[CommandResult] = []
     schedule: list[ScheduledEvent] = []
     last_end = 0
@@ -192,52 +199,71 @@ def run(
         if policy.strict and warnings:
             raise ValidationFatal(warnings)
 
-        events = decompose(cmd, geometry, cmd_overhead_on_bus=policy.cmd_overhead_on_bus)
+        key = (cmd.kind, len(cmd.operands), cmd.page_count)
+        steps = compiled.get(key)
+        if steps is None:
+            steps = compiled[key] = tuple(
+                (kind, index, deps, role, price.entry(kind, event_bytes(kind, geometry)))
+                for kind, index, deps, role in shape(*key, overhead_on_bus)
+            )
+        targets = event_targets(cmd)
+        arrival = cmd.arrival_ns
+        sequence_id = cmd.sequence_id
         ends: list[int] = []
-        completion = cmd.arrival_ns
+        completion = arrival
         energy_total = 0.0
-        for event_id, event in enumerate(events):
-            ready = cmd.arrival_ns
-            for dep in event.depends_on:
-                ready = max(ready, ends[dep])
-            resource = effective_resource(event.resource, policy)
-            if resource is None:
-                start = ready
-            else:
-                start = max(ready, busy_until.get(resource, 0))
+        for event_id, (kind, index, deps, role, priced) in enumerate(steps):
+            target = targets[index]
+            ready = arrival
+            for dep in deps:
+                if ends[dep] > ready:
+                    ready = ends[dep]
             try:
-                duration, energy = price(event.kind, event.target, event.byte_count)
+                duration, energy = priced(target)
             except ModelEvaluationError as exc:
                 raise exc.located(
                     cmd.line,
-                    f"the {event.kind.value} event of {cmd.kind.value} command "
-                    f"{cmd.sequence_id}",
+                    f"the {kind.value} event of {cmd.kind.value} command {sequence_id}",
                 ) from exc
+            if role == ROLE_NONE:
+                resource = None
+                start = ready
+            else:
+                if role == ROLE_BUS:
+                    resource_key = ~target.channel
+                else:
+                    resource_key = (target.channel * chips + target.chip) * dies + target.die
+                    if not serialize_dies:
+                        resource_key = resource_key * planes + target.plane
+                slot = slot_of.get(resource_key)
+                if slot is None:
+                    slot = slot_of[resource_key] = len(resources)
+                    resources.append(_resource(role, target, serialize_dies))
+                    busy_until.append(0)
+                    busy.append(0)
+                resource = resources[slot]
+                start = busy_until[slot]
+                if start < ready:
+                    start = ready
+                busy_until[slot] = start + duration
+                busy[slot] += duration
             end = start + duration
-            if resource is not None:
-                busy_until[resource] = end
-                busy[resource] = busy.get(resource, 0) + duration
             ends.append(end)
-            completion = max(completion, end)
+            if end > completion:
+                completion = end
             energy_total += energy
             schedule.append(
                 ScheduledEvent(
-                    cmd.sequence_id,
-                    event_id,
-                    event.kind,
-                    event.target,
-                    resource,
-                    start,
-                    duration,
-                    energy,
+                    sequence_id, event_id, kind, target, resource, start, duration, energy
                 )
             )
-        last_end = max(last_end, completion)
+        if completion > last_end:
+            last_end = completion
         results.append(
             CommandResult(
-                cmd.sequence_id,
+                sequence_id,
                 cmd.kind,
-                cmd.arrival_ns,
+                arrival,
                 completion,
                 energy_total,
                 tuple(warnings),
@@ -245,7 +271,19 @@ def run(
         )
 
     first_arrival = trace[0].arrival_ns if trace else 0
-    return RunResult(results, schedule, busy, first_arrival, last_end)
+    return RunResult(
+        results, schedule, dict(zip(resources, busy)), first_arrival, last_end
+    )
+
+
+def _resource(role: int, target: FlashAddress, serialize_dies: bool) -> Resource:
+    """The resource a step of `role` occupies at `target`; die serialization
+    coarsens every plane to its die."""
+    if role == ROLE_BUS:
+        return bus_resource(target)
+    if serialize_dies:
+        return Resource("die", target.die_key())
+    return plane_resource(target)
 
 
 def all_resources(geometry: Geometry, policy: Policy = Policy()) -> list[Resource]:

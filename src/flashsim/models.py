@@ -24,6 +24,8 @@ unoccupied within the run's makespan.
 Every binding, built-in or expression, is compiled once into a function of
 one positional tuple of floats, in ``VARIABLE_ORDER``; pricing an event is
 one call of its kind's latency function and one of its energy function.
+Every built-in, and every expression that reads no address variable, gives
+one result per (event kind, byte_count), which a run evaluates once.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ _SLOTS = {name: index for index, name in enumerate(VARIABLE_ORDER)}
 _BYTE_COUNT, _DURATION = _SLOTS["byte_count"], _SLOTS["duration"]
 PERF_VARIABLES = frozenset(VARIABLE_ORDER[:_DURATION])
 POWER_VARIABLES = frozenset(VARIABLE_ORDER)
+# A binding that reads none of the address variables is constant per
+# (event kind, byte_count) on one geometry.
+ADDRESS_FREE_VARIABLES = frozenset({"byte_count", "page_size", "oob_size", "duration"})
 
 # A compiled binding and the config key it comes from, "[section] key".
 Binding = tuple[Callable[[tuple[float, ...]], float], str]
@@ -184,6 +189,14 @@ class ModelSet:
         self.power_exprs = dict(power_exprs or {})
         self._latency = {kind: self._latency_binding(kind) for kind in EventKind}
         self._energy = {kind: self._energy_binding(kind) for kind in EventKind}
+        self._address_free = {
+            kind: all(
+                expr.variables <= ADDRESS_FREE_VARIABLES
+                for expr in (self.latency_exprs.get(kind), self.power_exprs.get(kind))
+                if expr is not None
+            )
+            for kind in EventKind
+        }
 
     def _latency_binding(self, kind: EventKind) -> Binding:
         expr = self.latency_exprs.get(kind)
@@ -210,46 +223,9 @@ class ModelSet:
             f"[power] {name}",
         )
 
-    def pricer(
-        self, geometry: Geometry
-    ) -> Callable[[EventKind, FlashAddress, int], tuple[int, float]]:
-        """The function that prices one event on `geometry`.
-
-        It maps (kind, target, byte_count) to (duration_ns, energy_uj): the
-        latency binding gives the duration, rounded to whole nanoseconds,
-        and the power binding sees that rounded duration. It raises
-        ModelEvaluationError, naming the binding, when either one divides
-        by zero or yields a negative, NaN or infinite result, or when the
-        latency is too large to count in nanoseconds.
-        """
-        page_size, oob_size = float(geometry.page_size), float(geometry.oob_size)
-        latency, energy = self._latency, self._energy
-
-        def price(
-            kind: EventKind, target: FlashAddress, byte_count: int
-        ) -> tuple[int, float]:
-            values = (
-                float(byte_count),
-                page_size,
-                oob_size,
-                float(target.channel),
-                float(target.chip),
-                float(target.die),
-                float(target.plane),
-                float(target.block),
-                float(target.page),
-            )
-            duration_us = _evaluated(latency[kind], values)
-            try:
-                duration_ns = us_to_ns(duration_us)
-            except OverflowError:
-                raise ModelEvaluationError(
-                    latency[kind][1],
-                    f"evaluated to {duration_us} us, which overflows in nanoseconds",
-                ) from None
-            return duration_ns, _evaluated(energy[kind], (*values, duration_ns / 1000))
-
-        return price
+    def pricer(self, geometry: Geometry) -> Pricer:
+        """The pricer of events on `geometry`; see `Pricer`."""
+        return Pricer(self, geometry)
 
     def latency_us(self, ctx: EventContext) -> float:
         """Duration of one event in microseconds; always finite and >= 0."""
@@ -266,6 +242,83 @@ class ModelSet:
     def idle_power_mw(self, resource_kind: str) -> float:
         # die resources stand in for their planes under die serialization
         return self.power.p_idle_bus if resource_kind == "bus" else self.power.p_idle_plane
+
+
+class Pricer:
+    """Prices events on one geometry.
+
+    `entry(kind, byte_count)` is the function that maps an event's target
+    to (duration_ns, energy_uj): the latency binding gives the duration,
+    rounded to whole nanoseconds, and the power binding sees that rounded
+    duration. It raises ModelEvaluationError, naming the binding, when
+    either one divides by zero or yields a negative, NaN or infinite result,
+    or when the latency is too large to count in nanoseconds.
+
+    A kind whose two bindings read no address variable is evaluated once per
+    byte_count, at the first event that needs it, and that result is reused;
+    a failing binding therefore raises at its first event, as it would if
+    evaluated per event. Bindings that read the address are evaluated per
+    event.
+    """
+
+    def __init__(self, models: ModelSet, geometry: Geometry):
+        self._latency, self._energy = models._latency, models._energy
+        self._address_free = models._address_free
+        self._page_size = float(geometry.page_size)
+        self._oob_size = float(geometry.oob_size)
+        self._entries: dict[
+            tuple[EventKind, int], Callable[[FlashAddress], tuple[int, float]]
+        ] = {}
+
+    def entry(
+        self, kind: EventKind, byte_count: int
+    ) -> Callable[[FlashAddress], tuple[int, float]]:
+        """The function that prices every `kind` event of `byte_count` bytes,
+        given its target; callers resolve it once and call it per event."""
+        key = (kind, byte_count)
+        found = self._entries.get(key)
+        if found is None:
+            found = self._entries[key] = self._new_entry(kind, byte_count)
+        return found
+
+    def _new_entry(
+        self, kind: EventKind, byte_count: int
+    ) -> Callable[[FlashAddress], tuple[int, float]]:
+        latency, energy = self._latency[kind], self._energy[kind]
+        byte_count_f, page_size, oob_size = float(byte_count), self._page_size, self._oob_size
+
+        def evaluate(target: FlashAddress) -> tuple[int, float]:
+            values = (
+                byte_count_f,
+                page_size,
+                oob_size,
+                float(target.channel),
+                float(target.chip),
+                float(target.die),
+                float(target.plane),
+                float(target.block),
+                float(target.page),
+            )
+            duration_us = _evaluated(latency, values)
+            try:
+                duration_ns = us_to_ns(duration_us)
+            except OverflowError:
+                raise ModelEvaluationError(
+                    latency[1],
+                    f"evaluated to {duration_us} us, which overflows in nanoseconds",
+                ) from None
+            return duration_ns, _evaluated(energy, (*values, duration_ns / 1000))
+
+        if not self._address_free[kind]:
+            return evaluate
+        priced: list[tuple[int, float]] = []
+
+        def table_entry(target: FlashAddress) -> tuple[int, float]:
+            if not priced:
+                priced.append(evaluate(target))
+            return priced[0]
+
+        return table_entry
 
 
 def _values(ctx: EventContext) -> tuple[float, ...]:

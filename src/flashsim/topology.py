@@ -79,8 +79,13 @@ class FlashAddress:
         return (self.channel, self.chip, self.die, self.plane, self.block, self.page)
 
     def in_bounds(self, geometry: Geometry) -> bool:
-        return all(
-            0 <= idx < count for idx, count in zip(self.indices(), geometry.counts())
+        return (
+            0 <= self.channel < geometry.channels
+            and 0 <= self.chip < geometry.chips_per_channel
+            and 0 <= self.die < geometry.dies_per_chip
+            and 0 <= self.plane < geometry.planes_per_die
+            and 0 <= self.block < geometry.blocks_per_plane
+            and 0 <= self.page < geometry.pages_per_block
         )
 
     def plane_key(self) -> tuple[int, int, int, int]:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from flashsim.commands import Command, decompose
-from flashsim.engine import Policy, effective_resource
+from flashsim.commands import Command, EventKind, decompose
+from flashsim.engine import Policy, RunResult
 from flashsim.models import EventContext, ModelSet
-from flashsim.topology import FlashAddress, Geometry
+from flashsim.topology import FlashAddress, Geometry, Resource
 from flashsim.units import us_to_ns
 
 
@@ -43,10 +43,20 @@ class _OracleEvent:
     event_id: int
     arrival: int
     deps: tuple[int, ...]
-    resource: object | None
+    kind: EventKind
+    target: FlashAddress
+    resource: Resource | None
     duration: int
+    energy: float
     start: int | None = None
     end: int | None = None
+
+
+def _scheduling_unit(resource: Resource | None, policy: Policy) -> Resource | None:
+    # die serialization makes each plane's die the exclusive unit
+    if resource is not None and policy.die_serialization and resource.kind == "plane":
+        return Resource("die", resource.key[:3])
+    return resource
 
 
 def oracle_schedule(
@@ -55,11 +65,30 @@ def oracle_schedule(
     models: ModelSet,
     policy: Policy = Policy(),
 ) -> dict[tuple[int, int], tuple[int, int]]:
-    """Brute-force schedule: {(sequence_id, event_id): (start_ns, end_ns)}.
+    """Brute-force schedule: {(sequence_id, event_id): (start_ns, end_ns)}."""
+    return {
+        key: (start, start + duration)
+        for key, (_, _, _, start, duration, _) in oracle_events(
+            trace, geometry, models, policy
+        ).items()
+    }
 
-    Advances time in minimal steps (next event end or command arrival); at
-    each instant it starts, to a fixpoint, every ready resourceless event
-    and every ready FIFO-queue head whose resource is free.
+
+def oracle_events(
+    trace: list[Command],
+    geometry: Geometry,
+    models: ModelSet,
+    policy: Policy = Policy(),
+) -> dict[tuple[int, int], tuple]:
+    """Brute-force event log: {(sequence_id, event_id): (kind, target,
+    resource, start_ns, duration_ns, energy_uj)}, comparable to
+    `engine_events` of a run.
+
+    Durations and energies come from `ModelSet.latency_us`/`energy_uj`, one
+    `EventContext` per binding. Advances time in minimal steps (next event
+    end or command arrival); at each instant it starts, to a fixpoint, every
+    ready resourceless event and every ready FIFO-queue head whose resource
+    is free.
     """
     events: list[_OracleEvent] = []
     by_command: dict[int, list[_OracleEvent]] = {}
@@ -71,13 +100,21 @@ def oracle_schedule(
         for event_id, ev in enumerate(decomposed):
             ctx = EventContext.for_event(ev.kind, ev.target, ev.byte_count, geometry)
             duration = us_to_ns(models.latency_us(ctx))
+            energy = models.energy_uj(
+                EventContext.for_event(
+                    ev.kind, ev.target, ev.byte_count, geometry, duration / 1000
+                )
+            )
             oe = _OracleEvent(
                 cmd.sequence_id,
                 event_id,
                 cmd.arrival_ns,
                 tuple(sorted(ev.depends_on)),
-                effective_resource(ev.resource, policy),
+                ev.kind,
+                ev.target,
+                _scheduling_unit(ev.resource, policy),
                 duration,
+                energy,
             )
             command_events.append(oe)
             events.append(oe)
@@ -127,4 +164,19 @@ def oracle_schedule(
             raise AssertionError("oracle stalled: no next instant with pending events")
         now = min(horizon)
 
-    return {(oe.seq, oe.event_id): (oe.start, oe.end) for oe in events}
+    return {
+        (oe.seq, oe.event_id): (
+            oe.kind, oe.target, oe.resource, oe.start, oe.duration, oe.energy
+        )
+        for oe in events
+    }
+
+
+def engine_events(run: RunResult) -> dict[tuple[int, int], tuple]:
+    """A run's event log in the form `oracle_events` returns."""
+    return {
+        (e.sequence_id, e.event_id): (
+            e.kind, e.target, e.resource, e.start_ns, e.duration_ns, e.energy_uj
+        )
+        for e in run.schedule
+    }

@@ -289,6 +289,24 @@ def test_failing_model_binding_is_located_at_its_trace_line(
     assert err == f"{trace}:3: error: {diagnostic} of read command 0\n"
 
 
+def test_address_free_failing_binding_fails_at_its_first_event(
+    fixture_paths, capsys, tmp_path
+):
+    # the binding reads no address, so it is priced once per run; that must
+    # happen at the first erase (the second command), not when pricing starts
+    config, _ = fixture_paths
+    config.write_text(config.read_text() + "[power]\nblock_erase = -duration\n")
+    trace = tmp_path / "two.trace"
+    trace.write_text(f"{TRACE_HEADER}\n0,read,0.0.0.0.1.0\n1,erase,0.0.0.0.1.0\n")
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"{trace}:3: error: [power] block_erase: evaluated to -1500.0 "
+        "for the block_erase event of erase command 1\n"
+    )
+
+
 def test_expression_models_event_log_matches_golden(capsys, tmp_path):
     # every event kind priced by a latency and a power expression; the golden
     # bytes were produced by the tree-walking evaluator this one replaced

@@ -25,13 +25,14 @@ from flashsim.models import (
     PowerParams,
     TimingParams,
     parse_latency_expression,
+    parse_power_expression,
 )
 from flashsim.topology import Geometry, Resource
 
 from checks import assert_schedule_legal
 from conftest import ALL_KINDS, A
 from gen import random_trace
-from oracle import oracle_schedule
+from oracle import engine_events, oracle_events, oracle_schedule
 
 
 def cmd(kind, *operands, page_count=1, arrival_us=0, seq=0):
@@ -262,20 +263,52 @@ class TestOracleEquivalence:
             }
             assert got == expected, f"seed {seed}"
 
+    MODEL_SETS = {
+        "builtin": ModelSet(),
+        # reads the address: priced per event
+        "address": ModelSet(
+            latency_exprs={
+                EventKind.ARRAY_SENSE: parse_latency_expression("20 + 3 * plane + die"),
+                EventKind.BUS_TRANSFER_OUT: parse_latency_expression(
+                    "byte_count / 40 + channel"
+                ),
+            },
+            power_exprs={
+                EventKind.ARRAY_PROGRAM: parse_power_expression(
+                    "duration * (0.04 + 0.001 * block)"
+                ),
+            },
+        ),
+        # reads no address: priced once per (kind, byte_count)
+        "address_free": ModelSet(
+            latency_exprs={
+                EventKind.ARRAY_SENSE: parse_latency_expression("page_size / 160"),
+                EventKind.BUS_TRANSFER_IN: parse_latency_expression(
+                    "(byte_count + oob_size) / 40"
+                ),
+            },
+            power_exprs={
+                EventKind.BLOCK_ERASE: parse_power_expression("0.05 * duration + 1"),
+            },
+        ),
+    }
+    POLICIES = (
+        Policy(),
+        Policy(cmd_overhead_on_bus=True),
+        Policy(die_serialization=True),
+        Policy(cmd_overhead_on_bus=True, die_serialization=True),
+    )
+
     def test_oracle_agreement_under_policies(self, geometry):
-        for policy in (
-            Policy(cmd_overhead_on_bus=True),
-            Policy(die_serialization=True),
-        ):
-            models = ModelSet()
-            trace = random_trace(random.Random(42), geometry, 20)
-            result = run_checked(trace, geometry, models=models, policy=policy)
-            expected = oracle_schedule(trace, geometry, models, policy)
-            got = {
-                (e.sequence_id, e.event_id): (e.start_ns, e.end_ns)
-                for e in result.schedule
-            }
-            assert got == expected
+        # the whole event, not only its timing: kind, target, resource,
+        # start, duration and energy
+        for name, models in self.MODEL_SETS.items():
+            for seed in range(4):
+                trace = random_trace(random.Random(42 + seed), geometry, 20)
+                for policy in self.POLICIES:
+                    result = run_checked(trace, geometry, models=models, policy=policy)
+                    expected = oracle_events(trace, geometry, models, policy)
+                    assert engine_events(result) == expected, (name, seed, policy)
 
 
 class TestPolicies:
@@ -357,6 +390,21 @@ class TestPolicies:
         busy = result.busy_ns
         assert busy[Resource("plane", (0, 0, 0, 0))] == 25000
         assert busy[Resource("bus", (0,))] == 102400
+
+
+class TestScale:
+    def test_run_memory_follows_the_trace_not_the_geometry(self):
+        # 2**40 planes: state sized by the geometry would not fit in memory
+        planes = 2**40
+        g = Geometry(1, 1, 1, planes, 1, 2, 512, 0)
+        trace = [
+            cmd(CommandKind.READ, A(plane=planes - 1), seq=0),
+            cmd(CommandKind.WRITE, A(plane=7), arrival_us=1, seq=1),
+        ]
+        for policy in (Policy(), Policy(die_serialization=True)):
+            result = run(trace, g, ALL_KINDS, ModelSet(), policy)
+            assert len(result.results) == 2
+        assert set(result.busy_ns) == {Resource("bus", (0,)), Resource("die", (0, 0, 0))}
 
 
 class TestReplay:

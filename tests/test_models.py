@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashsim.commands import EventKind
+from flashsim.topology import FlashAddress, Geometry
+from flashsim.units import us_to_ns
 from flashsim.errors import NegativeResultError
 from flashsim.models import (
     EventContext,
@@ -154,3 +156,38 @@ def test_transfer_latency_is_linear_in_bytes(byte_count):
 def test_purity(models):
     context = ctx(EventKind.BUS_TRANSFER_OUT, 4096)
     assert models.latency_us(context) == models.latency_us(context)
+
+
+@pytest.mark.parametrize(
+    "models",
+    [
+        ModelSet(),
+        ModelSet(
+            latency_exprs={
+                EventKind.BUS_TRANSFER_OUT: parse_latency_expression("byte_count / 50")
+            },
+            power_exprs={
+                EventKind.BUS_TRANSFER_OUT: parse_power_expression("duration + page_size")
+            },
+        ),
+    ],
+    ids=["builtin", "address_free_expression"],
+)
+def test_pricer_prices_each_byte_count_on_its_own(models):
+    # address-free bindings are priced once per (kind, byte_count), and the
+    # result must still follow the byte count
+    g = Geometry(1, 1, 1, 1, 2, 4, 4096, 128)
+    price = models.pricer(g)
+    target = FlashAddress(0, 0, 0, 0, 1, 2)
+    for byte_count in (4096, 512, 4096, 0):
+        context = EventContext.for_event(
+            EventKind.BUS_TRANSFER_OUT, target, byte_count, g
+        )
+        duration_ns = us_to_ns(models.latency_us(context))
+        energy = models.energy_uj(
+            EventContext.for_event(
+                EventKind.BUS_TRANSFER_OUT, target, byte_count, g, duration_ns / 1000
+            )
+        )
+        got = price.entry(EventKind.BUS_TRANSFER_OUT, byte_count)(target)
+        assert got == (duration_ns, energy), byte_count
