@@ -39,27 +39,46 @@ class CommandKind(Enum):
     MULTI_PLANE_COPY_BACK = "multi_plane_copy_back"
 
 
-LEGACY_KINDS = frozenset(
-    {CommandKind.READ, CommandKind.WRITE, CommandKind.ERASE}
-)
-MULTI_PLANE_KINDS = frozenset(
+# How each kind lays out its operands. Code that branches on a command's
+# kind looks it up here by `kind._value_`, a plain attribute: a frozenset of
+# members would hash each one through Enum.__hash__, a Python-level function
+# in 3.11, and `CommandKind.X` is a metaclass attribute lookup.
+ONE_ADDRESS = 0  # read, write, erase: one page (erase: its block)
+EXTENT = 1  # cache kinds: a start page, plus `page_count` consecutive pages
+PAIR = 2  # copy_back: source, destination
+PAIRS = 3  # multi_plane_copy_back: alternating source/destination pairs
+PLANE_LIST = 4  # multi-plane kinds: one address per plane
+DIE_LIST = 5  # interleaved kinds: one address per die
+
+LAYOUT: dict[str, int] = {
+    "read": ONE_ADDRESS,
+    "write": ONE_ADDRESS,
+    "erase": ONE_ADDRESS,
+    "copy_back": PAIR,
+    "cache_read": EXTENT,
+    "cache_write": EXTENT,
+    "multi_plane_read": PLANE_LIST,
+    "multi_plane_write": PLANE_LIST,
+    "multi_plane_erase": PLANE_LIST,
+    "interleaved_read": DIE_LIST,
+    "interleaved_write": DIE_LIST,
+    "interleaved_erase": DIE_LIST,
+    "multi_plane_copy_back": PAIRS,
+}
+
+# Kinds, by value, that program pages (see `written_pages`) and that erase
+# blocks (see `erased_blocks`).
+_WRITING = frozenset(
     {
-        CommandKind.MULTI_PLANE_READ,
-        CommandKind.MULTI_PLANE_WRITE,
-        CommandKind.MULTI_PLANE_ERASE,
+        "write",
+        "cache_write",
+        "multi_plane_write",
+        "interleaved_write",
+        "copy_back",
+        "multi_plane_copy_back",
     }
 )
-INTERLEAVED_KINDS = frozenset(
-    {
-        CommandKind.INTERLEAVED_READ,
-        CommandKind.INTERLEAVED_WRITE,
-        CommandKind.INTERLEAVED_ERASE,
-    }
-)
-CACHE_KINDS = frozenset({CommandKind.CACHE_READ, CommandKind.CACHE_WRITE})
-PAIRED_KINDS = frozenset(
-    {CommandKind.COPY_BACK, CommandKind.MULTI_PLANE_COPY_BACK}
-)
+_ERASING = frozenset({"erase", "multi_plane_erase", "interleaved_erase"})
 
 
 class EventKind(Enum):
@@ -107,20 +126,21 @@ class Command:
         if self.arrival_ns < 0:
             raise ValueError("arrival time must be >= 0")
         n = len(self.operands)
-        if self.kind in LEGACY_KINDS or self.kind in CACHE_KINDS:
+        layout = LAYOUT[self.kind._value_]
+        if layout == ONE_ADDRESS or layout == EXTENT:
             if n != 1:
                 raise ValueError(f"{self.kind.value} takes exactly 1 operand, got {n}")
-        elif self.kind is CommandKind.COPY_BACK:
+        elif layout == PAIR:
             if n != 2:
                 raise ValueError(f"copy_back takes exactly 2 operands, got {n}")
-        elif self.kind is CommandKind.MULTI_PLANE_COPY_BACK:
+        elif layout == PAIRS:
             if n < 2 or n % 2 != 0:
                 raise ValueError(
                     f"multi_plane_copy_back takes source/destination pairs, got {n} operands"
                 )
         elif n < 1:
             raise ValueError(f"{self.kind.value} needs at least 1 operand")
-        if self.kind in CACHE_KINDS:
+        if layout == EXTENT:
             if self.page_count < 1:
                 raise ValueError(f"page_count must be >= 1, got {self.page_count}")
         elif self.page_count != 1:
@@ -170,63 +190,58 @@ def validate(
     across multi-plane operands and can be switched off for chips without
     that restriction.
     """
-    out: list[Violation] = []
-
     if cmd.kind not in supported:
-        out.append(
+        return [
             _error(
                 Rule.UNSUPPORTED_COMMAND,
                 f"command kind '{cmd.kind.value}' is not in the supported set",
                 cmd,
             )
-        )
-        return out
-
+        ]
     for addr in cmd.operands:
         if not addr.in_bounds(geometry):
-            out.append(
+            return [
                 _error(
                     Rule.ADDRESS_RANGE,
                     f"address {addr} out of range for geometry {geometry.counts()}",
                     cmd,
                 )
-            )
-            return out
-
-    structural = _structural_rules(cmd, geometry, same_offsets)
-    out.extend(v.located(cmd.sequence_id, cmd.line) for v in structural)
-    return out
+            ]
+    return [
+        v.located(cmd.sequence_id, cmd.line)
+        for v in _structural_rules(cmd, geometry, same_offsets)
+    ]
 
 
 def _structural_rules(
     cmd: Command, geometry: Geometry, same_offsets: bool
 ) -> list[Violation]:
-    kind = cmd.kind
-    if kind is CommandKind.COPY_BACK:
+    layout = LAYOUT[cmd.kind._value_]
+    if layout == ONE_ADDRESS:
+        return []
+    if layout == PAIR:
         return _copy_back_rules(cmd.pairs())
-    if kind is CommandKind.MULTI_PLANE_COPY_BACK:
+    if layout == PAIRS:
         out = _copy_back_rules(cmd.pairs())
-        out.extend(
-            _multi_plane_rules([src for src, _ in cmd.pairs()], same_offsets, "source")
-        )
+        out.extend(_multi_plane_rules(cmd.operands[0::2], same_offsets, "source"))
         if same_offsets:
-            out.extend(_offset_rule([dst for _, dst in cmd.pairs()], "destination"))
+            out.extend(_offset_rule(cmd.operands[1::2], "destination"))
         return out
-    if kind in MULTI_PLANE_KINDS:
-        return _multi_plane_rules(list(cmd.operands), same_offsets, "operand")
-    if kind in INTERLEAVED_KINDS:
+    if layout == PLANE_LIST:
+        return _multi_plane_rules(cmd.operands, same_offsets, "operand")
+    if layout == DIE_LIST:
         return _interleave_rules(cmd.operands)
-    if kind in CACHE_KINDS:
-        start = cmd.operands[0]
-        if start.page + cmd.page_count > geometry.pages_per_block:
-            return [
-                Violation(
-                    Rule.CACHE_EXTENT,
-                    Severity.ERROR,
-                    f"cache extent of {cmd.page_count} pages from page {start.page} "
-                    f"runs past the block end ({geometry.pages_per_block} pages)",
-                )
-            ]
+    # EXTENT: the cache kinds
+    start = cmd.operands[0]
+    if start.page + cmd.page_count > geometry.pages_per_block:
+        return [
+            Violation(
+                Rule.CACHE_EXTENT,
+                Severity.ERROR,
+                f"cache extent of {cmd.page_count} pages from page {start.page} "
+                f"runs past the block end ({geometry.pages_per_block} pages)",
+            )
+        ]
     return []
 
 
@@ -321,36 +336,27 @@ def _interleave_rules(addrs: Sequence[FlashAddress]) -> list[Violation]:
 
 def written_pages(cmd: Command) -> tuple[FlashAddress, ...]:
     """Pages a command programs, in operand order (empty for reads/erases)."""
-    kind = cmd.kind
-    if kind is CommandKind.WRITE:
-        return cmd.operands
-    if kind is CommandKind.CACHE_WRITE:
+    value = cmd.kind._value_
+    if value not in _WRITING:
+        return ()
+    layout = LAYOUT[value]
+    if layout == EXTENT:
         return _extent_pages(cmd)
-    if kind in (CommandKind.MULTI_PLANE_WRITE, CommandKind.INTERLEAVED_WRITE):
-        return cmd.operands
-    if kind in PAIRED_KINDS:
-        return tuple(dst for _, dst in cmd.pairs())
-    return ()
+    if layout == PAIR or layout == PAIRS:
+        return cmd.operands[1::2]
+    return cmd.operands
 
 
 def erased_blocks(cmd: Command) -> tuple[FlashAddress, ...]:
     """Block-identifying addresses a command erases (empty for the rest)."""
-    if cmd.kind in (
-        CommandKind.ERASE,
-        CommandKind.MULTI_PLANE_ERASE,
-        CommandKind.INTERLEAVED_ERASE,
-    ):
-        return cmd.operands
-    return ()
+    return cmd.operands if cmd.kind._value_ in _ERASING else ()
 
 
 def _extent_pages(cmd: Command) -> tuple[FlashAddress, ...]:
-    start = cmd.operands[0]
+    channel, chip, die, plane, block, first = cmd.operands[0].indices()
     return tuple(
-        FlashAddress(
-            start.channel, start.chip, start.die, start.plane, start.block, start.page + i
-        )
-        for i in range(cmd.page_count)
+        FlashAddress(channel, chip, die, plane, block, page)
+        for page in range(first, first + cmd.page_count)
     )
 
 
@@ -378,14 +384,14 @@ _STAGES = {
     CommandKind.INTERLEAVED_ERASE: (EventKind.BLOCK_ERASE,),
 }
 
-_SHAPES: dict[tuple[CommandKind, int, int, bool], tuple[Step, ...]] = {}
+_SHAPES: dict[tuple[str, int, int, bool], tuple[Step, ...]] = {}
 
 
 def event_targets(cmd: Command) -> tuple[FlashAddress, ...]:
     """The addresses a command's shape steps index: the extent pages of a
     cache command, the operands of every other kind (a copy-back pair i is
     source 2i and destination 2i+1)."""
-    return _extent_pages(cmd) if cmd.kind in CACHE_KINDS else cmd.operands
+    return _extent_pages(cmd) if LAYOUT[cmd.kind._value_] == EXTENT else cmd.operands
 
 
 def event_bytes(kind: EventKind, geometry: Geometry) -> int:
@@ -398,11 +404,12 @@ def shape(
 ) -> tuple[Step, ...]:
     """The event DAG of every command of this kind, operand count and page
     count, built once and shared; see `decompose` for the shapes."""
-    key = (kind, n_operands, page_count, cmd_overhead_on_bus)
+    key = (kind._value_, n_operands, page_count, cmd_overhead_on_bus)
     steps = _SHAPES.get(key)
     if steps is None:
+        layout = LAYOUT[kind._value_]
         steps = _SHAPES[key] = _build_shape(
-            kind, page_count if kind in CACHE_KINDS else n_operands, cmd_overhead_on_bus
+            kind, page_count if layout == EXTENT else n_operands, cmd_overhead_on_bus
         )
     return steps
 
@@ -419,7 +426,8 @@ def _build_shape(
         steps.append((event_kind, target, deps, role))
         return len(steps) - 1
 
-    if kind in PAIRED_KINDS:
+    layout = LAYOUT[kind._value_]
+    if layout == PAIR or layout == PAIRS:
         for src in range(0, n_targets, 2):
             sense = add(EventKind.ARRAY_SENSE, src, 0)
             copy = add(EventKind.BUFFER_COPY, src, sense)
@@ -431,7 +439,7 @@ def _build_shape(
         # a cache command chains each stage to its own previous page, so the
         # array pipelines against the bus; the other kinds fan out per target
         first_kind, second_kind = _STAGES[kind]
-        chained = kind in CACHE_KINDS
+        chained = layout == EXTENT
         first = second = None
         for target in range(n_targets):
             if chained and first is not None:

@@ -138,19 +138,22 @@ def replay(
         endurance_limit=policy.endurance_limit,
         initially_written=policy.initially_written,
     )
+    write_page, erase_block = state.write_page, state.erase_block
+    same_offsets = policy.multi_plane_same_offsets
+    error = Severity.ERROR
     for cmd in trace:
-        violations = validate(
-            cmd, geometry, supported, same_offsets=policy.multi_plane_same_offsets
-        )
-        if not any(v.severity is Severity.ERROR for v in violations):
-            for addr in written_pages(cmd):
-                violations.extend(
-                    v.located(cmd.sequence_id, cmd.line) for v in state.write_page(addr)
-                )
-            for addr in erased_blocks(cmd):
-                violations.extend(
-                    v.located(cmd.sequence_id, cmd.line) for v in state.erase_block(addr)
-                )
+        violations = validate(cmd, geometry, supported, same_offsets=same_offsets)
+        if violations and any(v.severity is error for v in violations):
+            yield cmd, violations
+            continue
+        for addr in written_pages(cmd):
+            found = write_page(addr)
+            if found:
+                violations.extend(v.located(cmd.sequence_id, cmd.line) for v in found)
+        for addr in erased_blocks(cmd):
+            found = erase_block(addr)
+            if found:
+                violations.extend(v.located(cmd.sequence_id, cmd.line) for v in found)
         yield cmd, violations
 
 
@@ -177,9 +180,9 @@ def run(
     chips, dies = geometry.chips_per_channel, geometry.dies_per_chip
     planes = geometry.planes_per_die
 
-    # Each (command kind, operand count, page count) shape with its steps'
-    # byte counts and pricing entries, resolved once per run.
-    compiled: dict[tuple[CommandKind, int, int], tuple] = {}
+    # Each (command kind value, operand count, page count) shape with its
+    # steps' byte counts and pricing entries, resolved once per run.
+    compiled: dict[tuple[str, int, int], tuple] = {}
     # Resources are interned to dense slots the first time an event occupies
     # them, so memory follows the trace, not the geometry. A plane (or, under
     # die serialization, a die) is keyed by its mixed-radix index, a channel
@@ -199,12 +202,15 @@ def run(
         if policy.strict and warnings:
             raise ValidationFatal(warnings)
 
-        key = (cmd.kind, len(cmd.operands), cmd.page_count)
+        n_operands, page_count = len(cmd.operands), cmd.page_count
+        key = (cmd.kind._value_, n_operands, page_count)
         steps = compiled.get(key)
         if steps is None:
             steps = compiled[key] = tuple(
                 (kind, index, deps, role, price.entry(kind, event_bytes(kind, geometry)))
-                for kind, index, deps, role in shape(*key, overhead_on_bus)
+                for kind, index, deps, role in shape(
+                    cmd.kind, n_operands, page_count, overhead_on_bus
+                )
             )
         targets = event_targets(cmd)
         arrival = cmd.arrival_ns

@@ -1,7 +1,7 @@
 """Structural model: the channel/chip/die/plane/block/page hierarchy.
 
 Provides the geometry description, the flat-index address codec, and the
-mutable per-page / per-block state (written flags, erase counters) that the
+mutable per-block state (written pages, erase counters) that the
 constraint checks run against.
 """
 
@@ -189,13 +189,17 @@ def decode(index: int, geometry: Geometry) -> FlashAddress:
 
 
 class SubsystemState:
-    """Mutable written/erased flags per page and erase counters per block.
+    """Mutable page and wear state, kept per block.
 
     A fresh device starts all-erased with zero wear; `initially_written`
-    preloads every page as written to model a full device. State is stored
-    sparsely, keyed by flat indices, so huge geometries cost memory only in
-    proportion to the pages actually touched. Mutations happen exclusively
-    from the engine's single-threaded event loop; no locking is provided.
+    preloads every page as written to model a full device. Each block the
+    trace touches has an entry keyed by its mixed-radix block index: the set
+    of page offsets written since its last erase, and its erase count. A
+    block without an entry is in the device's initial state, so memory
+    follows the blocks a trace touches and the pages it writes, not the
+    geometry, and an erase is O(1): it replaces the block's set with an
+    empty one and bumps its count. Mutations happen exclusively from the
+    engine's single-threaded event loop; no locking is provided.
     """
 
     def __init__(
@@ -210,11 +214,12 @@ class SubsystemState:
         self.geometry = geometry
         self.endurance_limit = endurance_limit
         self._default_written = initially_written
-        self._written: dict[int, bool] = {}
+        self._written: dict[int, set[int]] = {}
         self._erase_counts: dict[int, int] = {}
 
     def page_state(self, addr: FlashAddress) -> PageState:
-        written = self._written.get(encode(addr, self.geometry), self._default_written)
+        pages = self._written.get(self._block_of_page(addr))
+        written = self._default_written if pages is None else addr.page in pages
         return PageState.WRITTEN if written else PageState.ERASED
 
     def erase_count(self, addr: FlashAddress) -> int:
@@ -222,18 +227,18 @@ class SubsystemState:
 
     def write_page(self, addr: FlashAddress) -> list[Violation]:
         """Mark a page written; warn if it was already written (no erase between)."""
-        index = encode(addr, self.geometry)
-        warnings = []
-        if self._written.get(index, self._default_written):
-            warnings.append(
-                Violation(
-                    Rule.ERASE_BEFORE_WRITE,
-                    Severity.WARNING,
-                    f"page {addr} written again without an intervening erase",
-                )
-            )
-        self._written[index] = True
-        return warnings
+        block = self._block_of_page(addr)
+        pages = self._written.get(block)
+        if pages is None:
+            if self._default_written:
+                # the block is still in its all-written initial state
+                return [_rewrite_warning(addr)]
+            self._written[block] = {addr.page}
+            return []
+        if addr.page in pages:
+            return [_rewrite_warning(addr)]
+        pages.add(addr.page)
+        return []
 
     def erase_block(self, addr: FlashAddress) -> list[Violation]:
         """Erase the whole block containing `addr`; bump its wear counter.
@@ -242,9 +247,7 @@ class SubsystemState:
         erase count exceeds the configured endurance limit.
         """
         block = self._block_index(addr)
-        first_page = block * self.geometry.pages_per_block
-        for index in range(first_page, first_page + self.geometry.pages_per_block):
-            self._written[index] = False
+        self._written[block] = set()
         count = self._erase_counts.get(block, 0) + 1
         self._erase_counts[block] = count
         if self.endurance_limit is not None and count > self.endurance_limit:
@@ -259,8 +262,49 @@ class SubsystemState:
             ]
         return []
 
+    def _block_of_page(self, addr: FlashAddress) -> int:
+        """The block index of a page address, after a range check of all six
+        indices."""
+        if not addr.in_bounds(self.geometry):
+            raise AddressRangeError(
+                f"address {addr} out of range for geometry {self.geometry.counts()}"
+            )
+        return self._index(addr)
+
     def _block_index(self, addr: FlashAddress) -> int:
-        origin = FlashAddress(
-            addr.channel, addr.chip, addr.die, addr.plane, addr.block, 0
+        """The block index of a block address: an erase and an erase count
+        name a block, so the page index is neither checked nor read."""
+        g = self.geometry
+        if not (
+            0 <= addr.channel < g.channels
+            and 0 <= addr.chip < g.chips_per_channel
+            and 0 <= addr.die < g.dies_per_chip
+            and 0 <= addr.plane < g.planes_per_die
+            and 0 <= addr.block < g.blocks_per_plane
+        ):
+            raise AddressRangeError(
+                f"address {addr.channel}.{addr.chip}.{addr.die}.{addr.plane}."
+                f"{addr.block}.0 out of range for geometry {g.counts()}"
+            )
+        return self._index(addr)
+
+    def _index(self, addr: FlashAddress) -> int:
+        # mixed radix, channel most significant, as in `encode`
+        g = self.geometry
+        return (
+            (
+                ((addr.channel * g.chips_per_channel + addr.chip) * g.dies_per_chip + addr.die)
+                * g.planes_per_die
+                + addr.plane
+            )
+            * g.blocks_per_plane
+            + addr.block
         )
-        return encode(origin, self.geometry) // self.geometry.pages_per_block
+
+
+def _rewrite_warning(addr: FlashAddress) -> Violation:
+    return Violation(
+        Rule.ERASE_BEFORE_WRITE,
+        Severity.WARNING,
+        f"page {addr} written again without an intervening erase",
+    )

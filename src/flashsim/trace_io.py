@@ -29,9 +29,20 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
-from .commands import CACHE_KINDS, Command, CommandKind
+from .commands import (
+    DIE_LIST,
+    EXTENT,
+    LAYOUT,
+    ONE_ADDRESS,
+    PAIR,
+    PAIRS,
+    PLANE_LIST,
+    Command,
+    CommandKind,
+)
 from .engine import Policy
 from .errors import (
     AddressRangeError,
@@ -56,16 +67,6 @@ TRACE_HEADER = "flashsim-trace v1"
 _KIND_BY_NAME = {kind.value: kind for kind in CommandKind}
 _EVENT_BY_NAME = {kind.value: kind for kind in EventKind}
 
-# comma-field count per kind: (minimum, maximum) after arrival and kind
-_LIST_KINDS = (
-    CommandKind.MULTI_PLANE_READ,
-    CommandKind.MULTI_PLANE_WRITE,
-    CommandKind.MULTI_PLANE_ERASE,
-    CommandKind.INTERLEAVED_READ,
-    CommandKind.INTERLEAVED_WRITE,
-    CommandKind.INTERLEAVED_ERASE,
-)
-
 
 @dataclass(frozen=True)
 class Config:
@@ -84,7 +85,7 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
     """
     lines = text.splitlines() if isinstance(text, str) else list(text)
     problems: list[Diagnostic] = []
-    parsed: list[tuple[int, int, str, list[str]]] = []  # arrival, line no, kind, fields
+    records: list[tuple[int, int, CommandKind, tuple[FlashAddress, ...], int]] = []
     header_seen = False
 
     for lineno, raw in enumerate(lines, start=1):
@@ -112,29 +113,24 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
         if arrival_us < 0:
             problems.append(Diagnostic(lineno, f"arrival time {fields[0]} is negative"))
             continue
-        kind_name = fields[1]
-        if kind_name not in _KIND_BY_NAME:
-            problems.append(Diagnostic(lineno, f"unknown command kind '{kind_name}'"))
+        entry = _KIND_PARSERS.get(fields[1])
+        if entry is None:
+            problems.append(Diagnostic(lineno, f"unknown command kind '{fields[1]}'"))
             continue
-        parsed.append((arrival_ns, lineno, kind_name, fields[2:]))
-
-    if not header_seen and not problems:
-        problems.append(Diagnostic(len(lines) + 1, f"missing header '{TRACE_HEADER}'"))
-
-    records: list[tuple[int, int, CommandKind, tuple[FlashAddress, ...], int]] = []
-    for arrival_ns, lineno, kind_name, fields in parsed:
-        kind = _KIND_BY_NAME[kind_name]
+        kind, parse_operands = entry
         try:
-            operands, page_count = _parse_operands(kind, fields, geometry)
+            operands, page_count = parse_operands(kind, fields[2:], geometry)
         except _LineError as exc:
             problems.append(Diagnostic(lineno, str(exc)))
             continue
         records.append((arrival_ns, lineno, kind, operands, page_count))
 
+    if not header_seen and not problems:
+        problems.append(Diagnostic(len(lines) + 1, f"missing header '{TRACE_HEADER}'"))
     if problems:
-        raise TraceParseError(sorted(problems, key=lambda d: d.line))
+        raise TraceParseError(problems)
 
-    records.sort(key=lambda r: (r[0], r[1]))
+    records.sort(key=itemgetter(0))  # stable: equal arrivals keep line order
     commands = []
     for sequence_id, (arrival_ns, lineno, kind, operands, page_count) in enumerate(
         records
@@ -152,61 +148,92 @@ class _LineError(FlashSimError):
     pass
 
 
-def _parse_operands(
+# The operand parsers, one per operand layout. Each takes the kind and the
+# comma fields after arrival and kind, and returns (operands, page count).
+
+
+def _one_address(
     kind: CommandKind, fields: list[str], geometry: Geometry
 ) -> tuple[tuple[FlashAddress, ...], int]:
-    if kind in CACHE_KINDS:
-        if len(fields) != 2:
-            raise _LineError(
-                f"{kind.value} takes an address and a page count, got {len(fields)} fields"
-            )
-        addr = _parse_address(fields[0], geometry)
-        try:
-            count = int(fields[1])
-        except ValueError:
-            raise _LineError(f"bad page count '{fields[1]}'")
-        if count < 1:
-            raise _LineError(f"page count must be >= 1, got {count}")
-        return (addr,), count
-    if kind is CommandKind.COPY_BACK:
-        if len(fields) != 2:
-            raise _LineError(
-                f"copy_back takes source and destination, got {len(fields)} fields"
-            )
-        return (
-            _parse_address(fields[0], geometry),
-            _parse_address(fields[1], geometry),
-        ), 1
-    if kind is CommandKind.MULTI_PLANE_COPY_BACK:
-        if len(fields) != 2:
-            raise _LineError(
-                "multi_plane_copy_back takes a source list and a destination list, "
-                f"got {len(fields)} fields"
-            )
-        sources = _parse_address_list(fields[0], geometry)
-        dests = _parse_address_list(fields[1], geometry)
-        if len(sources) != len(dests):
-            raise _LineError(
-                f"{len(sources)} sources but {len(dests)} destinations"
-            )
-        operands = []
-        for src, dst in zip(sources, dests):
-            operands.extend((src, dst))
-        return tuple(operands), 1
-    if kind in _LIST_KINDS:
-        if len(fields) != 1:
-            raise _LineError(
-                f"{kind.value} takes one ';'-separated address list, got {len(fields)} fields"
-            )
-        return _parse_address_list(fields[0], geometry), 1
-    # legacy read/write/erase
     if len(fields) != 1:
         raise _LineError(f"{kind.value} takes one address, got {len(fields)} fields")
     return (_parse_address(fields[0], geometry),), 1
 
 
+def _extent(
+    kind: CommandKind, fields: list[str], geometry: Geometry
+) -> tuple[tuple[FlashAddress, ...], int]:
+    if len(fields) != 2:
+        raise _LineError(
+            f"{kind.value} takes an address and a page count, got {len(fields)} fields"
+        )
+    addr = _parse_address(fields[0], geometry)
+    try:
+        count = int(fields[1])
+    except ValueError:
+        raise _LineError(f"bad page count '{fields[1]}'")
+    if count < 1:
+        raise _LineError(f"page count must be >= 1, got {count}")
+    return (addr,), count
+
+
+def _pair(
+    kind: CommandKind, fields: list[str], geometry: Geometry
+) -> tuple[tuple[FlashAddress, ...], int]:
+    if len(fields) != 2:
+        raise _LineError(
+            f"copy_back takes source and destination, got {len(fields)} fields"
+        )
+    return (
+        _parse_address(fields[0], geometry),
+        _parse_address(fields[1], geometry),
+    ), 1
+
+
+def _pairs(
+    kind: CommandKind, fields: list[str], geometry: Geometry
+) -> tuple[tuple[FlashAddress, ...], int]:
+    if len(fields) != 2:
+        raise _LineError(
+            "multi_plane_copy_back takes a source list and a destination list, "
+            f"got {len(fields)} fields"
+        )
+    sources = _parse_address_list(fields[0], geometry)
+    dests = _parse_address_list(fields[1], geometry)
+    if len(sources) != len(dests):
+        raise _LineError(f"{len(sources)} sources but {len(dests)} destinations")
+    operands = []
+    for src, dst in zip(sources, dests):
+        operands.extend((src, dst))
+    return tuple(operands), 1
+
+
+def _address_list(
+    kind: CommandKind, fields: list[str], geometry: Geometry
+) -> tuple[tuple[FlashAddress, ...], int]:
+    if len(fields) != 1:
+        raise _LineError(
+            f"{kind.value} takes one ';'-separated address list, got {len(fields)} fields"
+        )
+    return _parse_address_list(fields[0], geometry), 1
+
+
+_OPERAND_PARSERS = {
+    ONE_ADDRESS: _one_address,
+    EXTENT: _extent,
+    PAIR: _pair,
+    PAIRS: _pairs,
+    PLANE_LIST: _address_list,
+    DIE_LIST: _address_list,
+}
+# kind field text -> (kind, its operand parser)
+_KIND_PARSERS = {
+    name: (kind, _OPERAND_PARSERS[LAYOUT[name]]) for name, kind in _KIND_BY_NAME.items()
+}
+
+
 def _parse_address_list(text: str, geometry: Geometry) -> tuple[FlashAddress, ...]:
-    parts = [p.strip() for p in text.split(";") if p.strip()]
+    parts = [p for p in map(str.strip, text.split(";")) if p]
     if not parts:
         raise _LineError("empty address list")
     return tuple(_parse_address(part, geometry) for part in parts)
@@ -221,10 +248,9 @@ def _parse_address(text: str, geometry: Geometry) -> FlashAddress:
                 f"address '{text}' needs 6 dot-separated indices, got {len(pieces)}"
             )
         try:
-            indices = [int(p) for p in pieces]
+            addr = FlashAddress(*map(int, pieces))
         except ValueError:
             raise _LineError(f"bad address index in '{text}'")
-        addr = FlashAddress(*indices)
         if not addr.in_bounds(geometry):
             raise _LineError(
                 f"address {addr} out of range for geometry {geometry.counts()}"
@@ -249,11 +275,12 @@ def emit_trace(commands: Iterable[Command]) -> str:
             arrival = str(arrival_ns // 1000)
         else:
             arrival = f"{arrival_ns / 1000:.3f}".rstrip("0")
-        if cmd.kind in CACHE_KINDS:
+        layout = LAYOUT[cmd.kind._value_]
+        if layout == EXTENT:
             rest = f"{cmd.operands[0]},{cmd.page_count}"
-        elif cmd.kind is CommandKind.COPY_BACK:
+        elif layout == PAIR:
             rest = f"{cmd.operands[0]},{cmd.operands[1]}"
-        elif cmd.kind is CommandKind.MULTI_PLANE_COPY_BACK:
+        elif layout == PAIRS:
             rest = (
                 ";".join(str(src) for src, _ in cmd.pairs())
                 + ","

@@ -1,10 +1,18 @@
-"""Post-hoc schedule legality checks applied to every test run."""
+"""Post-hoc schedule legality checks applied to every test run, and a
+brute-force reference model of the device state."""
 
 from __future__ import annotations
 
 from flashsim.commands import Command, decompose
 from flashsim.engine import Policy, RunResult
-from flashsim.topology import Geometry
+from flashsim.errors import Rule, Severity, Violation
+from flashsim.topology import (
+    FlashAddress,
+    Geometry,
+    PageState,
+    encode,
+    validate_geometry,
+)
 
 
 def assert_schedule_legal(
@@ -44,3 +52,74 @@ def assert_schedule_legal(
             ev.duration_ns for ev in run.schedule if ev.sequence_id == result.sequence_id
         ]
         assert result.latency_ns >= max(durations, default=0)
+
+
+class ReferenceState:
+    """`SubsystemState` by brute force: one written flag per flat page index,
+    and an erase that flips every page of its block one by one.
+
+    It has `SubsystemState`'s constructor, methods, warnings and messages, so
+    a property can compare the two call for call, and `engine.replay` can be
+    driven by either.
+    """
+
+    def __init__(
+        self,
+        geometry: Geometry,
+        endurance_limit: int | None = None,
+        initially_written: bool = False,
+    ):
+        validate_geometry(geometry)
+        if endurance_limit is not None and endurance_limit < 0:
+            raise ValueError(f"endurance_limit must be >= 0, got {endurance_limit}")
+        self.geometry = geometry
+        self.endurance_limit = endurance_limit
+        self._default_written = initially_written
+        self._written: dict[int, bool] = {}
+        self._erase_counts: dict[int, int] = {}
+
+    def page_state(self, addr: FlashAddress) -> PageState:
+        written = self._written.get(encode(addr, self.geometry), self._default_written)
+        return PageState.WRITTEN if written else PageState.ERASED
+
+    def erase_count(self, addr: FlashAddress) -> int:
+        return self._erase_counts.get(self._block_index(addr), 0)
+
+    def write_page(self, addr: FlashAddress) -> list[Violation]:
+        index = encode(addr, self.geometry)
+        warnings = []
+        if self._written.get(index, self._default_written):
+            warnings.append(
+                Violation(
+                    Rule.ERASE_BEFORE_WRITE,
+                    Severity.WARNING,
+                    f"page {addr} written again without an intervening erase",
+                )
+            )
+        self._written[index] = True
+        return warnings
+
+    def erase_block(self, addr: FlashAddress) -> list[Violation]:
+        block = self._block_index(addr)
+        first_page = block * self.geometry.pages_per_block
+        for index in range(first_page, first_page + self.geometry.pages_per_block):
+            self._written[index] = False
+        count = self._erase_counts.get(block, 0) + 1
+        self._erase_counts[block] = count
+        if self.endurance_limit is not None and count > self.endurance_limit:
+            return [
+                Violation(
+                    Rule.ENDURANCE_EXCEEDED,
+                    Severity.WARNING,
+                    f"block {addr.channel}.{addr.chip}.{addr.die}.{addr.plane}."
+                    f"{addr.block} erased {count} times, endurance limit is "
+                    f"{self.endurance_limit}",
+                )
+            ]
+        return []
+
+    def _block_index(self, addr: FlashAddress) -> int:
+        origin = FlashAddress(
+            addr.channel, addr.chip, addr.die, addr.plane, addr.block, 0
+        )
+        return encode(origin, self.geometry) // self.geometry.pages_per_block

@@ -3,8 +3,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flashsim
 from flashsim.cli import main
 from flashsim.commands import CommandKind
 from flashsim.trace_io import TRACE_HEADER, emit_trace, parse_config
@@ -408,6 +412,31 @@ def test_identical_invocations_identical_bytes(fixture_paths, capsys):
         capsys, "--config", config, "--trace", trace, "--events"
     )
     assert (code1, out1, err1) == (code2, out2, err2)
+
+
+@pytest.mark.parametrize("flags", [("--check",), ("--events",)])
+def test_output_does_not_depend_on_the_hash_seed(fixture_paths, tmp_path, flags):
+    # string and Enum hashes change with the seed; no set order may leak out
+    config, _ = fixture_paths
+    config.write_text(config.read_text() + "[policy]\nendurance_limit = 1\n")
+    geometry = parse_config(config.read_text()).geometry
+    trace = tmp_path / "random.trace"
+    trace.write_text(emit_trace(random_trace(random.Random(5), geometry, 200)))
+    src = str(Path(flashsim.__file__).resolve().parents[1])
+    outcomes = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flashsim", "--config", str(config),
+             "--trace", str(trace), *flags],
+            capture_output=True, env=env, timeout=120,
+        )
+        outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code == 0
+    assert b"[erase_before_write]" in err and b"[endurance_exceeded]" in err
+    assert (out == b"") == (flags == ("--check",))
 
 
 # closed input domain: traces from a small grammar of good and bad fields

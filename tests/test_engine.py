@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashsim import engine
 from flashsim.commands import Command, CommandKind, EventKind
 from flashsim.engine import (
     Policy,
@@ -29,7 +31,7 @@ from flashsim.models import (
 )
 from flashsim.topology import Geometry, Resource
 
-from checks import assert_schedule_legal
+from checks import ReferenceState, assert_schedule_legal
 from conftest import ALL_KINDS, A
 from gen import random_trace
 from oracle import engine_events, oracle_events, oracle_schedule
@@ -430,3 +432,31 @@ class TestReplay:
             for v in vs
         ]
         assert found == [(0, Rule.COPY_BACK_CROSS_PLANE)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([None, 0, 2]),
+        st.booleans(),
+        st.sets(st.sampled_from(list(CommandKind)), min_size=1),
+    )
+    def test_replay_matches_a_replay_on_the_per_page_reference(
+        self, seed, endurance_limit, initially_written, supported
+    ):
+        # two blocks of four pages per plane, so pages and blocks repeat;
+        # kinds outside `supported` are errors and must change no state
+        g = Geometry(2, 1, 2, 2, 2, 4, 512, 0)
+        trace = random_trace(random.Random(seed), g, 60)
+        policy = Policy(endurance_limit=endurance_limit, initially_written=initially_written)
+        supported = frozenset(supported)
+
+        def findings():
+            return [
+                (c.sequence_id, v)
+                for c, vs in replay(trace, g, supported, policy)
+                for v in vs
+            ]
+
+        found = findings()
+        with mock.patch.object(engine, "SubsystemState", ReferenceState):
+            assert found == findings()

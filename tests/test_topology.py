@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from flashsim.topology import (
     validate_geometry,
 )
 
+from checks import ReferenceState
 from conftest import A
 from oracle import enumerated_addresses, enumerated_index_map
 
@@ -189,3 +192,69 @@ def test_wear_monotone_and_counts_erases(ops):
             last_counts[b] = count
     for b in range(4):
         assert state.erase_count(FlashAddress(0, 0, 0, 0, b, 0)) == erases_per_block[b]
+
+
+def _outcome(call, addr):
+    """What one state call returns or raises, in comparable form."""
+    try:
+        result = call(addr)
+    except AddressRangeError as exc:
+        return ("raises", str(exc))
+    if isinstance(result, list):
+        return [(v.rule, v.severity, v.message) for v in result]
+    return result
+
+
+@st.composite
+def _state_scripts(draw):
+    g = draw(
+        st.builds(
+            Geometry,
+            st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
+            st.integers(1, 2), st.integers(1, 3), st.integers(1, 4),
+            st.just(512), st.just(0),
+        )
+    )
+    counts = g.counts()
+    in_range = st.builds(FlashAddress, *(st.integers(0, n - 1) for n in counts))
+    # one index pushed to its count: out of range by one
+    out_of_range = st.tuples(in_range, st.integers(0, 5)).map(
+        lambda pair: FlashAddress(
+            *(n if i == pair[1] else x for i, (x, n) in enumerate(zip(pair[0].indices(), counts)))
+        )
+    )
+    addresses = st.one_of(in_range, in_range, in_range, out_of_range)
+    ops = st.sampled_from(["write_page", "erase_block", "page_state", "erase_count"])
+    script = draw(st.lists(st.tuples(ops, addresses), max_size=80))
+    return g, draw(st.sampled_from([None, 0, 2])), draw(st.booleans()), script
+
+
+@settings(max_examples=200, deadline=None)
+@given(_state_scripts())
+def test_state_matches_the_per_page_reference(case):
+    g, endurance_limit, initially_written, script = case
+    state = SubsystemState(g, endurance_limit, initially_written)
+    reference = ReferenceState(g, endurance_limit, initially_written)
+    for op, addr in script:
+        assert _outcome(getattr(state, op), addr) == _outcome(getattr(reference, op), addr)
+    for addr in enumerated_addresses(g):
+        assert state.page_state(addr) is reference.page_state(addr)
+        assert state.erase_count(addr) == reference.erase_count(addr)
+
+
+def test_erase_costs_memory_in_proportion_to_the_input():
+    # a million pages per block: per-page erase state would take about 80 MB
+    g = Geometry(1, 1, 1, 1, 4, 10**6, 4096, 0)
+    state = SubsystemState(g, endurance_limit=0)
+    page = A(block=1, page=5)
+    tracemalloc.start()
+    try:
+        found = [state.write_page(page), state.erase_block(page), state.write_page(page)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [[v.rule for v in vs] for vs in found] == [[], [Rule.ENDURANCE_EXCEEDED], []]
+    assert found[1][0].message == "block 0.0.0.0.1 erased 1 times, endurance limit is 0"
+    assert state.page_state(page) is PageState.WRITTEN
+    assert state.page_state(A(block=1, page=10**6 - 1)) is PageState.ERASED
+    assert peak < 2**20

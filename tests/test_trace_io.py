@@ -98,11 +98,46 @@ class TestParseTrace:
             "-1,read,0",                   # negative arrival
             "5,cache_read,0,zero",         # bad page count
             "6,read,1.1.1.1.3.9",          # page out of range
+            "7,cache_write,0",             # cache kind without a page count
+            "8,multi_plane_copy_back,0.0.0.0.0.1",  # no destination list
+            "9,multi_plane_read,0.0.0.0.1.2,0.0.0.1.1.2",  # two lists
+            "10,erase",                    # no address
+            "11,multi_plane_copy_back,0.0.0.0.0.1;0.0.0.1.0.1,0.0.0.0.1.3",
+            "12,interleaved_read, ; ",     # empty address list
+            "13,write,0.0.a.0.0.0",        # bad dotted index
+            "14,read,512",                 # flat index out of range
+            "15,cache_read,0,0",           # zero page count
+            "16,read,zz",                  # bad flat index
+            "17",                          # no kind
         )
         with pytest.raises(TraceParseError) as excinfo:
             parse_trace(bad, geometry)
-        lines = [d.line for d in excinfo.value.diagnostics]
-        assert lines == [3, 4, 5, 6, 7, 8, 9, 10]
+        found = [(d.line, d.message) for d in excinfo.value.diagnostics]
+        assert found == [
+            (3, "bad arrival time 'x'"),
+            (4, "unknown command kind 'frobnicate'"),
+            (5, "address '0.0.0.0.0' needs 6 dot-separated indices, got 5"),
+            (6, "read takes one address, got 2 fields"),
+            (7, "copy_back takes source and destination, got 1 fields"),
+            (8, "arrival time -1 is negative"),
+            (9, "bad page count 'zero'"),
+            (10, "address 1.1.1.1.3.9 out of range for geometry (2, 2, 2, 2, 4, 8)"),
+            (11, "cache_write takes an address and a page count, got 1 fields"),
+            (
+                12,
+                "multi_plane_copy_back takes a source list and a destination list, "
+                "got 1 fields",
+            ),
+            (13, "multi_plane_read takes one ';'-separated address list, got 2 fields"),
+            (14, "erase takes one address, got 0 fields"),
+            (15, "2 sources but 1 destinations"),
+            (16, "empty address list"),
+            (17, "bad address index in '0.0.a.0.0.0'"),
+            (18, "flat index 512 out of range [0, 512)"),
+            (19, "page count must be >= 1, got 0"),
+            (20, "bad address 'zz'"),
+            (21, "need at least arrival time and kind"),
+        ]
 
     # 1e306 us is finite, but not in nanoseconds
     @pytest.mark.parametrize("arrival", ["nan", "inf", "1e400", "1e306"])
