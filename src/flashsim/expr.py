@@ -1,4 +1,4 @@
-"""Arithmetic expression parser/evaluator for user-supplied model equations.
+"""Arithmetic expression parser and code emitter for user-supplied model equations.
 
 Grammar (documented verbatim in the README config reference):
 
@@ -11,13 +11,24 @@ Grammar (documented verbatim in the README config reference):
 "*" and "/" bind tighter than "+" and "-"; binary operators are
 left-associative. Identifiers are checked against the allowed variable set
 at parse time, so a parsed expression can only fail at evaluation on
-division by zero.
+division by zero. A parsed tree is at most ``MAX_DEPTH`` levels deep, where
+each operator, sign, function call and pair of parentheses is one level
+above its operands; deeper input is rejected at parse time, so that every
+recursive pass over a tree stays well inside Python's recursion limit.
+
+Trees are evaluated by generated code. `Emitter` writes a tree as the
+straight-line body of a Python function, one statement per interior node,
+and compiles it. Only the emitter's own text reaches ``compile()``: literals
+are read from names bound in the function's namespace, variables from names
+the caller chooses, and operators come from the emitter's own tables, so no
+config text is ever compiled.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExpressionSyntaxError, UnknownIdentifierError
@@ -30,34 +41,39 @@ _TOKEN = re.compile(
 
 _FUNCTIONS: dict[str, Callable[..., float]] = {"min": min, "max": max}
 
-Node = Union["_Num", "_Var", "_Unary", "_Binary", "_Call"]
+# The deepest tree the parser accepts; see the module docstring.
+MAX_DEPTH = 200
+
+DIVISION_BY_ZERO = "division by zero in expression"
+
+Node = Union["Num", "Var", "Unary", "Binary", "Call"]
 
 
 @dataclass(frozen=True)
-class _Num:
+class Num:
     value: float
 
 
 @dataclass(frozen=True)
-class _Var:
+class Var:
     name: str
 
 
 @dataclass(frozen=True)
-class _Unary:
+class Unary:
     op: str
     operand: Node
 
 
 @dataclass(frozen=True)
-class _Binary:
+class Binary:
     op: str
     left: Node
     right: Node
 
 
 @dataclass(frozen=True)
-class _Call:
+class Call:
     func: str
     args: tuple[Node, ...]
 
@@ -87,11 +103,24 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _too_deep(token: _Token) -> ExpressionSyntaxError:
+    return ExpressionSyntaxError(
+        f"expression nested more than {MAX_DEPTH} levels deep", token.position
+    )
+
+
 class _Parser:
+    """Recursive descent over the grammar; each rule returns its tree and
+    the tree's depth."""
+
     def __init__(self, tokens: list[_Token], variables: frozenset[str]):
         self.tokens = tokens
         self.variables = variables
         self.index = 0
+        # signs, parentheses and calls open around the current token; each
+        # is a level above at least one leaf, so too many of them reject the
+        # input before the descent can exhaust the stack
+        self.open = 0
 
     @property
     def current(self) -> _Token:
@@ -111,8 +140,19 @@ class _Parser:
     def at_op(self, *ops: str) -> bool:
         return self.current.kind == "op" and self.current.text in ops
 
+    def enter(self, token: _Token) -> None:
+        self.open += 1
+        if self.open >= MAX_DEPTH:
+            raise _too_deep(token)
+
+    def above(self, token: _Token, depth: int) -> int:
+        """The depth of a node built at `token` over operands `depth` deep."""
+        if depth >= MAX_DEPTH:
+            raise _too_deep(token)
+        return depth + 1
+
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         if self.current.kind != "end":
             raise ExpressionSyntaxError(
                 f"unexpected trailing input '{self.current.text}'",
@@ -120,31 +160,38 @@ class _Parser:
             )
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple[Node, int]:
+        node, depth = self.term()
         while self.at_op("+", "-"):
-            op = self.advance().text
-            node = _Binary(op, node, self.term())
-        return node
+            token = self.advance()
+            right, right_depth = self.term()
+            node = Binary(token.text, node, right)
+            depth = self.above(token, max(depth, right_depth))
+        return node, depth
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> tuple[Node, int]:
+        node, depth = self.unary()
         while self.at_op("*", "/"):
-            op = self.advance().text
-            node = _Binary(op, node, self.unary())
-        return node
+            token = self.advance()
+            right, right_depth = self.unary()
+            node = Binary(token.text, node, right)
+            depth = self.above(token, max(depth, right_depth))
+        return node, depth
 
-    def unary(self) -> Node:
+    def unary(self) -> tuple[Node, int]:
         if self.at_op("+", "-"):
-            op = self.advance().text
-            return _Unary(op, self.unary())
+            token = self.advance()
+            self.enter(token)
+            operand, depth = self.unary()
+            self.open -= 1
+            return Unary(token.text, operand), self.above(token, depth)
         return self.primary()
 
-    def primary(self) -> Node:
+    def primary(self) -> tuple[Node, int]:
         token = self.current
         if token.kind == "number":
             self.advance()
-            return _Num(float(token.text))
+            return Num(float(token.text)), 1
         if token.kind == "ident":
             self.advance()
             if self.at_op("("):
@@ -153,68 +200,112 @@ class _Parser:
                         f"unknown function '{token.text}'", token.position
                     )
                 self.advance()
-                args = [self.expr()]
+                self.enter(token)
+                arg, depth = self.expr()
+                args = [arg]
                 while self.at_op(","):
                     self.advance()
-                    args.append(self.expr())
+                    arg, arg_depth = self.expr()
+                    args.append(arg)
+                    depth = max(depth, arg_depth)
                 self.expect_op(")")
+                self.open -= 1
                 if len(args) < 2:
                     raise ExpressionSyntaxError(
                         f"'{token.text}' needs at least two arguments", token.position
                     )
-                return _Call(token.text, tuple(args))
+                return Call(token.text, tuple(args)), self.above(token, depth)
             if token.text not in self.variables:
                 raise UnknownIdentifierError(token.text, token.position)
-            return _Var(token.text)
+            return Var(token.text), 1
         if self.at_op("("):
             self.advance()
-            node = self.expr()
+            self.enter(token)
+            node, depth = self.expr()
             self.expect_op(")")
-            return node
+            self.open -= 1
+            return node, self.above(token, depth)
         if token.kind == "end":
             raise ExpressionSyntaxError("unexpected end of input", token.position)
         raise ExpressionSyntaxError(f"unexpected '{token.text}'", token.position)
 
 
-def _compile(node: Node, slots: Mapping[str, object]) -> Callable[[object], float]:
-    """Turn an AST into nested closures over one `values` argument.
+# Source for each operator and function, looked up by the parsed token, so
+# the emitted text never copies the token itself.
+_BINARY_SOURCE = {"+": " + ", "-": " - ", "*": " * ", "/": " / "}
+_CALL_SOURCE = {"min": "min", "max": "max"}
 
-    A variable reads ``values[slots[name]]``, so the same compiler serves a
-    name-keyed environment (each slot is the name) and a positional tuple.
-    Operands are evaluated left to right, as they are written.
+
+class Emitter:
+    """Writes parsed trees as the straight-line body of one Python function.
+
+    Each interior node becomes one statement that assigns a fresh local,
+    in the left-to-right order its operands are written, so the generated
+    code computes exactly what evaluating the tree node by node computes,
+    bit for bit. A literal is read from a global that `bind` adds to the
+    function's namespace, and a variable from the name its caller maps it
+    to. The namespace has no builtins but min and max.
     """
-    if isinstance(node, _Num):
-        constant = node.value
-        return lambda values: constant
-    if isinstance(node, _Var):
-        slot = slots[node.name]
-        return lambda values: values[slot]
-    if isinstance(node, _Unary):
-        operand = _compile(node.operand, slots)
-        if node.op == "-":
-            return lambda values: -operand(values)
-        return operand
-    if isinstance(node, _Binary):
-        left = _compile(node.left, slots)
-        right = _compile(node.right, slots)
-        if node.op == "+":
-            return lambda values: left(values) + right(values)
-        if node.op == "-":
-            return lambda values: left(values) - right(values)
-        if node.op == "*":
-            return lambda values: left(values) * right(values)
 
-        def divide(values):
-            dividend = left(values)
-            divisor = right(values)
-            if divisor == 0:
-                raise ZeroDivisionError("division by zero in expression")
-            return dividend / divisor
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.namespace: dict[str, object] = {"__builtins__": {}, **_FUNCTIONS}
+        self._locals = 0
 
-        return divide
-    func = _FUNCTIONS[node.func]
-    args = tuple(_compile(arg, slots) for arg in node.args)
-    return lambda values: func([arg(values) for arg in args])
+    def bind(self, value: object) -> str:
+        """A fresh global name that the generated code reads `value` from."""
+        name = f"_g{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def assign(self, source: str) -> str:
+        """Append a statement that stores `source` in a fresh local; return
+        the local's name."""
+        name = f"_v{self._locals}"
+        self._locals += 1
+        self.lines.append(f"{name} = {source}")
+        return name
+
+    def emit(
+        self,
+        node: Node,
+        names: Mapping[str, str],
+        on_zero_division: Callable[[], Exception],
+    ) -> str:
+        """Append the statements that evaluate `node`; return the name that
+        holds its value.
+
+        `names` maps every variable the tree reads to the name holding it.
+        A division by zero raises ``on_zero_division()``; a division by a
+        non-zero literal is not checked.
+        """
+        return self._emit(node, names, self.bind(on_zero_division))
+
+    def _emit(self, node: Node, names: Mapping[str, str], raise_zero: str) -> str:
+        if isinstance(node, Num):
+            return self.bind(node.value)
+        if isinstance(node, Var):
+            return names[node.name]
+        if isinstance(node, Unary):
+            operand = self._emit(node.operand, names, raise_zero)
+            return self.assign(f"-{operand}") if node.op == "-" else operand
+        if isinstance(node, Binary):
+            left = self._emit(node.left, names, raise_zero)
+            right = self._emit(node.right, names, raise_zero)
+            if node.op == "/" and not (isinstance(node.right, Num) and node.right.value != 0):
+                self.lines.append(f"if {right} == 0: raise {raise_zero}()")
+            return self.assign(left + _BINARY_SOURCE[node.op] + right)
+        args = [self._emit(arg, names, raise_zero) for arg in node.args]
+        return self.assign(f"{_CALL_SOURCE[node.func]}({', '.join(args)})")
+
+    def function(self, params: Sequence[str], result: str) -> Callable:
+        """Compile the statements so far as a function of `params` that
+        returns `result`; both are the caller's own text."""
+        source = "\n    ".join(
+            [f"def _f({', '.join(params)}):", *self.lines, f"return {result}"]
+        )
+        exec(compile(source, "<flashsim model>", "exec"), self.namespace)
+        return self.namespace.pop("_f")  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -224,22 +315,19 @@ class Expression:
     source: str
     root: Node
     variables: frozenset[str]
-    _by_name: Callable[[Mapping[str, float]], float] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        slots = {name: name for name in _referenced(self.root)}
-        object.__setattr__(self, "_by_name", _compile(self.root, slots))
-
-    def compile(self, slots: Mapping[str, int]) -> Callable[[Sequence[float]], float]:
-        """The equation as a function of one positional tuple of floats.
-
-        `slots` maps every referenced variable to its index in the tuple.
-        The function computes exactly what `evaluate` computes from the same
-        values, and likewise raises only ZeroDivisionError.
-        """
-        return _compile(self.root, slots)
+    @cached_property
+    def _compiled(self) -> tuple[Callable[..., float], tuple[str, ...]]:
+        # built on first use, so parsing a config compiles nothing
+        names = tuple(sorted(self.variables))
+        params = [f"_x{index}" for index in range(len(names))]
+        emitter = Emitter()
+        result = emitter.emit(
+            self.root,
+            dict(zip(names, params)),
+            lambda: ZeroDivisionError(DIVISION_BY_ZERO),
+        )
+        return emitter.function(params, result), names
 
     def evaluate(self, env: Mapping[str, float]) -> float:
         """Evaluate against a complete variable environment.
@@ -247,20 +335,22 @@ class Expression:
         Pure: identical (expression, env) pairs always produce identical
         results. The only possible failure is ZeroDivisionError.
         """
-        return self._by_name(env)
+        function, names = self._compiled
+        return function(*[env[name] for name in names])
 
 
-def _referenced(node: Node) -> frozenset[str]:
-    if isinstance(node, _Var):
+def variables_of(node: Node) -> frozenset[str]:
+    """The variables a tree reads."""
+    if isinstance(node, Var):
         return frozenset({node.name})
-    if isinstance(node, _Unary):
-        return _referenced(node.operand)
-    if isinstance(node, _Binary):
-        return _referenced(node.left) | _referenced(node.right)
-    if isinstance(node, _Call):
+    if isinstance(node, Unary):
+        return variables_of(node.operand)
+    if isinstance(node, Binary):
+        return variables_of(node.left) | variables_of(node.right)
+    if isinstance(node, Call):
         out: frozenset[str] = frozenset()
         for arg in node.args:
-            out |= _referenced(arg)
+            out |= variables_of(arg)
         return out
     return frozenset()
 
@@ -268,8 +358,9 @@ def _referenced(node: Node) -> frozenset[str]:
 def parse_expression(text: str, variables: frozenset[str]) -> Expression:
     """Parse `text` against the allowed variable names.
 
-    Raises ExpressionSyntaxError (with position) on malformed input and
-    UnknownIdentifierError for identifiers outside `variables`.
+    Raises ExpressionSyntaxError (with position) on malformed input or a
+    tree deeper than MAX_DEPTH, and UnknownIdentifierError for identifiers
+    outside `variables`.
     """
     root = _Parser(_tokenize(text), variables).parse()
-    return Expression(text, root, _referenced(root))
+    return Expression(text, root, variables_of(root))

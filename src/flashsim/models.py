@@ -21,28 +21,41 @@ t_bus_per_byte. Built-in energy is p_kind (mW) * duration (us) / 1000,
 giving microjoules. Idle power parameters price the time a resource spends
 unoccupied within the run's makespan.
 
-Every binding, built-in or expression, is compiled once into a function of
-one positional tuple of floats, in ``VARIABLE_ORDER``; pricing an event is
-one call of its kind's latency function and one of its energy function.
-Every built-in, and every expression that reads no address variable, gives
-one result per (event kind, byte_count), which a run evaluates once.
+Every binding, built-in or expression, is a parsed tree: the built-ins are
+``t_x``, ``byte_count * t_bus_per_byte`` and ``p_x * duration / 1000``.
+Pricing an event is one call of a function generated from its kind's two
+trees and compiled once per (event kind, byte_count), the first time a run
+needs it (see `Pricer`). Every built-in, and every expression that reads
+no address variable, gives one result per (event kind, byte_count), which a
+run evaluates once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Mapping
 
 from .commands import EventKind
 from .errors import ModelEvaluationError, NegativeResultError
-from .expr import Expression, parse_expression
+from .expr import (
+    DIVISION_BY_ZERO,
+    Binary,
+    Emitter,
+    Expression,
+    Node,
+    Num,
+    Var,
+    parse_expression,
+    variables_of,
+)
 from .topology import FlashAddress, Geometry
-from .units import us_to_ns
+from .units import NS_PER_US
 
-# The tuple a compiled binding reads. Every expression may reference the
-# first nine; power expressions additionally see the event's scheduled
-# duration, which comes last.
+# The variables a binding reads, in the order latency_us and energy_uj pass
+# them. Every expression may reference the first nine; power expressions
+# additionally see the event's scheduled duration, which comes last.
 VARIABLE_ORDER = (
     "byte_count",
     "page_size",
@@ -55,16 +68,17 @@ VARIABLE_ORDER = (
     "page",
     "duration",
 )
-_SLOTS = {name: index for index, name in enumerate(VARIABLE_ORDER)}
-_BYTE_COUNT, _DURATION = _SLOTS["byte_count"], _SLOTS["duration"]
+_DURATION = VARIABLE_ORDER.index("duration")
 PERF_VARIABLES = frozenset(VARIABLE_ORDER[:_DURATION])
 POWER_VARIABLES = frozenset(VARIABLE_ORDER)
 # A binding that reads none of the address variables is constant per
 # (event kind, byte_count) on one geometry.
 ADDRESS_FREE_VARIABLES = frozenset({"byte_count", "page_size", "oob_size", "duration"})
+_ADDRESS_VARIABLES = tuple(v for v in VARIABLE_ORDER if v not in ADDRESS_FREE_VARIABLES)
 
-# A compiled binding and the config key it comes from, "[section] key".
-Binding = tuple[Callable[[tuple[float, ...]], float], str]
+# The tree of a binding's equation and the config key it comes from,
+# "[section] key".
+Binding = tuple[Node, str]
 
 
 @dataclass(frozen=True)
@@ -190,36 +204,34 @@ class ModelSet:
         self._latency = {kind: self._latency_binding(kind) for kind in EventKind}
         self._energy = {kind: self._energy_binding(kind) for kind in EventKind}
         self._address_free = {
-            kind: all(
-                expr.variables <= ADDRESS_FREE_VARIABLES
-                for expr in (self.latency_exprs.get(kind), self.power_exprs.get(kind))
-                if expr is not None
-            )
+            kind: variables_of(self._latency[kind][0]) | variables_of(self._energy[kind][0])
+            <= ADDRESS_FREE_VARIABLES
             for kind in EventKind
         }
+        # the single bindings behind latency_us and energy_uj, compiled on
+        # first use and keyed by (kind, whether it is the power binding)
+        self._functions: dict[tuple[EventKind, bool], Callable[..., float]] = {}
 
     def _latency_binding(self, kind: EventKind) -> Binding:
         expr = self.latency_exprs.get(kind)
         if expr is not None:
-            return expr.compile(_SLOTS), f"[performance] {kind.value}"
+            return expr.root, f"[performance] {kind.value}"
         if kind in (EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT):
-            per_byte = self.timing.t_bus_per_byte
             return (
-                lambda values: values[_BYTE_COUNT] * per_byte,
+                Binary("*", Var("byte_count"), Num(self.timing.t_bus_per_byte)),
                 "[performance] t_bus_per_byte",
             )
         name = _TIMING_PARAM_FOR[kind]
-        constant = getattr(self.timing, name)
-        return (lambda values: constant), f"[performance] {name}"
+        return Num(getattr(self.timing, name)), f"[performance] {name}"
 
     def _energy_binding(self, kind: EventKind) -> Binding:
         expr = self.power_exprs.get(kind)
         if expr is not None:
-            return expr.compile(_SLOTS), f"[power] {kind.value}"
+            return expr.root, f"[power] {kind.value}"
         name = _POWER_PARAM_FOR[kind]
-        milliwatts = getattr(self.power, name)
+        milliwatts = Num(getattr(self.power, name))
         return (
-            lambda values: milliwatts * values[_DURATION] / 1000,
+            Binary("/", Binary("*", milliwatts, Var("duration")), Num(1000)),
             f"[power] {name}",
         )
 
@@ -231,13 +243,24 @@ class ModelSet:
         """Duration of one event in microseconds; always finite and >= 0."""
         if ctx.duration_us is not None:
             raise ValueError("latency context must not carry a duration")
-        return _evaluated(self._latency[ctx.kind], _values(ctx))
+        return self._function(ctx.kind, False)(*_values(ctx))
 
     def energy_uj(self, ctx: EventContext) -> float:
         """Energy of one event in microjoules; always finite and >= 0."""
         if ctx.duration_us is None:
             raise ValueError("energy context requires the event duration")
-        return _evaluated(self._energy[ctx.kind], (*_values(ctx), ctx.duration_us))
+        return self._function(ctx.kind, True)(*_values(ctx), ctx.duration_us)
+
+    def _function(self, kind: EventKind, power: bool) -> Callable[..., float]:
+        found = self._functions.get((kind, power))
+        if found is None:
+            tree, key = (self._energy if power else self._latency)[kind]
+            params = VARIABLE_ORDER if power else VARIABLE_ORDER[:_DURATION]
+            emitter = Emitter()
+            value = emitter.emit(tree, dict(zip(params, params)), _division_by_zero(key))
+            _check_range(emitter, value, key)
+            found = self._functions[kind, power] = emitter.function(params, value)
+        return found
 
     def idle_power_mw(self, resource_kind: str) -> float:
         # die resources stand in for their planes under die serialization
@@ -254,11 +277,12 @@ class Pricer:
     either one divides by zero or yields a negative, NaN or infinite result,
     or when the latency is too large to count in nanoseconds.
 
-    A kind whose two bindings read no address variable is evaluated once per
-    byte_count, at the first event that needs it, and that result is reused;
-    a failing binding therefore raises at its first event, as it would if
-    evaluated per event. Bindings that read the address are evaluated per
-    event.
+    Each entry is one function generated from the kind's two trees and
+    compiled when the entry is first asked for. A kind whose two bindings
+    read no address variable is evaluated once per byte_count, at the first
+    event that needs it, and that result is reused; a failing binding
+    therefore raises at its first event, as it would if evaluated per
+    event. Bindings that read the address are evaluated per event.
     """
 
     def __init__(self, models: ModelSet, geometry: Geometry):
@@ -284,31 +308,7 @@ class Pricer:
     def _new_entry(
         self, kind: EventKind, byte_count: int
     ) -> Callable[[FlashAddress], tuple[int, float]]:
-        latency, energy = self._latency[kind], self._energy[kind]
-        byte_count_f, page_size, oob_size = float(byte_count), self._page_size, self._oob_size
-
-        def evaluate(target: FlashAddress) -> tuple[int, float]:
-            values = (
-                byte_count_f,
-                page_size,
-                oob_size,
-                float(target.channel),
-                float(target.chip),
-                float(target.die),
-                float(target.plane),
-                float(target.block),
-                float(target.page),
-            )
-            duration_us = _evaluated(latency, values)
-            try:
-                duration_ns = us_to_ns(duration_us)
-            except OverflowError:
-                raise ModelEvaluationError(
-                    latency[1],
-                    f"evaluated to {duration_us} us, which overflows in nanoseconds",
-                ) from None
-            return duration_ns, _evaluated(energy, (*values, duration_ns / 1000))
-
+        evaluate = self._kernel(kind, byte_count)
         if not self._address_free[kind]:
             return evaluate
         priced: list[tuple[int, float]] = []
@@ -319,6 +319,38 @@ class Pricer:
             return priced[0]
 
         return table_entry
+
+    def _kernel(
+        self, kind: EventKind, byte_count: int
+    ) -> Callable[[FlashAddress], tuple[int, float]]:
+        """Generate and compile the function that prices one event."""
+        (latency, latency_key), (energy, energy_key) = self._latency[kind], self._energy[kind]
+        emitter = Emitter()
+        names = {
+            "byte_count": emitter.bind(float(byte_count)),
+            "page_size": emitter.bind(self._page_size),
+            "oob_size": emitter.bind(self._oob_size),
+            "duration": "duration",
+        }
+        read = variables_of(latency) | variables_of(energy)
+        to_float = emitter.bind(float)
+        for name in _ADDRESS_VARIABLES:
+            if name in read:
+                names[name] = emitter.assign(f"{to_float}(target.{name})")
+        duration_us = emitter.emit(latency, names, _division_by_zero(latency_key))
+        _check_range(emitter, duration_us, latency_key)
+        # units.us_to_ns, with its overflow named after the binding
+        ns_per_us = emitter.bind(NS_PER_US)
+        scaled = emitter.assign(f"{duration_us} * {ns_per_us}")
+        emitter.lines.append(
+            f"if {scaled} == {emitter.bind(math.inf)}: "
+            f"raise {emitter.bind(partial(_overflow, latency_key))}({duration_us})"
+        )
+        duration_ns = emitter.assign(f"{emitter.bind(round)}({scaled})")
+        emitter.lines.append(f"duration = {duration_ns} / {ns_per_us}")
+        energy_uj = emitter.emit(energy, names, _division_by_zero(energy_key))
+        _check_range(emitter, energy_uj, energy_key)
+        return emitter.function(["target"], f"{duration_ns}, {energy_uj}")
 
 
 def _values(ctx: EventContext) -> tuple[float, ...]:
@@ -335,15 +367,27 @@ def _values(ctx: EventContext) -> tuple[float, ...]:
     )
 
 
-def _evaluated(binding: Binding, values: tuple[float, ...]) -> float:
-    function, key = binding
-    try:
-        value = function(values)
-    except ZeroDivisionError as exc:
-        raise ModelEvaluationError(key, str(exc)) from None
-    if 0 <= value < math.inf:  # false for NaN as well
-        return value
-    raise NegativeResultError(key, f"evaluated to {value}")
+def _check_range(emitter: Emitter, value: str, key: str) -> None:
+    """Append the check that the binding `key`'s result in `value` is
+    finite and >= 0; the comparison is false for NaN as well."""
+    emitter.lines.append(
+        f"if not 0 <= {value} < {emitter.bind(math.inf)}: "
+        f"raise {emitter.bind(partial(_out_of_range, key))}({value})"
+    )
+
+
+def _division_by_zero(key: str) -> Callable[[], ModelEvaluationError]:
+    return partial(ModelEvaluationError, key, DIVISION_BY_ZERO)
+
+
+def _out_of_range(key: str, value: float) -> NegativeResultError:
+    return NegativeResultError(key, f"evaluated to {value}")
+
+
+def _overflow(key: str, duration_us: float) -> ModelEvaluationError:
+    return ModelEvaluationError(
+        key, f"evaluated to {duration_us} us, which overflows in nanoseconds"
+    )
 
 
 def parse_latency_expression(text: str) -> Expression:

@@ -100,12 +100,17 @@ def build_report(
             )
         )
 
-    # each kind's total is 0.0 + e1 + e2 + ... in schedule order
-    kind_energy: dict[EventKind, float] = {}
+    # each kind's total is 0.0 + e1 + e2 + ... in schedule order; keyed by
+    # `kind._value_`, a plain attribute, as hashing an Enum member is a
+    # Python-level call
+    kind_energy: dict[str, float] = {}
     for e in run.schedule:
-        kind_energy[e.kind] = kind_energy.get(e.kind, 0.0) + e.energy_uj
+        value = e.kind._value_
+        kind_energy[value] = kind_energy.get(value, 0.0) + e.energy_uj
     energy_by_kind = tuple(
-        (kind, kind_energy[kind]) for kind in EventKind if kind in kind_energy
+        (kind, kind_energy[kind._value_])
+        for kind in EventKind
+        if kind._value_ in kind_energy
     )
 
     event_energy = 0.0
@@ -196,13 +201,16 @@ def _labelled(
 
     Events share few kinds and resources and often a target, so each
     distinct one is rendered once and its text reused. An event without a
-    resource has it rendered from None.
+    resource has it rendered from None. Kinds are keyed by `kind._value_`,
+    so that no Enum member is hashed per event.
     """
+    kinds: dict[str, str] = {}
     labels: dict[object, str] = {}
     for e in events:
-        kind = labels.get(e.kind)
+        value = e.kind._value_
+        kind = kinds.get(value)
         if kind is None:
-            kind = labels[e.kind] = render(e.kind.value)
+            kind = kinds[value] = render(value)
         target = labels.get(e.target)
         if target is None:
             target = labels[e.target] = render(str(e.target))

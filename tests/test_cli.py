@@ -311,6 +311,23 @@ def test_address_free_failing_binding_fails_at_its_first_event(
     )
 
 
+def test_expression_past_the_depth_limit_exits_2_without_a_traceback(
+    fixture_paths, capsys
+):
+    # the parser rejects it before any recursive pass could exhaust the stack
+    config, trace = fixture_paths
+    config.write_text(
+        config.read_text() + "[performance]\ncmd_overhead = " + " + ".join(["page"] * 5000)
+    )
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        f"{config}: performance.cmd_overhead: expression nested more than 200 levels deep"
+    )
+    assert "Traceback" not in err
+
+
 def test_expression_models_event_log_matches_golden(capsys, tmp_path):
     # every event kind priced by a latency and a power expression; the golden
     # bytes were produced by the tree-walking evaluator this one replaced
@@ -414,10 +431,16 @@ def test_identical_invocations_identical_bytes(fixture_paths, capsys):
     assert (code1, out1, err1) == (code2, out2, err2)
 
 
-@pytest.mark.parametrize("flags", [("--check",), ("--events",)])
+@pytest.mark.parametrize(
+    "flags",
+    [("--check",), ("--events",), pytest.param(("--format", "table"), id="expr_models")],
+)
 def test_output_does_not_depend_on_the_hash_seed(fixture_paths, tmp_path, flags):
-    # string and Enum hashes change with the seed; no set order may leak out
+    # string and Enum hashes change with the seed; no set order may leak out.
+    # The table case prices every event through generated expression code.
     config, _ = fixture_paths
+    if flags == ("--format", "table"):
+        config.write_text((DATA / "expr_models.ini").read_text())
     config.write_text(config.read_text() + "[policy]\nendurance_limit = 1\n")
     geometry = parse_config(config.read_text()).geometry
     trace = tmp_path / "random.trace"

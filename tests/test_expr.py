@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from flashsim.commands import EventKind
 from flashsim.errors import ExpressionSyntaxError, UnknownIdentifierError
-from flashsim.expr import parse_expression
-from flashsim.models import PERF_VARIABLES, POWER_VARIABLES
+from flashsim.expr import MAX_DEPTH, parse_expression
+from flashsim.models import PERF_VARIABLES, POWER_VARIABLES, ModelSet
+from flashsim.topology import FlashAddress, Geometry
 
 ENV = {name: 0.0 for name in POWER_VARIABLES}
 
@@ -155,3 +157,47 @@ def test_evaluation_is_python_float_arithmetic_bit_for_bit(source, env, divisor)
     zero = parse_expression(f"({source}) / {divisor}", POWER_VARIABLES)
     with pytest.raises(ZeroDivisionError, match="^division by zero in expression$"):
         zero.evaluate({**env, divisor: 0.0})
+
+
+# One shape per recursive rule of the grammar: each builds a tree `depth`
+# levels deep over the variable page, and gives the tree's value at page 1.
+DEEP = {
+    "sum": (lambda depth: " + ".join(["page"] * depth), lambda depth: float(depth)),
+    # an even number of minus signs, led by one plus sign when that is odd
+    "signs": (
+        lambda depth: "+" * ((depth - 1) % 2) + "--" * ((depth - 1) // 2) + "page",
+        lambda depth: 1.0,
+    ),
+    "parentheses": (
+        lambda depth: "(" * (depth - 1) + "page" + ")" * (depth - 1),
+        lambda depth: 1.0,
+    ),
+    "calls": (
+        lambda depth: "min(" * (depth - 1) + "page" + ", 2)" * (depth - 1),
+        lambda depth: 1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_a_tree_at_the_depth_limit_parses_and_prices(shape):
+    text, value = DEEP[shape]
+    expr = parse_expression(text(MAX_DEPTH), PERF_VARIABLES)
+    assert expr.evaluate({**ENV, "page": 1.0}) == value(MAX_DEPTH)
+    models = ModelSet(latency_exprs={EventKind.ARRAY_SENSE: expr})
+    price = models.pricer(Geometry(1, 1, 1, 1, 1, 2, 4096, 128))
+    duration_ns, _ = price.entry(EventKind.ARRAY_SENSE, 0)(FlashAddress(0, 0, 0, 0, 0, 1))
+    assert duration_ns == round(value(MAX_DEPTH) * 1000)
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_a_tree_past_the_depth_limit_is_rejected_at_its_offset(shape):
+    text = DEEP[shape][0](MAX_DEPTH + 1)
+    with pytest.raises(ExpressionSyntaxError) as excinfo:
+        parse_expression(text, PERF_VARIABLES)
+    assert str(excinfo.value).startswith(
+        f"expression nested more than {MAX_DEPTH} levels deep (at offset "
+    )
+    # the offset is that of the operator, sign, parenthesis or call that
+    # would have been the level too many
+    assert text[excinfo.value.position] in "+-(m"

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashsim.commands import EventKind
 from flashsim.topology import FlashAddress, Geometry
 from flashsim.units import us_to_ns
-from flashsim.errors import NegativeResultError
+from flashsim.errors import ModelEvaluationError, NegativeResultError
 from flashsim.models import (
     EventContext,
     ModelSet,
@@ -16,6 +18,8 @@ from flashsim.models import (
     parse_latency_expression,
     parse_power_expression,
 )
+
+from test_expr import SOURCES
 
 
 def ctx(kind, byte_count=0, duration_us=None, **addr):
@@ -191,3 +195,99 @@ def test_pricer_prices_each_byte_count_on_its_own(models):
         )
         got = price.entry(EventKind.BUS_TRANSFER_OUT, byte_count)(target)
         assert got == (duration_ns, energy), byte_count
+
+
+ADDRESS = ("channel", "chip", "die", "plane", "block", "page")
+
+# Latency sources may not read duration; the same grammar with duration
+# spelled page_size instead.
+LATENCY_SOURCES = SOURCES.map(lambda source: source.replace("duration", "page_size"))
+
+
+@st.composite
+def pricing_cases(draw):
+    """A kind, a geometry, a byte count and two targets inside the geometry."""
+    counts = [draw(st.integers(1, 4)) for _ in range(6)]
+    geometry = Geometry(*counts, draw(st.integers(1, 8192)), draw(st.integers(0, 256)))
+    targets = [
+        FlashAddress(*(draw(st.integers(0, count - 1)) for count in counts))
+        for _ in range(2)
+    ]
+    kind = draw(st.sampled_from(list(EventKind)))
+    return kind, geometry, draw(st.integers(0, 1 << 16)), targets
+
+
+def _reference(latency, power, kind, geometry, byte_count, target):
+    """What pricing one event must give: Python's own float arithmetic on
+    the two sources, checked and rounded as the pricing contract says."""
+    env = {
+        "byte_count": float(byte_count),
+        "page_size": float(geometry.page_size),
+        "oob_size": float(geometry.oob_size),
+        **{name: float(getattr(target, name)) for name in ADDRESS},
+    }
+    space = {"__builtins__": {}, "min": min, "max": max}
+    latency_key, power_key = f"[performance] {kind.value}", f"[power] {kind.value}"
+    try:
+        duration_us = eval(latency, space, env)
+    except ZeroDivisionError:
+        return ModelEvaluationError, f"{latency_key}: division by zero in expression"
+    if not 0 <= duration_us < math.inf:
+        return NegativeResultError, f"{latency_key}: evaluated to {duration_us}"
+    if duration_us * 1000 == math.inf:
+        return ModelEvaluationError, (
+            f"{latency_key}: evaluated to {duration_us} us, which overflows in nanoseconds"
+        )
+    duration_ns = round(duration_us * 1000)
+    try:
+        energy = eval(power, space, {**env, "duration": duration_ns / 1000})
+    except ZeroDivisionError:
+        return ModelEvaluationError, f"{power_key}: division by zero in expression"
+    if not 0 <= energy < math.inf:
+        return NegativeResultError, f"{power_key}: evaluated to {energy}"
+    return duration_ns, float.hex(energy)
+
+
+def _outcome(entry, target):
+    # float.hex tells the two zeros apart and rejects an int
+    try:
+        duration_ns, energy = entry(target)
+    except ModelEvaluationError as exc:
+        return type(exc), str(exc)
+    assert type(duration_ns) is int
+    return duration_ns, float.hex(energy)
+
+
+_CASE = (EventKind.ARRAY_SENSE, Geometry(1, 1, 1, 1, 2, 4, 4096, 128), 4096,
+         [FlashAddress(0, 0, 0, 0, 1, 2), FlashAddress(0, 0, 0, 0, 0, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(LATENCY_SOURCES, SOURCES, pricing_cases())
+# an infinite literal times zero is NaN, which the check names
+@example("1e400 * 0 + 1", "duration", _CASE)
+@example("25.0", "1e400 * 0 + 1", _CASE)
+# signed zeros: -0.0 passes the range check, so the energy keeps its sign
+@example("-0.0 * page", "max(-0.0, 0.0) * duration", _CASE)
+# an address read by one tree only still makes the kind priced per event
+@example("25.0 + block", "duration * 0.03", _CASE)
+@example("25.0", "duration * page / 1000.0", _CASE)
+# each failure, named after its binding: a division by zero, a negative
+# and an infinite result, and a latency finite in microseconds only
+@example("page_size / (3.0 - page)", "duration", _CASE)
+@example("1.0", "duration / (page - 2.0)", _CASE)
+@example("10.0 - 4.0 * page", "duration", _CASE)
+@example("25.0", "1.0 - duration", _CASE)
+@example("1e308 * 10.0", "duration", _CASE)
+@example("25.0", "1e308 * duration", _CASE)
+@example("1e306", "duration", _CASE)
+def test_pricing_kernel_is_python_float_arithmetic_bit_for_bit(latency, power, case):
+    kind, geometry, byte_count, targets = case
+    models = ModelSet(
+        latency_exprs={kind: parse_latency_expression(latency)},
+        power_exprs={kind: parse_power_expression(power)},
+    )
+    entry = models.pricer(geometry).entry(kind, byte_count)
+    for target in targets:
+        expected = _reference(latency, power, kind, geometry, byte_count, target)
+        assert _outcome(entry, target) == expected, target

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import flashsim.expr
 from flashsim.commands import CommandKind
 from flashsim.engine import Policy
 from flashsim.errors import ConfigError, TraceParseError
@@ -221,6 +222,24 @@ class TestParseConfig:
         )
         ctx = EventContext(EventKind.ARRAY_SENSE, 0, 4096, 128, 0, 0, 0, 0, 2, 0)
         assert config.models.latency_us(ctx) == 25 + 0.001 * 2
+
+    def test_bindings_are_compiled_at_first_use_not_at_load(self, monkeypatch):
+        compiled = []
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile(*args)
+
+        monkeypatch.setattr(flashsim.expr, "compile", counting_compile, raising=False)
+        config = parse_config(
+            MINIMAL_CONFIG
+            + "[performance]\narray_sense = 25 + 0.001 * block\n"
+            + "[power]\narray_sense = 0.03 * duration\n"
+        )
+        assert compiled == []
+        ctx = EventContext(EventKind.ARRAY_SENSE, 0, 4096, 128, 0, 0, 0, 0, 2, 0)
+        assert config.models.latency_us(ctx) == 25 + 0.001 * 2
+        assert len(compiled) == 1
 
     def test_expression_error_carries_key_path(self):
         with pytest.raises(ConfigError) as excinfo:
