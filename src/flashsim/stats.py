@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .commands import CommandKind, EventKind
@@ -195,36 +196,90 @@ def emit(report: Report, format: str = "structured", event_log: bool = False) ->
 
 
 def _labelled(
-    events: Iterable[ScheduledEvent], render: Callable[[str | None], str]
+    events: Sequence[ScheduledEvent], render: Callable[[str], str], missing: str
 ) -> Iterator[tuple[ScheduledEvent, str, str, str]]:
-    """Each event with its kind, target and resource rendered by `render`.
+    """Each event with its kind, target and resource rendered by `render`;
+    an event without a resource gets `missing` for it.
 
-    Events share few kinds and resources and often a target, so each
-    distinct one is rendered once and its text reused. An event without a
-    resource has it rendered from None. Kinds are keyed by `kind._value_`,
-    so that no Enum member is hashed per event.
+    Nothing is hashed per event in Python: kinds are keyed by
+    `kind._value_`, and resources by `id()`. That is a value key because
+    `engine.run` interns one `Resource` object per slot (equal resources
+    that are distinct objects are merely rendered once each), and a safe
+    one because `events` keeps every resource alive, so no id is reused.
+    The events of one command share their target objects, so a target is
+    rendered again only when it is not the previous event's target.
     """
     kinds: dict[str, str] = {}
-    labels: dict[object, str] = {}
+    resources: dict[int, str] = {id(None): missing}
+    previous: object = object()  # no event's target
+    target_text = ""
     for e in events:
         value = e.kind._value_
         kind = kinds.get(value)
         if kind is None:
             kind = kinds[value] = render(value)
-        target = labels.get(e.target)
-        if target is None:
-            target = labels[e.target] = render(str(e.target))
-        resource = labels.get(e.resource)
+        target = e.target
+        if target is not previous:
+            previous = target
+            target_text = render(str(target))
+        resource = resources.get(id(e.resource))
         if resource is None:
-            resource = labels[e.resource] = render(
-                None if e.resource is None else e.resource.label
-            )
-        yield e, kind, target, resource
+            resource = resources[id(e.resource)] = render(e.resource.label)
+        yield e, kind, target_text, resource
 
 
-# One event-log row laid out exactly as json.dumps(..., indent=2) lays it out,
-# led by the comma that separates it from the row before. Labels come quoted
-# by json.dumps; floats render as float.__repr__, which is what json uses.
+# Below 10**15 ns the exact decimal ns / 1000 has at most 15 significant
+# digits. No other decimal that short reads back as the same double, so it
+# is the shortest text that does, which is what float.__repr__ writes (and
+# without an exponent, from 0.001 to below 10**12). At and above 10**15 ns
+# the decimal may need more digits, and repr may switch to exponent form.
+_EXACT_US_LIMIT_NS = 10**15
+# the fraction of a microsecond for each ns % 1000, as repr ends it
+_NS_FRACTIONS = tuple(
+    "." + ("%03d" % ns).rstrip("0") if ns else ".0" for ns in range(1000)
+)
+
+
+def us_repr(ns: int) -> str:
+    """``repr(ns / 1000)``, computed from the integer nanoseconds."""
+    if 0 <= ns < _EXACT_US_LIMIT_NS:
+        return "%d%s" % (ns // 1000, _NS_FRACTIONS[ns % 1000])
+    return repr(ns / 1000)
+
+
+def _json_float(value: float) -> str:
+    """`value` as json.dumps writes it: float.__repr__ when finite."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_int(value: int | None) -> str:
+    return "null" if value is None else "%d" % value
+
+
+# The rows of the report's arrays, each laid out exactly as
+# json.dumps(..., indent=2) lays it out and led by the comma that separates
+# it from the row before. Strings come quoted by encode_basestring_ascii,
+# the encoder json.dumps uses by default; numbers come pre-rendered.
+_COMMAND_ROW = (
+    ",\n    {\n"
+    '      "sequence_id": %d,\n'
+    '      "kind": %s,\n'
+    '      "arrival_us": %s,\n'
+    '      "completion_us": %s,\n'
+    '      "latency_us": %s,\n'
+    '      "energy_uj": %s,\n'
+    '      "warning_count": %d\n'
+    "    }"
+)
+_WARNING_ROW = (
+    ",\n    {\n"
+    '      "rule": %s,\n'
+    '      "severity": %s,\n'
+    '      "message": %s,\n'
+    '      "sequence_id": %s,\n'
+    '      "line": %s\n'
+    "    }"
+)
 _EVENT_ROW = (
     ",\n    {\n"
     '      "sequence_id": %d,\n'
@@ -232,99 +287,141 @@ _EVENT_ROW = (
     '      "kind": %s,\n'
     '      "target": %s,\n'
     '      "resource": %s,\n'
-    '      "start_us": %r,\n'
-    '      "duration_us": %r,\n'
-    '      "energy_uj": %r\n'
+    '      "start_us": %s%s,\n'
+    "%s"
+)
+# an event row's duration and energy, shared by events priced alike
+_EVENT_TAIL = (
+    '      "duration_us": %s,\n'
+    '      "energy_uj": %s\n'
     "    }"
 )
 
 
-def _emit_structured(report: Report, event_log: bool) -> str:
-    doc: dict = {
-        "schema": REPORT_SCHEMA,
-        "command_count": report.command_count,
-        "makespan_us": report.makespan_us,
-        "total_energy_uj": report.total_energy_uj,
-        "event_energy_uj": report.event_energy_uj,
-        "idle_energy_uj": report.idle_energy_uj,
-        "commands": [
-            {
-                "sequence_id": c.sequence_id,
-                "kind": c.kind.value,
-                "arrival_us": c.arrival_ns / 1000,
-                "completion_us": c.completion_ns / 1000,
-                "latency_us": c.latency_ns / 1000,
-                "energy_uj": c.energy_uj,
-                "warning_count": len(c.warnings),
-            }
-            for c in report.commands
-        ],
-        "latency_by_kind": [
-            {
-                "kind": s.kind.value,
-                "count": s.count,
-                "mean_us": s.mean_us,
-                "min_us": s.min_us,
-                "max_us": s.max_us,
-                **{
-                    f"p{p}_us": value
-                    for p, value in zip(PERCENTILES, s.percentiles_us)
-                },
-            }
-            for s in report.kind_stats
-        ],
-        "energy_by_event_kind": [
-            {"kind": kind.value, "energy_uj": value}
-            for kind, value in report.energy_by_kind
-        ],
-        "resources": [
-            {
-                "resource": u.resource.label,
-                "busy_us": u.busy_us,
-                "utilization": u.utilization,
-                "idle_energy_uj": u.idle_energy_uj,
-            }
-            for u in report.usage
-        ],
-        "warning_counts": [
-            {"rule": rule.value, "count": count}
-            for rule, count in report.warning_counts
-        ],
-        "warnings": [
-            {
-                "rule": w.rule.value,
-                "severity": w.severity.value,
-                "message": w.message,
-                "sequence_id": w.sequence_id,
-                "line": w.line,
-            }
-            for w in report.warnings
-        ],
-    }
-    head = json.dumps(doc, indent=2)
-    if not event_log:
-        return head + "\n"
-    # "events" is the last key: the rows go where the head's closing "\n}" was
-    parts = [head[:-2], ',\n  "events": [']
-    parts += [
-        _EVENT_ROW
-        % (
-            e.sequence_id,
-            e.event_id,
-            kind,
-            target,
-            resource,
-            e.start_ns / 1000,
-            e.duration_ns / 1000,
-            e.energy_uj,
-        )
-        for e, kind, target, resource in _labelled(report.events, json.dumps)
-    ]
-    if len(parts) == 2:
-        parts.append("]\n}\n")
+def _write_array(parts: list[str], rows: Iterable[str]) -> None:
+    """Append a top-level key's array of `rows`, each led by a comma, to `parts`."""
+    first = len(parts)
+    parts += rows
+    if len(parts) == first:
+        parts.append("[]")
     else:
-        parts[2] = parts[2][1:]  # the first row follows "[", not a comma
-        parts.append("\n  ]\n}\n")
+        parts[first] = "[" + parts[first][1:]  # the first row follows "[", not a comma
+        parts.append("\n  ]")
+
+
+def _event_rows(events: Sequence[ScheduledEvent]) -> list[str]:
+    # few (duration, energy) pairs recur: each tail is cached by the
+    # duration's int and reused only for the very same energy object, as
+    # floats that compare equal may render differently (-0.0 and 0.0)
+    tails: dict[int, tuple[float, str]] = {}
+    rows: list[str] = []
+    append = rows.append
+    for e, kind, target, resource in _labelled(events, _quote, "null"):
+        duration, energy = e.duration_ns, e.energy_uj
+        tail = tails.get(duration)
+        if tail is None or tail[0] is not energy:
+            tail = tails[duration] = (
+                energy, _EVENT_TAIL % (us_repr(duration), _json_float(energy))
+            )
+        start = e.start_ns
+        if 0 <= start < _EXACT_US_LIMIT_NS:  # us_repr(start), inlined
+            whole, fraction = start // 1000, _NS_FRACTIONS[start % 1000]
+        else:
+            whole, fraction = repr(start / 1000), ""
+        append(
+            _EVENT_ROW
+            % (e.sequence_id, e.event_id, kind, target, resource, whole, fraction, tail[1])
+        )
+    return rows
+
+
+def _emit_structured(report: Report, event_log: bool) -> str:
+    # the three arrays that grow with the trace are written from row
+    # templates; json.dumps renders the other keys, in two runs around them
+    scalars = json.dumps(
+        {
+            "schema": REPORT_SCHEMA,
+            "command_count": report.command_count,
+            "makespan_us": report.makespan_us,
+            "total_energy_uj": report.total_energy_uj,
+            "event_energy_uj": report.event_energy_uj,
+            "idle_energy_uj": report.idle_energy_uj,
+        },
+        indent=2,
+    )
+    summaries = json.dumps(
+        {
+            "latency_by_kind": [
+                {
+                    "kind": s.kind.value,
+                    "count": s.count,
+                    "mean_us": s.mean_us,
+                    "min_us": s.min_us,
+                    "max_us": s.max_us,
+                    **{
+                        f"p{p}_us": value
+                        for p, value in zip(PERCENTILES, s.percentiles_us)
+                    },
+                }
+                for s in report.kind_stats
+            ],
+            "energy_by_event_kind": [
+                {"kind": kind.value, "energy_uj": value}
+                for kind, value in report.energy_by_kind
+            ],
+            "resources": [
+                {
+                    "resource": u.resource.label,
+                    "busy_us": u.busy_us,
+                    "utilization": u.utilization,
+                    "idle_energy_uj": u.idle_energy_uj,
+                }
+                for u in report.usage
+            ],
+            "warning_counts": [
+                {"rule": rule.value, "count": count}
+                for rule, count in report.warning_counts
+            ],
+        },
+        indent=2,
+    )
+    # each dumped object's keys, without its braces, are top-level keys here
+    parts = [scalars[:-2], ',\n  "commands": ']
+    _write_array(
+        parts,
+        (
+            _COMMAND_ROW
+            % (
+                c.sequence_id,
+                _quote(c.kind._value_),
+                us_repr(c.arrival_ns),
+                us_repr(c.completion_ns),
+                us_repr(c.latency_ns),
+                _json_float(c.energy_uj),
+                len(c.warnings),
+            )
+            for c in report.commands
+        ),
+    )
+    parts += [",", summaries[1:-2], ',\n  "warnings": ']
+    _write_array(
+        parts,
+        (
+            _WARNING_ROW
+            % (
+                _quote(w.rule._value_),
+                _quote(w.severity._value_),
+                _quote(w.message),
+                _json_int(w.sequence_id),
+                _json_int(w.line),
+            )
+            for w in report.warnings
+        ),
+    )
+    if event_log:
+        parts.append(',\n  "events": ')
+        _write_array(parts, _event_rows(report.events))
+    parts.append("\n}\n")
     return "".join(parts)
 
 
@@ -366,7 +463,7 @@ def _emit_table(report: Report, event_log: bool) -> str:
             lines.append(f"  {where}{w.message} [{w.rule.value}]")
     if event_log:
         lines += ["", "event log (start us, duration us, kind, target, resource, energy uJ)"]
-        for e, kind, target, resource in _labelled(report.events, lambda label: label or "-"):
+        for e, kind, target, resource in _labelled(report.events, str, "-"):
             lines.append(
                 f"{e.start_ns / 1000:>12.3f}{e.duration_ns / 1000:>12.3f}  {kind:<18}"
                 f"{target:<16}{resource:<16}{e.energy_uj:>10.3f}"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,14 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashsim.commands import Command, CommandKind, EventKind
-from flashsim.engine import Policy, idle_accounting, run
+from flashsim.engine import CommandResult, Policy, idle_accounting, run
+from flashsim.errors import Rule, Severity, Violation
 from flashsim.models import (
     ModelSet,
     TimingParams,
     parse_latency_expression,
     parse_power_expression,
 )
-from flashsim.stats import REPORT_SCHEMA, build_report, emit, nearest_rank
+from flashsim.stats import (
+    PERCENTILES,
+    REPORT_SCHEMA,
+    Report,
+    build_report,
+    emit,
+    nearest_rank,
+    us_repr,
+)
 from flashsim.topology import Geometry
 from flashsim.trace_io import parse_config, parse_trace
 
@@ -159,26 +170,81 @@ def test_unknown_format_rejected():
         emit(report, "yaml")
 
 
-def _reference_structured(report) -> str:
-    """The structured report with its event log, rendered as one dict per
-    event through json.dumps(doc, indent=2).
-
-    The head is re-read from the same report emitted without the event log.
-    """
-    doc = json.loads(emit(report, "structured", event_log=False))
-    doc["events"] = [
-        {
-            "sequence_id": e.sequence_id,
-            "event_id": e.event_id,
-            "kind": e.kind.value,
-            "target": str(e.target),
-            "resource": None if e.resource is None else e.resource.label,
-            "start_us": e.start_ns / 1000,
-            "duration_us": e.duration_ns / 1000,
-            "energy_uj": e.energy_uj,
-        }
-        for e in report.events
-    ]
+def _reference_structured(report, event_log: bool) -> str:
+    """The structured report built key by key from the report's own records,
+    one dict per row, and rendered whole by json.dumps(doc, indent=2)."""
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "command_count": report.command_count,
+        "makespan_us": report.makespan_us,
+        "total_energy_uj": report.total_energy_uj,
+        "event_energy_uj": report.event_energy_uj,
+        "idle_energy_uj": report.idle_energy_uj,
+        "commands": [
+            {
+                "sequence_id": c.sequence_id,
+                "kind": c.kind.value,
+                "arrival_us": c.arrival_ns / 1000,
+                "completion_us": c.completion_ns / 1000,
+                "latency_us": c.latency_ns / 1000,
+                "energy_uj": c.energy_uj,
+                "warning_count": len(c.warnings),
+            }
+            for c in report.commands
+        ],
+        "latency_by_kind": [
+            {
+                "kind": s.kind.value,
+                "count": s.count,
+                "mean_us": s.mean_us,
+                "min_us": s.min_us,
+                "max_us": s.max_us,
+                **{f"p{p}_us": v for p, v in zip(PERCENTILES, s.percentiles_us)},
+            }
+            for s in report.kind_stats
+        ],
+        "energy_by_event_kind": [
+            {"kind": kind.value, "energy_uj": value}
+            for kind, value in report.energy_by_kind
+        ],
+        "resources": [
+            {
+                "resource": u.resource.label,
+                "busy_us": u.busy_us,
+                "utilization": u.utilization,
+                "idle_energy_uj": u.idle_energy_uj,
+            }
+            for u in report.usage
+        ],
+        "warning_counts": [
+            {"rule": rule.value, "count": count}
+            for rule, count in report.warning_counts
+        ],
+        "warnings": [
+            {
+                "rule": w.rule.value,
+                "severity": w.severity.value,
+                "message": w.message,
+                "sequence_id": w.sequence_id,
+                "line": w.line,
+            }
+            for w in report.warnings
+        ],
+    }
+    if event_log:
+        doc["events"] = [
+            {
+                "sequence_id": e.sequence_id,
+                "event_id": e.event_id,
+                "kind": e.kind.value,
+                "target": str(e.target),
+                "resource": None if e.resource is None else e.resource.label,
+                "start_us": e.start_ns / 1000,
+                "duration_us": e.duration_ns / 1000,
+                "energy_uj": e.energy_uj,
+            }
+            for e in report.events
+        ]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -198,6 +264,16 @@ _MODELS = {
     "tiny_energy": ModelSet(
         power_exprs={kind: parse_power_expression("5e-324") for kind in EventKind}
     ),
+    "negative_zero": ModelSet(
+        power_exprs={kind: parse_power_expression("-0.0 * duration") for kind in EventKind}
+    ),
+    # -0.0 on channel 0 and 0.0 on channel 1: equal floats that render apart
+    "signed_zeros": ModelSet(
+        power_exprs={
+            kind: parse_power_expression("(channel - 0.5) * 0.0 * duration")
+            for kind in EventKind
+        }
+    ),
 }
 _POLICIES = st.builds(
     Policy,
@@ -214,24 +290,87 @@ _POLICIES = st.builds(
     n_commands=st.integers(0, 12),
     policy=_POLICIES,
     models=st.sampled_from(sorted(_MODELS)),
+    first_arrival_ns=st.sampled_from([None, 10**15 - 150_000, 10**19 + 1]),
     expected=st.just(""),
 )
 @example(seed=0, n_commands=0, policy=Policy(), models="builtin",
-         expected='"events": []')
+         first_arrival_ns=None, expected='"events": []')
 @example(seed=1, n_commands=2, policy=Policy(cmd_overhead_on_bus=False),
-         models="builtin", expected='"resource": null')
+         models="builtin", first_arrival_ns=None, expected='"resource": null')
 @example(seed=2, n_commands=4, policy=Policy(), models="huge_sense",
-         expected='"duration_us": 1e+300,')
+         first_arrival_ns=None, expected='"duration_us": 1e+300,')
 @example(seed=3, n_commands=2, policy=Policy(), models="tiny_energy",
-         expected='"energy_uj": 5e-324\n')
+         first_arrival_ns=None, expected='"energy_uj": 5e-324\n')
+@example(seed=4, n_commands=3, policy=Policy(), models="negative_zero",
+         first_arrival_ns=None, expected='"energy_uj": -0.0\n')
+@example(seed=5, n_commands=8, policy=Policy(), models="signed_zeros",
+         first_arrival_ns=None, expected='"energy_uj": 0.0\n')
+@example(seed=5, n_commands=6, policy=Policy(), models="builtin",
+         first_arrival_ns=10**15, expected='"start_us": 1000000000000.0,')
+@example(seed=6, n_commands=6, policy=Policy(), models="expressions",
+         first_arrival_ns=10**15 - 1, expected='"start_us": 999999999999.999,')
+@example(seed=7, n_commands=4, policy=Policy(), models="builtin",
+         first_arrival_ns=10**19, expected='"start_us": 1e+16,')
 def test_event_log_has_the_bytes_of_json_dumps(
-    seed, n_commands, policy, models, expected
+    seed, n_commands, policy, models, first_arrival_ns, expected
 ):
     geometry = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)
     trace = random_trace(random.Random(seed), geometry, n_commands)
+    if first_arrival_ns is not None and trace:
+        shift = first_arrival_ns - trace[0].arrival_ns
+        trace = [replace(c, arrival_ns=c.arrival_ns + shift) for c in trace]
     model_set = _MODELS[models]
     result = run(trace, geometry, ALL_KINDS, model_set, policy)
     report = build_report(result, idle_accounting(result, geometry, model_set, policy))
     rendered = emit(report, "structured", True)
-    assert rendered == _reference_structured(report)
+    assert rendered == _reference_structured(report, True)
     assert expected in rendered
+    assert emit(report, "structured", False) == _reference_structured(report, False)
+
+
+def _hand_built_report(commands, warnings) -> Report:
+    return Report(
+        command_count=len(commands),
+        makespan_us=1.5,
+        commands=commands,
+        kind_stats=(),
+        energy_by_kind=(),
+        event_energy_uj=0.0,
+        idle_energy_uj=0.0,
+        total_energy_uj=0.0,
+        usage=(),
+        warning_counts=tuple(Counter(w.rule for w in warnings).items()),
+        warnings=warnings,
+        events=(),
+    )
+
+
+@pytest.mark.parametrize("present", [False, True], ids=["empty", "present"])
+def test_structured_rows_escape_as_json_dumps_does(present):
+    warnings = (
+        Violation(Rule.ERASE_BEFORE_WRITE, Severity.WARNING,
+                  'page "0.1" \\ was\nwritten \u00e9\u4e2d\U0001f600 again'),
+        Violation(Rule.UNSUPPORTED_COMMAND, Severity.ERROR, "\t\x00", 3, 17),
+    )
+    commands = (
+        CommandResult(0, CommandKind.READ, 0, 127_400, 2.798, warnings[:1]),
+        CommandResult(1, CommandKind.CACHE_WRITE, 10**15 + 1, 10**15 + 3, -0.0, ()),
+    )
+    report = _hand_built_report(commands, warnings) if present else _hand_built_report((), ())
+    for event_log in (False, True):
+        assert emit(report, "structured", event_log) == _reference_structured(report, event_log)
+    if present:
+        assert '"sequence_id": null,\n      "line": null\n' in emit(report, "structured")
+
+
+@settings(max_examples=300)
+@given(ns=st.integers(0, 10**15 - 1))
+@example(ns=0)
+@example(ns=1)
+@example(ns=999)
+@example(ns=1000)
+@example(ns=10**15 - 1)
+@example(ns=10**15)
+@example(ns=10**19)
+def test_us_repr_is_repr_of_the_microseconds(ns):
+    assert us_repr(ns) == repr(ns / 1000)
