@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .engine import Policy, idle_accounting, replay, run
@@ -77,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.trace}:{diag.line}: {diag.message}", file=err)
         return 2
 
-    policy = replace(config.policy, strict=True) if args.strict else config.policy
+    policy = config.policy._replace(strict=True) if args.strict else config.policy
 
     if args.check:
         return _check_only(trace, config, policy, args.trace, err)

@@ -9,9 +9,8 @@ geometry in, same event DAG out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Rule, Severity, Violation
 from .topology import (
@@ -37,6 +36,8 @@ class CommandKind(Enum):
     INTERLEAVED_WRITE = "interleaved_write"
     INTERLEAVED_ERASE = "interleaved_erase"
     MULTI_PLANE_COPY_BACK = "multi_plane_copy_back"
+
+    __hash__ = object.__hash__  # as for errors.Rule
 
 
 # How each kind lays out its operands. Code that branches on a command's
@@ -90,6 +91,8 @@ class EventKind(Enum):
     BUS_TRANSFER_OUT = "bus_transfer_out"
     BUFFER_COPY = "buffer_copy"
 
+    __hash__ = object.__hash__  # as for errors.Rule
+
 
 # Events that run inside a plane's array vs. on the shared channel bus.
 PLANE_EVENTS = frozenset(
@@ -103,8 +106,16 @@ PLANE_EVENTS = frozenset(
 BUS_EVENTS = frozenset({EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT})
 
 
-@dataclass(frozen=True)
-class Command:
+class _CommandFields(NamedTuple):
+    arrival_ns: int
+    kind: CommandKind
+    operands: tuple[FlashAddress, ...]
+    page_count: int = 1
+    sequence_id: int = 0
+    line: int | None = None
+
+
+class Command(_CommandFields):
     """One trace entry.
 
     `operands` is interpreted per kind: a single page for read/write/erase
@@ -113,23 +124,30 @@ class Command:
     pairs for multi_plane_copy_back, and one address per plane (or die) for
     the multi-plane and interleaved families. `arrival_ns` is on the
     engine's integer-nanosecond timebase.
+
+    A named tuple whose constructor checks the operand layout; `_make` and
+    `_replace` go through the same checks. Equality and hash ignore `line`,
+    the trace line a command was parsed from.
     """
 
-    arrival_ns: int
-    kind: CommandKind
-    operands: tuple[FlashAddress, ...]
-    page_count: int = 1
-    sequence_id: int = 0
-    line: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.arrival_ns < 0:
+    def __new__(
+        cls,
+        arrival_ns: int,
+        kind: CommandKind,
+        operands: tuple[FlashAddress, ...],
+        page_count: int = 1,
+        sequence_id: int = 0,
+        line: int | None = None,
+    ) -> Command:
+        if arrival_ns < 0:
             raise ValueError("arrival time must be >= 0")
-        n = len(self.operands)
-        layout = LAYOUT[self.kind._value_]
+        n = len(operands)
+        layout = LAYOUT[kind._value_]
         if layout == ONE_ADDRESS or layout == EXTENT:
             if n != 1:
-                raise ValueError(f"{self.kind.value} takes exactly 1 operand, got {n}")
+                raise ValueError(f"{kind.value} takes exactly 1 operand, got {n}")
         elif layout == PAIR:
             if n != 2:
                 raise ValueError(f"copy_back takes exactly 2 operands, got {n}")
@@ -139,12 +157,32 @@ class Command:
                     f"multi_plane_copy_back takes source/destination pairs, got {n} operands"
                 )
         elif n < 1:
-            raise ValueError(f"{self.kind.value} needs at least 1 operand")
+            raise ValueError(f"{kind.value} needs at least 1 operand")
         if layout == EXTENT:
-            if self.page_count < 1:
-                raise ValueError(f"page_count must be >= 1, got {self.page_count}")
-        elif self.page_count != 1:
-            raise ValueError(f"{self.kind.value} does not take a page count")
+            if page_count < 1:
+                raise ValueError(f"page_count must be >= 1, got {page_count}")
+        elif page_count != 1:
+            raise ValueError(f"{kind.value} does not take a page count")
+        return tuple.__new__(
+            cls, (arrival_ns, kind, operands, page_count, sequence_id, line)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Command:
+        return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Command):
+            return self[:5] == other[:5]
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, Command):
+            return self[:5] != other[:5]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
     def pairs(self) -> tuple[tuple[FlashAddress, FlashAddress], ...]:
         """(source, destination) pairs for the copy-back kinds."""
@@ -152,8 +190,7 @@ class Command:
         return tuple((ops[i], ops[i + 1]) for i in range(0, len(ops), 2))
 
 
-@dataclass(frozen=True)
-class FlashEvent:
+class FlashEvent(NamedTuple):
     """A primitive hardware activity within one command's decomposition.
 
     `depends_on` references earlier event ids (list positions) of the same

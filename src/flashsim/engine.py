@@ -16,7 +16,6 @@ as double-precision microjoules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .commands import (
@@ -52,8 +51,7 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(NamedTuple):
     """Run-wide switches, all defaulted to the permissive baseline."""
 
     strict: bool = False  # escalate warnings to fatal errors
@@ -67,8 +65,7 @@ class Policy:
 class ScheduledEvent(NamedTuple):
     """One priced and placed event from the run's event log.
 
-    A named tuple, not a dataclass: a run builds one per event, and a tuple
-    is built without a per-field ``object.__setattr__``.
+    A named tuple: a run builds one per event.
     """
 
     sequence_id: int
@@ -85,8 +82,7 @@ class ScheduledEvent(NamedTuple):
         return self.start_ns + self.duration_ns
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     sequence_id: int
     kind: CommandKind
     arrival_ns: int
@@ -99,15 +95,27 @@ class CommandResult:
         return self.completion_ns - self.arrival_ns
 
 
-@dataclass
 class RunResult:
     """Everything a run produced: per-command results, event log, busy time."""
 
-    results: list[CommandResult]
-    schedule: list[ScheduledEvent]
-    busy_ns: dict[Resource, int]  # occupied nanoseconds per resource, exact
-    first_arrival_ns: int
-    last_end_ns: int
+    def __init__(
+        self,
+        results: list[CommandResult],
+        schedule: list[ScheduledEvent],
+        busy_ns: dict[Resource, int],  # occupied nanoseconds per resource, exact
+        first_arrival_ns: int,
+        last_end_ns: int,
+    ):
+        self.results = results
+        self.schedule = schedule
+        self.busy_ns = busy_ns
+        self.first_arrival_ns = first_arrival_ns
+        self.last_end_ns = last_end_ns
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def warnings(self) -> list[Violation]:
@@ -238,9 +246,10 @@ def run(
                 if role == ROLE_BUS:
                     resource_key = ~target.channel
                 else:
-                    resource_key = (target.channel * chips + target.chip) * dies + target.die
+                    channel, chip, die, plane, _, _ = target
+                    resource_key = (channel * chips + chip) * dies + die
                     if not serialize_dies:
-                        resource_key = resource_key * planes + target.plane
+                        resource_key = resource_key * planes + plane
                 slot = slot_of.get(resource_key)
                 if slot is None:
                     slot = slot_of[resource_key] = len(resources)

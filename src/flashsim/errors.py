@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class FlashSimError(Exception):
@@ -82,8 +82,7 @@ class TraceOrderError(FlashSimError):
     """Command stream handed to the engine is not sorted by arrival time."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A per-line parse problem, reported with its 1-based line number."""
 
     line: int
@@ -103,15 +102,21 @@ class Rule(Enum):
     ERASE_BEFORE_WRITE = "erase_before_write"
     ENDURANCE_EXCEEDED = "endurance_exceeded"
 
+    # members are singletons compared by identity, so the C identity hash
+    # fits; Enum's own __hash__ hashes the name in Python. No output
+    # iterates a set of members, so their order in a set is never seen.
+    __hash__ = object.__hash__
+
 
 class Severity(Enum):
     # errors are always fatal; warnings escalate to fatal only under strict policy
     WARNING = "warning"
     ERROR = "error"
 
+    __hash__ = object.__hash__  # as for Rule
 
-@dataclass(frozen=True)
-class Violation:
+
+class Violation(NamedTuple):
     """One flagged constraint or structural problem on a command."""
 
     rule: Rule

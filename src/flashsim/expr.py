@@ -27,9 +27,8 @@ config text is ever compiled.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ExpressionSyntaxError, UnknownIdentifierError
 
@@ -49,37 +48,31 @@ DIVISION_BY_ZERO = "division by zero in expression"
 Node = Union["Num", "Var", "Unary", "Binary", "Call"]
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str
     operand: Node
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     args: tuple[Node, ...]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "ident" | "op" | "end"
     text: str
     position: int
@@ -308,13 +301,18 @@ class Emitter:
         return self.namespace.pop("_f")  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class Expression:
-    """A parsed, validated model equation. Stateless and safe to share."""
-
+class _ExpressionFields(NamedTuple):
     source: str
     root: Node
     variables: frozenset[str]
+
+
+class Expression(_ExpressionFields):
+    """A parsed, validated model equation. Stateless and safe to share.
+
+    A named tuple of its source, tree and variables. Unlike the other
+    records it keeps an instance dict, where `_compiled` is cached.
+    """
 
     @cached_property
     def _compiled(self) -> tuple[Callable[..., float], tuple[str, ...]]:

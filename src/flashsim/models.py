@@ -33,9 +33,8 @@ run evaluates once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .commands import EventKind
 from .errors import ModelEvaluationError, NegativeResultError
@@ -81,10 +80,29 @@ _ADDRESS_VARIABLES = tuple(v for v in VARIABLE_ORDER if v not in ADDRESS_FREE_VA
 Binding = tuple[Node, str]
 
 
-@dataclass(frozen=True)
-class TimingParams:
-    """Built-in latency parameters, microseconds (per byte for the bus)."""
+class _RangeChecked:
+    """Makes a named tuple of parameters reject a value that is negative,
+    NaN or infinite, when it is built and through `_make` and `_replace`."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        params = super().__new__(cls, *args, **kwargs)
+        _reject_out_of_range(params)
+        return params
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]):
+        return cls(*iterable)
+
+
+def _reject_out_of_range(params: tuple) -> None:
+    for name, value in zip(params._fields, params):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+class _TimingFields(NamedTuple):
     t_cmd: float = 0.0
     t_sense: float = 25.0
     t_prog: float = 200.0
@@ -92,14 +110,14 @@ class TimingParams:
     t_bus_per_byte: float = 0.025
     t_buf: float = 0.0
 
-    def __post_init__(self) -> None:
-        _reject_out_of_range(self)
+
+class TimingParams(_RangeChecked, _TimingFields):
+    """Built-in latency parameters, microseconds (per byte for the bus)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PowerParams:
-    """Built-in power parameters, milliwatts."""
-
+class _PowerFields(NamedTuple):
     p_cmd: float = 0.0
     p_sense: float = 30.0
     p_prog: float = 40.0
@@ -109,19 +127,14 @@ class PowerParams:
     p_idle_plane: float = 0.0
     p_idle_bus: float = 0.0
 
-    def __post_init__(self) -> None:
-        _reject_out_of_range(self)
+
+class PowerParams(_RangeChecked, _PowerFields):
+    """Built-in power parameters, milliwatts."""
+
+    __slots__ = ()
 
 
-def _reject_out_of_range(params) -> None:
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class EventContext:
+class EventContext(NamedTuple):
     """The variables one event exposes to the model equations.
 
     `duration_us` must be set exactly when evaluating a power binding: the
@@ -150,17 +163,7 @@ class EventContext:
         duration_us: float | None = None,
     ) -> EventContext:
         return cls(
-            kind,
-            byte_count,
-            geometry.page_size,
-            geometry.oob_size,
-            target.channel,
-            target.chip,
-            target.die,
-            target.plane,
-            target.block,
-            target.page,
-            duration_us,
+            kind, byte_count, geometry.page_size, geometry.oob_size, *target, duration_us
         )
 
 

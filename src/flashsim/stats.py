@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .commands import CommandKind, EventKind
 from .engine import CommandResult, RunResult, ScheduledEvent
@@ -29,8 +28,7 @@ REPORT_SCHEMA = "flashsim-report v1"
 PERCENTILES = (50, 95, 99)
 
 
-@dataclass(frozen=True)
-class KindStats:
+class KindStats(NamedTuple):
     kind: CommandKind
     count: int
     mean_us: float
@@ -39,16 +37,14 @@ class KindStats:
     percentiles_us: tuple[float, ...]  # matches PERCENTILES
 
 
-@dataclass(frozen=True)
-class ResourceUsage:
+class ResourceUsage(NamedTuple):
     resource: Resource
     busy_us: float
     utilization: float  # busy / makespan, in [0, 1]
     idle_energy_uj: float
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """A run's aggregates; `commands` and `events` are the run's own records."""
 
     command_count: int

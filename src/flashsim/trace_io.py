@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .commands import (
     DIE_LIST,
@@ -68,8 +67,7 @@ _KIND_BY_NAME = {kind.value: kind for kind in CommandKind}
 _EVENT_BY_NAME = {kind.value: kind for kind in EventKind}
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     geometry: Geometry
     supported: frozenset[CommandKind]
     models: ModelSet

@@ -156,18 +156,65 @@ class TestValidate:
 
 class TestCommandArity:
     def test_wrong_operand_counts_rejected_at_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^copy_back takes exactly 2 operands, got 1$"):
             cmd(CommandKind.COPY_BACK, A())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^read takes exactly 1 operand, got 2$"):
             cmd(CommandKind.READ, A(), A())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cache_write takes exactly 1 operand, got 0$"):
+            cmd(CommandKind.CACHE_WRITE)
+        with pytest.raises(
+            ValueError,
+            match="^multi_plane_copy_back takes source/destination pairs, got 3 operands$",
+        ):
             cmd(CommandKind.MULTI_PLANE_COPY_BACK, A(), A(), A())
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match="^multi_plane_copy_back takes source/destination pairs, got 0 operands$",
+        ):
+            cmd(CommandKind.MULTI_PLANE_COPY_BACK)
+        with pytest.raises(ValueError, match="^interleaved_read needs at least 1 operand$"):
+            cmd(CommandKind.INTERLEAVED_READ)
+        with pytest.raises(ValueError, match="^page_count must be >= 1, got 0$"):
             cmd(CommandKind.CACHE_READ, A(), page_count=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^read does not take a page count$"):
             cmd(CommandKind.READ, A(), page_count=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^arrival time must be >= 0$"):
             Command(-1, CommandKind.READ, (A(),))
+
+    def test_replace_and_make_run_the_same_checks(self):
+        read = cmd(CommandKind.READ, A())
+        assert read._replace(arrival_ns=5) == cmd(CommandKind.READ, A(), arrival=5)
+        with pytest.raises(ValueError, match="^read does not take a page count$"):
+            read._replace(page_count=3)
+        with pytest.raises(ValueError, match="^arrival time must be >= 0$"):
+            Command._make((-1, CommandKind.READ, (A(),), 1, 0, None))
+
+
+class TestCommandRecord:
+    def test_equality_and_hash_ignore_the_line(self):
+        first = Command(10, CommandKind.WRITE, (A(page=1),), sequence_id=4, line=7)
+        second = Command(10, CommandKind.WRITE, (A(page=1),), sequence_id=4, line=99)
+        assert first == second
+        assert not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert second.line == 99
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"arrival_ns": 11},
+            {"kind": CommandKind.CACHE_READ},
+            {"operands": (A(page=2),)},
+            {"page_count": 3},
+            {"sequence_id": 5},
+        ],
+    )
+    def test_every_other_field_counts_for_equality(self, change):
+        first = Command(10, CommandKind.CACHE_WRITE, (A(page=1),), 2, 4, line=7)
+        second = first._replace(**change)
+        assert first != second
+        assert not first == second
 
 
 class TestDecompose:

@@ -70,10 +70,25 @@ def test_duration_presence_is_enforced(models):
 
 
 def test_negative_parameters_rejected():
-    with pytest.raises(ValueError):
-        TimingParams(t_sense=-1.0)
-    with pytest.raises(ValueError):
-        PowerParams(p_bus=-0.5)
+    # every parameter, when built and through _replace, with the same text
+    for params in (TimingParams, PowerParams):
+        for value in (-1.0, -0.5, math.nan, math.inf, -math.inf):
+            for name in params._fields:
+                expected = f"{name} must be finite and >= 0, got {value}"
+                with pytest.raises(ValueError) as caught:
+                    params(**{name: value})
+                assert str(caught.value) == expected
+                with pytest.raises(ValueError) as caught:
+                    params()._replace(**{name: value})
+                assert str(caught.value) == expected
+
+
+def test_parameters_keep_their_defaults_and_keywords():
+    assert TimingParams() == (0.0, 25.0, 200.0, 1500.0, 0.025, 0.0)
+    assert TimingParams(t_bus_per_byte=0.5).t_bus_per_byte == 0.5
+    assert PowerParams(1.0, p_idle_bus=2.0) == (1.0, 30.0, 40.0, 50.0, 20.0, 0.0, 0.0, 2.0)
+    with pytest.raises(TypeError):
+        TimingParams(t_bogus=1.0)
 
 
 def test_negative_expression_result_rejected_not_clamped():

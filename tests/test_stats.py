@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -275,8 +274,12 @@ _MODELS = {
         }
     ),
 }
+# Policy is a named tuple, and st.builds draws every field of one, defaults
+# included; strict and multi_plane_same_offsets stay at their defaults
 _POLICIES = st.builds(
     Policy,
+    strict=st.just(False),
+    multi_plane_same_offsets=st.just(True),
     endurance_limit=st.sampled_from([None, 1]),
     die_serialization=st.booleans(),
     cmd_overhead_on_bus=st.booleans(),
@@ -318,7 +321,7 @@ def test_event_log_has_the_bytes_of_json_dumps(
     trace = random_trace(random.Random(seed), geometry, n_commands)
     if first_arrival_ns is not None and trace:
         shift = first_arrival_ns - trace[0].arrival_ns
-        trace = [replace(c, arrival_ns=c.arrival_ns + shift) for c in trace]
+        trace = [c._replace(arrival_ns=c.arrival_ns + shift) for c in trace]
     model_set = _MODELS[models]
     result = run(trace, geometry, ALL_KINDS, model_set, policy)
     report = build_report(result, idle_accounting(result, geometry, model_set, policy))

@@ -11,6 +11,7 @@ from flashsim.topology import (
     FlashAddress,
     Geometry,
     PageState,
+    Resource,
     SubsystemState,
     decode,
     encode,
@@ -20,6 +21,37 @@ from flashsim.topology import (
 from checks import ReferenceState
 from conftest import A
 from oracle import enumerated_addresses, enumerated_index_map
+
+
+def test_address_renders_dotted_and_is_a_tuple_of_its_indices():
+    addr = FlashAddress(1, 0, 3, 2, 1023, 2**40)
+    assert str(addr) == f"{addr}" == "1.0.3.2.1023.1099511627776"
+    assert addr == (1, 0, 3, 2, 1023, 2**40)
+    assert addr[4] == addr.block == 1023
+    assert addr.indices() == (1, 0, 3, 2, 1023, 2**40)
+    assert addr.plane_key() == (1, 0, 3, 2)
+    assert hash(addr) == hash(FlashAddress(1, 0, 3, 2, 1023, 2**40))
+
+
+def test_resources_order_by_kind_then_key_and_keep_their_labels():
+    resources = [
+        Resource("plane", (1, 0, 0, 0)),
+        Resource("die", (0, 1, 0)),
+        Resource("plane", (0, 1, 1, 1)),
+        Resource("bus", (10,)),
+        Resource("bus", (2,)),
+        Resource("plane", (0, 1, 1, 0)),
+    ]
+    assert [r.label for r in sorted(resources)] == [
+        "bus/2",
+        "bus/10",
+        "die/0.1.0",
+        "plane/0.1.1.0",
+        "plane/0.1.1.1",
+        "plane/1.0.0.0",
+    ]
+    assert Resource("bus", (2,)) < Resource("bus", (10,))
+    assert Resource(kind="die", key=(0, 0, 0)) == Resource("die", (0, 0, 0))
 
 
 def test_minimal_geometry_is_legal():
