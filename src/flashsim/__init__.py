@@ -14,6 +14,7 @@ from .engine import (
     RunResult,
     ScheduledEvent,
     idle_accounting,
+    replay,
     run,
 )
 from .errors import (
@@ -83,6 +84,7 @@ __all__ = [
     "parse_config",
     "parse_expression",
     "parse_trace",
+    "replay",
     "run",
     "validate",
     "validate_geometry",

@@ -145,9 +145,10 @@ def _check_only(trace, config, policy: Policy, trace_path: str, err) -> int:
 
 
 def _print_violations(violations, trace_path: str, err) -> None:
+    write = err.write  # one call per line; print() makes two
     for v in violations:
         where = f"{trace_path}:{v.line}: " if v.line is not None else f"{trace_path}: "
-        print(f"{where}{v.severity.value}: {v.message} [{v.rule.value}]", file=err)
+        write(f"{where}{v.severity.value}: {v.message} [{v.rule.value}]\n")
 
 
 def entry() -> None:

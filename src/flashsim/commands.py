@@ -18,6 +18,7 @@ from .topology import (
     Geometry,
     Resource,
     bus_resource,
+    new_address,
     plane_resource,
 )
 
@@ -227,16 +228,27 @@ def validate(
     across multi-plane operands and can be switched off for chips without
     that restriction.
     """
-    if cmd.kind not in supported:
+    _, kind, operands, page_count, sequence_id, line = cmd
+    if kind not in supported:
         return [
             _error(
                 Rule.UNSUPPORTED_COMMAND,
-                f"command kind '{cmd.kind.value}' is not in the supported set",
+                f"command kind '{kind.value}' is not in the supported set",
                 cmd,
             )
         ]
-    for addr in cmd.operands:
-        if not addr.in_bounds(geometry):
+    # the six comparisons of `FlashAddress.in_bounds`, inlined per operand
+    channels, chips, dies, planes, blocks, pages, _, _ = geometry
+    for addr in operands:
+        channel, chip, die, plane, block, page = addr
+        if not (
+            0 <= channel < channels
+            and 0 <= chip < chips
+            and 0 <= die < dies
+            and 0 <= plane < planes
+            and 0 <= block < blocks
+            and 0 <= page < pages
+        ):
             return [
                 _error(
                     Rule.ADDRESS_RANGE,
@@ -244,50 +256,40 @@ def validate(
                     cmd,
                 )
             ]
-    return [
-        v.located(cmd.sequence_id, cmd.line)
-        for v in _structural_rules(cmd, geometry, same_offsets)
-    ]
-
-
-def _structural_rules(
-    cmd: Command, geometry: Geometry, same_offsets: bool
-) -> list[Violation]:
-    layout = LAYOUT[cmd.kind._value_]
+    layout = LAYOUT[kind._value_]
     if layout == ONE_ADDRESS:
         return []
     if layout == PAIR:
-        return _copy_back_rules(cmd.pairs())
-    if layout == PAIRS:
-        out = _copy_back_rules(cmd.pairs())
-        out.extend(_multi_plane_rules(cmd.operands[0::2], same_offsets, "source"))
+        found = _copy_back_rules(operands)
+    elif layout == PAIRS:
+        found = _copy_back_rules(operands)
+        found.extend(_multi_plane_rules(operands[0::2], same_offsets, "source"))
         if same_offsets:
-            out.extend(_offset_rule(cmd.operands[1::2], "destination"))
-        return out
-    if layout == PLANE_LIST:
-        return _multi_plane_rules(cmd.operands, same_offsets, "operand")
-    if layout == DIE_LIST:
-        return _interleave_rules(cmd.operands)
-    # EXTENT: the cache kinds
-    start = cmd.operands[0]
-    if start.page + cmd.page_count > geometry.pages_per_block:
-        return [
-            Violation(
-                Rule.CACHE_EXTENT,
-                Severity.ERROR,
-                f"cache extent of {cmd.page_count} pages from page {start.page} "
-                f"runs past the block end ({geometry.pages_per_block} pages)",
-            )
-        ]
-    return []
+            found.extend(_offset_rule(operands[1::2], "destination"))
+    elif layout == PLANE_LIST:
+        found = _multi_plane_rules(operands, same_offsets, "operand")
+    elif layout == DIE_LIST:
+        found = _interleave_rules(operands)
+    else:  # EXTENT: the cache kinds
+        first = operands[0].page
+        if first + page_count > pages:
+            return [
+                _error(
+                    Rule.CACHE_EXTENT,
+                    f"cache extent of {page_count} pages from page {first} "
+                    f"runs past the block end ({pages} pages)",
+                    cmd,
+                )
+            ]
+        return []
+    return [v.located(sequence_id, line) for v in found] if found else found
 
 
-def _copy_back_rules(
-    pairs: Iterable[tuple[FlashAddress, FlashAddress]]
-) -> list[Violation]:
+def _copy_back_rules(operands: Sequence[FlashAddress]) -> list[Violation]:
+    """Each (source, destination) pair of alternating copy-back operands."""
     out = []
-    for src, dst in pairs:
-        if src.plane_key() != dst.plane_key():
+    for src, dst in zip(operands[0::2], operands[1::2]):
+        if src[:4] != dst[:4]:
             out.append(
                 Violation(
                     Rule.COPY_BACK_CROSS_PLANE,
@@ -307,11 +309,16 @@ def _copy_back_rules(
     return out
 
 
+# The shape rules key addresses by slices: `a[:4]` is `a.plane_key()`,
+# `a[:3]` is `a.die_key()` and `a[:2]` is `a.chip_key()`, without a method
+# call per operand.
+
+
 def _multi_plane_rules(
     addrs: Sequence[FlashAddress], same_offsets: bool, role: str
 ) -> list[Violation]:
     out = []
-    dies = {a.die_key() for a in addrs}
+    dies = {a[:3] for a in addrs}
     if len(dies) > 1:
         out.append(
             Violation(
@@ -320,7 +327,7 @@ def _multi_plane_rules(
                 f"multi-plane {role}s span {len(dies)} dies; all must target one die",
             )
         )
-    planes = [a.plane_key() for a in addrs]
+    planes = [a[:4] for a in addrs]
     if len(set(planes)) != len(planes):
         out.append(
             Violation(
@@ -335,7 +342,7 @@ def _multi_plane_rules(
 
 
 def _offset_rule(addrs: Sequence[FlashAddress], role: str) -> list[Violation]:
-    offsets = {(a.block, a.page) for a in addrs}
+    offsets = {a[4:] for a in addrs}  # (block, page)
     if len(offsets) > 1:
         return [
             Violation(
@@ -350,7 +357,7 @@ def _offset_rule(addrs: Sequence[FlashAddress], role: str) -> list[Violation]:
 
 def _interleave_rules(addrs: Sequence[FlashAddress]) -> list[Violation]:
     out = []
-    chips = {a.chip_key() for a in addrs}
+    chips = {a[:2] for a in addrs}
     if len(chips) > 1:
         out.append(
             Violation(
@@ -359,7 +366,7 @@ def _interleave_rules(addrs: Sequence[FlashAddress]) -> list[Violation]:
                 f"interleaved operands span {len(chips)} chips; all must target one chip",
             )
         )
-    dies = [a.die_key() for a in addrs]
+    dies = [a[:3] for a in addrs]
     if len(set(dies)) != len(dies):
         out.append(
             Violation(
@@ -390,10 +397,15 @@ def erased_blocks(cmd: Command) -> tuple[FlashAddress, ...]:
 
 
 def _extent_pages(cmd: Command) -> tuple[FlashAddress, ...]:
-    channel, chip, die, plane, block, first = cmd.operands[0].indices()
+    channel, chip, die, plane, block, first = cmd.operands[0]
     return tuple(
-        FlashAddress(channel, chip, die, plane, block, page)
-        for page in range(first, first + cmd.page_count)
+        map(
+            new_address,
+            [
+                (channel, chip, die, plane, block, page)
+                for page in range(first, first + cmd.page_count)
+            ],
+        )
     )
 
 

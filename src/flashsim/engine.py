@@ -150,7 +150,7 @@ def replay(
     same_offsets = policy.multi_plane_same_offsets
     error = Severity.ERROR
     for cmd in trace:
-        violations = validate(cmd, geometry, supported, same_offsets=same_offsets)
+        violations = validate(cmd, geometry, supported, same_offsets)
         if violations and any(v.severity is error for v in violations):
             yield cmd, violations
             continue

@@ -3,11 +3,23 @@
 Provides the geometry description, the flat-index address codec, and the
 mutable per-block state (written pages, erase counters) that the
 constraint checks run against.
+
+An address is range-checked in three places, each for its own caller:
+`trace_io.parse_trace`, so that a bad trace address gets a diagnostic
+located at its line; `commands.validate`, for commands built by hand rather
+than parsed; and `SubsystemState`, for code that drives the device state
+directly. Each writes its six comparisons inline, because a shared helper
+would cost a Python call per address. The three must accept and reject the
+same addresses with the same message text (an erase and an erase count name
+a block, so `SubsystemState` reads no page index for them), and the
+boundary table in `tests/test_topology.py` checks that they do at every
+index's edges.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -90,6 +102,12 @@ class FlashAddress(NamedTuple):
 
     def __str__(self) -> str:
         return "%d.%d.%d.%d.%d.%d" % self
+
+
+# FlashAddress from a tuple of its six int indices, built in C: the named
+# tuple's own constructor is a Python-level `__new__`. It checks nothing, so
+# callers pass indices they have range-checked or derived from checked ones.
+new_address = partial(tuple.__new__, FlashAddress)
 
 
 class PageState(Enum):
@@ -216,17 +234,31 @@ class SubsystemState:
 
     def write_page(self, addr: FlashAddress) -> list[Violation]:
         """Mark a page written; warn if it was already written (no erase between)."""
-        block = self._block_of_page(addr)
-        pages = self._written.get(block)
-        if pages is None:
+        # `_block_of_page`, inlined: this runs once per programmed page
+        channel, chip, die, plane, block, page = addr
+        channels, chips, dies, planes, blocks, pages = self._counts
+        if not (
+            0 <= channel < channels
+            and 0 <= chip < chips
+            and 0 <= die < dies
+            and 0 <= plane < planes
+            and 0 <= block < blocks
+            and 0 <= page < pages
+        ):
+            raise AddressRangeError(
+                f"address {addr} out of range for geometry {self._counts}"
+            )
+        key = (((channel * chips + chip) * dies + die) * planes + plane) * blocks + block
+        written = self._written.get(key)
+        if written is None:
             if self._default_written:
                 # the block is still in its all-written initial state
                 return [_rewrite_warning(addr)]
-            self._written[block] = {addr.page}
+            self._written[key] = {page}
             return []
-        if addr.page in pages:
+        if page in written:
             return [_rewrite_warning(addr)]
-        pages.add(addr.page)
+        written.add(page)
         return []
 
     def erase_block(self, addr: FlashAddress) -> list[Violation]:
@@ -235,18 +267,32 @@ class SubsystemState:
         All pages of the block flip to erased atomically. Warns once the
         erase count exceeds the configured endurance limit.
         """
-        block = self._block_index(addr)
-        self._written[block] = set()
-        count = self._erase_counts.get(block, 0) + 1
-        self._erase_counts[block] = count
-        if self.endurance_limit is not None and count > self.endurance_limit:
+        # `_block_index`, inlined: this runs once per erased block
+        channel, chip, die, plane, block, _ = addr
+        channels, chips, dies, planes, blocks, _ = self._counts
+        if not (
+            0 <= channel < channels
+            and 0 <= chip < chips
+            and 0 <= die < dies
+            and 0 <= plane < planes
+            and 0 <= block < blocks
+        ):
+            raise AddressRangeError(
+                f"address {channel}.{chip}.{die}.{plane}.{block}.0 out of range "
+                f"for geometry {self._counts}"
+            )
+        key = (((channel * chips + chip) * dies + die) * planes + plane) * blocks + block
+        self._written[key] = set()
+        count = self._erase_counts.get(key, 0) + 1
+        self._erase_counts[key] = count
+        limit = self.endurance_limit
+        if limit is not None and count > limit:
             return [
                 Violation(
                     Rule.ENDURANCE_EXCEEDED,
                     Severity.WARNING,
-                    f"block {addr.channel}.{addr.chip}.{addr.die}.{addr.plane}."
-                    f"{addr.block} erased {count} times, endurance limit is "
-                    f"{self.endurance_limit}",
+                    f"block {channel}.{chip}.{die}.{plane}.{block} erased {count} "
+                    f"times, endurance limit is {limit}",
                 )
             ]
         return []

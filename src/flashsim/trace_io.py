@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import configparser
 import io
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -58,7 +59,7 @@ from .models import (
     parse_latency_expression,
     parse_power_expression,
 )
-from .topology import FlashAddress, Geometry, decode, validate_geometry
+from .topology import FlashAddress, Geometry, decode, new_address, validate_geometry
 from .units import us_to_ns
 
 TRACE_HEADER = "flashsim-trace v1"
@@ -88,7 +89,7 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if not header_seen:
             if line != TRACE_HEADER:
@@ -98,7 +99,11 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
                 break
             header_seen = True
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
+        # Every character `str.strip` removes is either a space or not
+        # printable, so a line with neither has no field to strip.
+        if " " in line or not line.isprintable():
+            fields = [f.strip() for f in fields]
         if len(fields) < 2:
             problems.append(Diagnostic(lineno, "need at least arrival time and kind"))
             continue
@@ -129,17 +134,18 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
         raise TraceParseError(problems)
 
     records.sort(key=itemgetter(0))  # stable: equal arrivals keep line order
-    commands = []
-    for sequence_id, (arrival_ns, lineno, kind, operands, page_count) in enumerate(
-        records
-    ):
-        try:
-            commands.append(
-                Command(arrival_ns, kind, operands, page_count, sequence_id, lineno)
-            )
-        except ValueError as exc:  # pragma: no cover - arity enforced above
-            raise TraceParseError([Diagnostic(lineno, str(exc))])
-    return commands
+    # The operand parsers enforce every layout rule `Command.__new__` checks
+    # (operand count, page count) and the loop above rejects a negative
+    # arrival, so the commands are built in C, without checking them again.
+    return [
+        _new_command((arrival_ns, kind, operands, page_count, sequence_id, lineno))
+        for sequence_id, (arrival_ns, lineno, kind, operands, page_count) in enumerate(
+            records
+        )
+    ]
+
+
+_new_command = partial(tuple.__new__, Command)
 
 
 class _LineError(FlashSimError):
@@ -234,26 +240,34 @@ def _parse_address_list(text: str, geometry: Geometry) -> tuple[FlashAddress, ..
     parts = [p for p in map(str.strip, text.split(";")) if p]
     if not parts:
         raise _LineError("empty address list")
-    return tuple(_parse_address(part, geometry) for part in parts)
+    return tuple([_parse_address(part, geometry) for part in parts])
 
 
 def _parse_address(text: str, geometry: Geometry) -> FlashAddress:
     """Either six dot-separated indices or one flat page index."""
-    if "." in text:
-        pieces = text.split(".")
-        if len(pieces) != 6:
-            raise _LineError(
-                f"address '{text}' needs 6 dot-separated indices, got {len(pieces)}"
-            )
+    pieces = text.split(".")
+    if len(pieces) == 6:
         try:
-            addr = FlashAddress(*map(int, pieces))
+            channel, chip, die, plane, block, page = map(int, pieces)
         except ValueError:
             raise _LineError(f"bad address index in '{text}'")
-        if not addr.in_bounds(geometry):
-            raise _LineError(
-                f"address {addr} out of range for geometry {geometry.counts()}"
-            )
-        return addr
+        # the six comparisons of `FlashAddress.in_bounds`, inlined
+        channels, chips, dies, planes, blocks, pages, _, _ = geometry
+        addr = new_address((channel, chip, die, plane, block, page))
+        if (
+            0 <= channel < channels
+            and 0 <= chip < chips
+            and 0 <= die < dies
+            and 0 <= plane < planes
+            and 0 <= block < blocks
+            and 0 <= page < pages
+        ):
+            return addr
+        raise _LineError(f"address {addr} out of range for geometry {geometry.counts()}")
+    if len(pieces) > 1:
+        raise _LineError(
+            f"address '{text}' needs 6 dot-separated indices, got {len(pieces)}"
+        )
     try:
         index = int(text)
     except ValueError:

@@ -10,20 +10,35 @@ renaming or deleting a hooked name fails here first.
 
 from __future__ import annotations
 
+import sys
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 # wrapped by the benchmark's child process itself, not through a hook
 SELF_WRAPPED = {"cli.main_s", "cli.self_s"}
 
 
-def _load_tracer() -> types.ModuleType:
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+def _load(path: Path, name: str) -> types.ModuleType:
+    """Execute a benchmark module from its source, so that no bytecode is
+    written next to it."""
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    sys.modules[name] = module  # a dataclass looks its module up by name
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
     return module
+
+
+def _load_tracer() -> types.ModuleType:
+    return _load(TRACER, "perfbench_tracer")
 
 
 def test_every_layer_metric_has_a_hook_that_resolves():
@@ -95,3 +110,30 @@ def test_record_method_hooks_wrap_and_restore():
     )
     for (_, module, path, _), original in zip(hooked, originals):
         assert tracer._resolve(module, path)[2] is original
+
+
+@pytest.mark.parametrize("workload", ["ssd_mixed_events", "expr_serialized", "check_writes"])
+def test_a_traced_benchmark_run_reads_no_null_metric(workload, tmp_path, capsys):
+    """A traced run of each workload's argv shape, as the benchmark's child
+    process makes it, ends with a value for every per-layer metric; a metric
+    whose hooks are all absent reads null and spoils the result line."""
+    import flashsim.cli
+
+    tracer = _load_tracer()
+    bench = _load(WORKLOADS, "perfbench_workloads").WORKLOADS[workload]
+    config, trace = tmp_path / "config.ini", tmp_path / "workload.trace"
+    config.write_text(bench.config)
+    trace.write_text(bench.make_trace(1, 60))
+    argv = bench.argv(str(config), str(trace), str(tmp_path / "report.out"))
+    hooks = tracer.Tracer(lambda: 0.0)
+    hooks.install()
+    try:
+        # an item counter that raises would propagate out of this call
+        code = hooks.wrap_call("cli.main", flashsim.cli.main)(argv)
+    finally:
+        hooks.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    layers = hooks.layers()
+    assert None not in layers.values(), [k for k, v in layers.items() if v is None]
+    assert hooks.stats["cli.parse_trace"][3] == 60  # the parse hook's item count

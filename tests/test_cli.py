@@ -140,6 +140,42 @@ def test_check_and_simulation_print_the_same_violations(
     assert summary == f"checked 120 commands: 0 errors, {len(violations)} warnings"
 
 
+def test_replay_findings_are_the_lines_check_prints(fixture_paths, capsys):
+    """The library's `replay` yields the findings `--check` prints, in the
+    same order, rendered as in the README's "Library use" example."""
+    config, _ = fixture_paths
+    config.write_text(config.read_text() + "[policy]\nendurance_limit = 1\n")
+    trace = DATA / "findings.trace"
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace, "--check")
+    assert "replay" in flashsim.__all__
+    loaded = flashsim.parse_config(config.read_text())
+    commands = flashsim.parse_trace(trace.read_text(), loaded.geometry)
+    found = [
+        v
+        for _, violations in flashsim.replay(
+            commands, loaded.geometry, loaded.supported, loaded.policy
+        )
+        for v in violations
+    ]
+    lines = [
+        f"{trace}:{v.line}: {v.severity.value}: {v.message} [{v.rule.value}]"
+        for v in found
+    ]
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [*lines, "checked 10 commands: 4 errors, 3 warnings"]
+    # every rule but unsupported_command (the config supports every kind)
+    # and address_range (parse rejects such an address first)
+    assert {v.rule.value for v in found} == {
+        "erase_before_write",
+        "copy_back_parity",
+        "copy_back_cross_plane",
+        "endurance_exceeded",
+        "cache_extent",
+        "multi_plane_shape",
+        "interleave_shape",
+    }
+
+
 def test_run_mode_strict_warning_exit_1(fixture_paths, capsys, tmp_path):
     config, _ = fixture_paths
     trace = tmp_path / "double_write.trace"

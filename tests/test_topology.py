@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashsim.errors import AddressRangeError, GeometryError, Rule, Severity
+from flashsim.commands import Command, CommandKind, validate
+from flashsim.errors import (
+    AddressRangeError,
+    GeometryError,
+    Rule,
+    Severity,
+    TraceParseError,
+    Violation,
+)
 from flashsim.topology import (
     FlashAddress,
     Geometry,
@@ -17,6 +25,7 @@ from flashsim.topology import (
     encode,
     validate_geometry,
 )
+from flashsim.trace_io import TRACE_HEADER, parse_trace
 
 from checks import ReferenceState
 from conftest import A
@@ -119,6 +128,108 @@ def test_codec_out_of_range(geometry):
         decode(-1, geometry)
     with pytest.raises(AddressRangeError):
         decode(geometry.total_pages, geometry)
+
+
+# The boundary table. Parse, `validate` and `SubsystemState` each range-check
+# an address with their own inlined comparisons (see the `topology` module
+# docstring), and `encode` and `in_bounds` check it too; they must agree.
+# Every index position is tried at -1, 0, count - 1 and count, with the other
+# five at 0, on a geometry whose six counts all differ, so a comparison that
+# reads the wrong index or the wrong count flips at least one case.
+BOUNDARY_GEOMETRY = Geometry(2, 3, 4, 5, 6, 7, 512, 16)
+_LEVELS = ("channel", "chip", "die", "plane", "block", "page")
+
+
+def _range_outcomes(text: str, addr: FlashAddress) -> dict[str, str | None]:
+    """Each range check's verdict on one address: None when it accepts, else
+    its message. `text` is the address as the trace line spells it."""
+    g = BOUNDARY_GEOMETRY
+    out: dict[str, str | None] = {}
+    try:
+        (cmd,) = parse_trace(f"{TRACE_HEADER}\n0,write,{text}\n", g)
+    except TraceParseError as exc:
+        (diag,) = exc.diagnostics
+        assert diag.line == 2
+        out["parse_trace"] = diag.message
+    else:
+        assert cmd.operands == (addr,)
+        out["parse_trace"] = None
+    found = validate(Command(0, CommandKind.WRITE, (addr,)), g, frozenset(CommandKind))
+    if found:
+        (violation,) = found
+        assert violation == Violation(
+            Rule.ADDRESS_RANGE, Severity.ERROR, violation.message, 0, None
+        )
+        out["validate"] = violation.message
+    else:
+        out["validate"] = None
+    state = SubsystemState(g)
+    calls = {
+        "write_page": state.write_page,
+        "page_state": state.page_state,
+        "erase_block": state.erase_block,
+        "erase_count": state.erase_count,
+        "encode": lambda a: encode(a, g),
+    }
+    for name, call in calls.items():
+        try:
+            call(addr)
+        except AddressRangeError as exc:
+            out[name] = str(exc)
+        else:
+            out[name] = None
+    out["in_bounds"] = None if addr.in_bounds(g) else out["encode"]
+    return out
+
+
+@pytest.mark.parametrize(
+    ("position", "value"),
+    [
+        pytest.param(position, value, id=f"{_LEVELS[position]}={value}")
+        for position, count in enumerate(BOUNDARY_GEOMETRY.counts())
+        for value in (-1, 0, count - 1, count)
+    ],
+)
+def test_range_checks_agree_at_every_index_boundary(position, value):
+    indices = [0, 0, 0, 0, 0, 0]
+    indices[position] = value
+    addr = FlashAddress(*indices)
+    text = ".".join(map(str, indices))
+    count = BOUNDARY_GEOMETRY.counts()[position]
+    verdict = (
+        None
+        if 0 <= value < count
+        else f"address {text} out of range for geometry (2, 3, 4, 5, 6, 7)"
+    )
+    # an erase and an erase count name a block and read no page index
+    block_verdict = None if position == 5 else verdict
+    assert _range_outcomes(text, addr) == {
+        "parse_trace": verdict,
+        "validate": verdict,
+        "write_page": verdict,
+        "page_state": verdict,
+        "erase_block": block_verdict,
+        "erase_count": block_verdict,
+        "encode": verdict,
+        "in_bounds": verdict,
+    }
+
+
+@pytest.mark.parametrize("index", [-1, 0, 2 * 3 * 4 * 5 * 6 * 7 - 1, 2 * 3 * 4 * 5 * 6 * 7])
+def test_range_checks_agree_at_the_flat_index_boundaries(index):
+    g = BOUNDARY_GEOMETRY
+    if 0 <= index < g.total_pages:
+        addr = decode(index, g)
+        assert encode(addr, g) == index
+        assert set(_range_outcomes(str(index), addr).values()) == {None}
+        return
+    message = f"flat index {index} out of range [0, 5040)"
+    with pytest.raises(AddressRangeError) as excinfo:
+        decode(index, g)
+    assert str(excinfo.value) == message
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(f"{TRACE_HEADER}\n0,write,{index}\n", g)
+    assert [tuple(d) for d in excinfo.value.diagnostics] == [(2, message)]
 
 
 small_geometries = st.builds(

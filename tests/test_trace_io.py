@@ -71,6 +71,36 @@ class TestParseTrace:
         )
         assert flat.operands == dotted.operands
 
+    # whitespace that does not end a line (`str.splitlines` breaks at \x0b,
+    # \x0c, \x1c-\x1e, \x85, \u2028 and \u2029)
+    @pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u2000", "\u3000"])
+    def test_whitespace_around_fields_and_addresses_is_ignored(self, geometry, space):
+        padded = parse_trace(
+            trace_text(
+                f"1{space},{space}multi_plane_read{space},"
+                f"{space}0.0.0.0.1.2{space};{space}0.0.0.1.1.2",
+                f"2,{space}copy_back,0.0.0.0.0.3{space},0.0.0.0.1.5",
+                f"3,read,{space}37",
+            ),
+            geometry,
+        )
+        plain = parse_trace(
+            trace_text(
+                "1,multi_plane_read,0.0.0.0.1.2;0.0.0.1.1.2",
+                "2,copy_back,0.0.0.0.0.3,0.0.0.0.1.5",
+                "3,read,37",
+            ),
+            geometry,
+        )
+        assert padded == plain
+
+    def test_every_character_strip_removes_is_a_space_or_unprintable(self):
+        # parse_trace strips fields only when a line has a space or an
+        # unprintable character; this is what makes that test sufficient
+        stripped = [chr(c) for c in range(0x110000) if chr(c).strip() == ""]
+        assert " " in stripped and "\u3000" in stripped
+        assert [c for c in stripped if c != " " and c.isprintable()] == []
+
     def test_comments_blanks_and_header(self, geometry):
         text = f"# preamble\n\n{TRACE_HEADER}\n# more\n0,read,0\n"
         assert len(parse_trace(text, geometry)) == 1
