@@ -82,7 +82,14 @@ def main(argv: list[str] | None = None) -> int:
         return _check_only(trace, config, policy, args.trace, err)
 
     try:
-        result = run(trace, config.geometry, config.supported, config.models, policy)
+        result = run(
+            trace,
+            config.geometry,
+            config.supported,
+            config.models,
+            policy,
+            event_log=args.events,
+        )
         _print_violations(result.warnings, args.trace, err)
         idle = idle_accounting(result, config.geometry, config.models, policy)
         report = build_report(result, idle)

@@ -96,7 +96,14 @@ class CommandResult(NamedTuple):
 
 
 class RunResult:
-    """Everything a run produced: per-command results, event log, busy time."""
+    """Everything a run produced: per-command results, per-kind energy, busy
+    time and, when the run kept one, its event log.
+
+    `schedule` is the event log in placement order; a run that kept no log
+    (`event_log` false) has an empty one. `energy_by_kind` holds each event
+    kind that some event of the run had, in `EventKind` declaration order,
+    with its total `0.0 + e1 + e2 + ...` summed in schedule order.
+    """
 
     def __init__(
         self,
@@ -105,12 +112,16 @@ class RunResult:
         busy_ns: dict[Resource, int],  # occupied nanoseconds per resource, exact
         first_arrival_ns: int,
         last_end_ns: int,
+        energy_by_kind: tuple[tuple[EventKind, float], ...],
+        event_log: bool,
     ):
         self.results = results
         self.schedule = schedule
         self.busy_ns = busy_ns
         self.first_arrival_ns = first_arrival_ns
         self.last_end_ns = last_end_ns
+        self.energy_by_kind = energy_by_kind
+        self.event_log = event_log
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunResult):
@@ -165,12 +176,18 @@ def replay(
         yield cmd, violations
 
 
+# each event kind's index into a run's per-kind energy totals, in
+# declaration order
+_KIND_SLOTS = {kind: slot for slot, kind in enumerate(EventKind)}
+
+
 def run(
     trace: Sequence[Command],
     geometry: Geometry,
     supported: frozenset[CommandKind],
     models: ModelSet,
     policy: Policy = Policy(),
+    event_log: bool = True,
 ) -> RunResult:
     """Simulate a validated, arrival-sorted command stream.
 
@@ -179,6 +196,10 @@ def run(
     Structural validation errors abort the run; warnings abort only under a
     strict policy. A model binding that fails on an event aborts the run
     with a ModelEvaluationError located at its command's trace line.
+
+    Every event's energy is added to its kind's total as it is placed. With
+    `event_log` false no `ScheduledEvent` is built, and the result's
+    `schedule` stays empty.
     """
     validate_geometry(geometry)
     _check_order(trace)
@@ -189,8 +210,13 @@ def run(
     planes = geometry.planes_per_die
 
     # Each (command kind value, operand count, page count) shape with its
-    # steps' byte counts and pricing entries, resolved once per run.
+    # steps' pricing entries and kind slots, resolved once per run. A kind's
+    # slot indexes its energy total, which starts at 0.0 when a compiled
+    # shape first has the kind and stays None otherwise. Every compiled
+    # shape's events are all placed unless the run aborts, so the kinds with
+    # a total are exactly the kinds some event had.
     compiled: dict[tuple[str, int, int], tuple] = {}
+    kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
     # Resources are interned to dense slots the first time an event occupies
     # them, so memory follows the trace, not the geometry. A plane (or, under
     # die serialization, a die) is keyed by its mixed-radix index, a channel
@@ -215,18 +241,28 @@ def run(
         steps = compiled.get(key)
         if steps is None:
             steps = compiled[key] = tuple(
-                (kind, index, deps, role, price.entry(kind, event_bytes(kind, geometry)))
+                (
+                    kind,
+                    index,
+                    deps,
+                    role,
+                    price.entry(kind, event_bytes(kind, geometry)),
+                    _KIND_SLOTS[kind],
+                )
                 for kind, index, deps, role in shape(
                     cmd.kind, n_operands, page_count, overhead_on_bus
                 )
             )
+            for step in steps:
+                if kind_energy[step[5]] is None:
+                    kind_energy[step[5]] = 0.0
         targets = event_targets(cmd)
         arrival = cmd.arrival_ns
         sequence_id = cmd.sequence_id
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0
-        for event_id, (kind, index, deps, role, priced) in enumerate(steps):
+        for event_id, (kind, index, deps, role, priced, kind_slot) in enumerate(steps):
             target = targets[index]
             ready = arrival
             for dep in deps:
@@ -267,11 +303,13 @@ def run(
             if end > completion:
                 completion = end
             energy_total += energy
-            schedule.append(
-                ScheduledEvent(
-                    sequence_id, event_id, kind, target, resource, start, duration, energy
+            kind_energy[kind_slot] += energy
+            if event_log:
+                schedule.append(
+                    ScheduledEvent(
+                        sequence_id, event_id, kind, target, resource, start, duration, energy
+                    )
                 )
-            )
         if completion > last_end:
             last_end = completion
         results.append(
@@ -286,8 +324,19 @@ def run(
         )
 
     first_arrival = trace[0].arrival_ns if trace else 0
+    energy_by_kind = tuple(
+        (kind, kind_energy[slot])
+        for kind, slot in _KIND_SLOTS.items()
+        if kind_energy[slot] is not None
+    )
     return RunResult(
-        results, schedule, dict(zip(resources, busy)), first_arrival, last_end
+        results,
+        schedule,
+        dict(zip(resources, busy)),
+        first_arrival,
+        last_end,
+        energy_by_kind,
+        event_log,
     )
 
 

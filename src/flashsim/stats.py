@@ -45,7 +45,10 @@ class ResourceUsage(NamedTuple):
 
 
 class Report(NamedTuple):
-    """A run's aggregates; `commands` and `events` are the run's own records."""
+    """A run's aggregates; `commands` and `events` are the run's own records.
+
+    `events` is None when the run kept no event log.
+    """
 
     command_count: int
     makespan_us: float
@@ -58,7 +61,7 @@ class Report(NamedTuple):
     usage: tuple[ResourceUsage, ...]
     warning_counts: tuple[tuple[Rule, int], ...]
     warnings: tuple[Violation, ...]
-    events: Sequence[ScheduledEvent]
+    events: Sequence[ScheduledEvent] | None
 
 
 def nearest_rank(sorted_values: list[float], percentile: int) -> float:
@@ -72,8 +75,9 @@ def build_report(
 ) -> Report:
     """Aggregate a completed run (plus optional idle energies) into a Report.
 
-    Reads the run's results, schedule and warnings once each. It raises
-    ModelEvaluationError when an energy total overflows to infinity.
+    Reads the run's results and warnings once each; the per-kind energy
+    totals are the run's own. It raises ModelEvaluationError when an energy
+    total overflows to infinity.
     """
     idle = idle or {}
 
@@ -97,19 +101,7 @@ def build_report(
             )
         )
 
-    # each kind's total is 0.0 + e1 + e2 + ... in schedule order; keyed by
-    # `kind._value_`, a plain attribute, as hashing an Enum member is a
-    # Python-level call
-    kind_energy: dict[str, float] = {}
-    for e in run.schedule:
-        value = e.kind._value_
-        kind_energy[value] = kind_energy.get(value, 0.0) + e.energy_uj
-    energy_by_kind = tuple(
-        (kind, kind_energy[kind._value_])
-        for kind in EventKind
-        if kind._value_ in kind_energy
-    )
-
+    energy_by_kind = run.energy_by_kind
     event_energy = 0.0
     for _, kind_total in energy_by_kind:
         event_energy += kind_total
@@ -146,7 +138,7 @@ def build_report(
             (rule, rule_counts[rule]) for rule in Rule if rule in rule_counts
         ),
         warnings=warnings,
-        events=run.schedule,
+        events=run.schedule if run.event_log else None,
     )
     _reject_overflow(report)
     _assert_conserved(report)
@@ -183,7 +175,14 @@ def _assert_conserved(report: Report) -> None:
 
 
 def emit(report: Report, format: str = "structured", event_log: bool = False) -> str:
-    """Render a report; identical reports always render identical bytes."""
+    """Render a report; identical reports always render identical bytes.
+
+    `event_log` appends the run's event log, which the run must have kept.
+    """
+    if event_log and report.events is None:
+        raise ValueError(
+            "cannot render the event log: the run kept none (run with event_log=True)"
+        )
     if format == "structured":
         return _emit_structured(report, event_log)
     if format == "table":

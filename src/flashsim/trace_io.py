@@ -82,7 +82,17 @@ def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
     a single TraceParseError; nothing simulates until the whole trace is
     clean. sequence_id is the command's rank in the sorted order.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+    if isinstance(text, str):
+        # Lines end only where text-mode reading ends them (at \n, \r\n or
+        # \r), so diagnostics count lines as the file's reader does;
+        # `str.splitlines` would also split at \f, \x85, \u2028 and others.
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the empty remainder after a final newline
+    else:
+        lines = list(text)
     problems: list[Diagnostic] = []
     records: list[tuple[int, int, CommandKind, tuple[FlashAddress, ...], int]] = []
     header_seen = False

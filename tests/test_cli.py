@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flashsim
+from flashsim import engine
 from flashsim.cli import main
 from flashsim.commands import CommandKind
 from flashsim.trace_io import TRACE_HEADER, emit_trace, parse_config
@@ -219,6 +220,53 @@ def test_malformed_trace_diagnostics_with_lines(fixture_paths, capsys, tmp_path)
     code, _, err = invoke(capsys, "--config", config, "--trace", trace)
     assert code == 2
     assert f"{trace}:2:" in err and f"{trace}:3:" in err
+
+
+# the line boundaries `str.splitlines` knows besides \n and \r
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+@pytest.mark.parametrize(
+    "last, code",
+    [
+        ("5,read,9.0.0.0.0.0", 2),  # a parse error
+        ("10,copy_back,0.0.0.0.0.2,0.0.0.0.1.5", 0),  # a replay warning
+    ],
+    ids=["parse", "replay"],
+)
+def test_check_counts_lines_as_the_file_has_newlines(
+    fixture_paths, capsys, tmp_path, char, last, code
+):
+    config, _ = fixture_paths
+    trace = tmp_path / "odd_spaces.trace"
+    text = f"{TRACE_HEADER}\n0,read,0.0.0.0.0.0{char}\n# a{char}comment\n{last}{char}\n"
+    trace.write_text(text, encoding="utf-8")
+    got, _, err = invoke(capsys, "--config", config, "--trace", trace, "--check")
+    assert got == code
+    assert err.startswith(f"{trace}:{text.count(chr(10))}: ")
+
+
+def test_a_run_without_events_builds_no_event_records(
+    fixture_paths, capsys, tmp_path, monkeypatch
+):
+    config, _ = fixture_paths
+    geometry = parse_config(config.read_text()).geometry
+    trace = tmp_path / "random.trace"
+    trace.write_text(emit_trace(random_trace(random.Random(8), geometry, 60)))
+    outputs = {
+        fmt: invoke(capsys, "--config", config, "--trace", trace, "--format", fmt)
+        for fmt in ("structured", "table")
+    }
+
+    def refuse(*args):
+        raise AssertionError("an event record was built")
+
+    monkeypatch.setattr(engine, "ScheduledEvent", refuse)
+    for fmt, expected in outputs.items():
+        assert expected[0] == 0
+        assert invoke(capsys, "--config", config, "--trace", trace, "--format", fmt) == expected
+    with pytest.raises(AssertionError, match="event record"):
+        main(["--config", str(config), "--trace", str(trace), "--events"])
 
 
 def test_bad_config_exit_2(fixture_paths, capsys, tmp_path):

@@ -17,6 +17,7 @@ from flashsim.engine import (
     run,
 )
 from flashsim.errors import (
+    ModelEvaluationError,
     Rule,
     Severity,
     TraceOrderError,
@@ -460,3 +461,95 @@ class TestReplay:
         found = findings()
         with mock.patch.object(engine, "SubsystemState", ReferenceState):
             assert found == findings()
+
+
+class TestWithoutEventLog:
+    MODEL_SETS = {
+        "builtin": ModelSet(),
+        # every kind priced by expression, some per event and some once per
+        # (kind, byte count)
+        "expression": ModelSet(
+            latency_exprs={
+                EventKind.CMD_OVERHEAD: parse_latency_expression("0.25 + die / 8"),
+                EventKind.ARRAY_SENSE: parse_latency_expression("20 + 3 * plane + die"),
+                EventKind.ARRAY_PROGRAM: parse_latency_expression("180 + page / 3"),
+                EventKind.BLOCK_ERASE: parse_latency_expression("page_size / 3"),
+                EventKind.BUS_TRANSFER_IN: parse_latency_expression(
+                    "(byte_count + oob_size) / 40"
+                ),
+                EventKind.BUS_TRANSFER_OUT: parse_latency_expression(
+                    "byte_count / 40 + channel"
+                ),
+                EventKind.BUFFER_COPY: parse_latency_expression("0.7"),
+            },
+            power_exprs={
+                EventKind.ARRAY_SENSE: parse_power_expression("duration * 0.03"),
+                EventKind.ARRAY_PROGRAM: parse_power_expression(
+                    "duration * (0.04 + 0.001 * block)"
+                ),
+                EventKind.BUS_TRANSFER_OUT: parse_power_expression("0.1 / 3 * duration"),
+            },
+        ),
+        # fails on the first event of a command that reads block 1
+        "failing": ModelSet(
+            latency_exprs={
+                EventKind.ARRAY_SENSE: parse_latency_expression("25 / (block - 1)")
+            }
+        ),
+    }
+
+    @staticmethod
+    def _outcome(trace, geometry, supported, models, policy, **kwargs):
+        try:
+            result = run(trace, geometry, supported, models, policy, **kwargs)
+        except ValidationFatal as exc:
+            return "fatal", str(exc), exc.violations
+        except ModelEvaluationError as exc:
+            return "model", str(exc), exc.line
+        return result
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_commands=st.integers(0, 30),
+        models=st.sampled_from(sorted(MODEL_SETS)),
+        die_serialization=st.booleans(),
+        cmd_overhead_on_bus=st.booleans(),
+        strict=st.booleans(),
+        supported=st.sampled_from(
+            [ALL_KINDS, ALL_KINDS - {CommandKind.CACHE_WRITE, CommandKind.COPY_BACK}]
+        ),
+    )
+    def test_a_run_without_its_event_log_computes_the_same_run(
+        self,
+        seed,
+        n_commands,
+        models,
+        die_serialization,
+        cmd_overhead_on_bus,
+        strict,
+        supported,
+    ):
+        g = Geometry(2, 1, 2, 2, 2, 4, 512, 16)
+        trace = random_trace(random.Random(seed), g, n_commands)
+        policy = Policy(
+            strict=strict,
+            die_serialization=die_serialization,
+            cmd_overhead_on_bus=cmd_overhead_on_bus,
+        )
+        args = (trace, g, supported, self.MODEL_SETS[models], policy)
+        logged = self._outcome(*args)
+        bare = self._outcome(*args, event_log=False)
+        if isinstance(logged, tuple):  # the same error, with the same message
+            assert bare == logged
+            return
+        assert logged.event_log and len(logged.schedule) >= len(logged.results)
+        assert not bare.event_log and bare.schedule == []
+        assert bare.results == logged.results
+        assert bare.busy_ns == logged.busy_ns
+        assert bare.first_arrival_ns == logged.first_arrival_ns
+        assert bare.last_end_ns == logged.last_end_ns
+        # floats compared bit for bit
+        assert [(k, v.hex()) for k, v in bare.energy_by_kind] == [
+            (k, v.hex()) for k, v in logged.energy_by_kind
+        ]

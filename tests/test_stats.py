@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from flashsim.engine import CommandResult, Policy, idle_accounting, run
 from flashsim.errors import Rule, Severity, Violation
 from flashsim.models import (
     ModelSet,
+    PowerParams,
     TimingParams,
     parse_latency_expression,
     parse_power_expression,
@@ -153,6 +155,118 @@ def test_nearest_rank_percentiles():
     assert nearest_rank(values, 99) == 10.0
     assert nearest_rank([42.0], 50) == 42.0
     assert nearest_rank([1.0, 2.0, 3.0], 50) == 2.0
+
+
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_emit_refuses_an_event_log_the_run_did_not_keep(geometry, models, fmt):
+    trace = random_trace(random.Random(3), geometry, 20)
+    logged = build_report(run(trace, geometry, ALL_KINDS, models))
+    bare = build_report(run(trace, geometry, ALL_KINDS, models, event_log=False))
+    assert bare.events is None
+    with pytest.raises(ValueError, match="event log"):
+        emit(bare, fmt, event_log=True)
+    assert emit(bare, fmt) == emit(logged, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_a_kept_empty_event_log_still_renders(geometry, models, fmt):
+    report = build_report(run([], geometry, ALL_KINDS, models))
+    assert report.events == []
+    rendered = emit(report, fmt, event_log=True)
+    if fmt == "structured":
+        assert json.loads(rendered)["events"] == []
+        assert rendered.endswith('\n  "events": []\n}\n')
+    else:
+        assert rendered.endswith(
+            "\nevent log (start us, duration us, kind, target, resource, energy uJ)\n"
+        )
+
+
+def _reference_aggregates(result):
+    """Per-kind latency statistics, per-kind energy and busy time per
+    resource, each computed from its definition over the run's records."""
+    latencies: dict[CommandKind, list[int]] = {}
+    for r in result.results:
+        latencies.setdefault(r.kind, []).append(r.latency_ns)
+    kind_stats = {}
+    for kind, ns in latencies.items():
+        n = len(ns)
+        # nearest rank: the smallest value with at least p% of the sample
+        # at or below it
+        percentiles = tuple(
+            min(v for v in ns if 100 * sum(x <= v for x in ns) >= p * n) / 1000
+            for p in PERCENTILES
+        )
+        mean_us = float(Fraction(sum(ns), 1000 * n))
+        kind_stats[kind] = (n, mean_us, min(ns) / 1000, max(ns) / 1000, percentiles)
+    energy: dict[EventKind, float] = {}
+    busy_ns: dict = {}
+    for e in result.schedule:  # schedule order
+        energy[e.kind] = energy.get(e.kind, 0.0) + e.energy_uj
+        if e.resource is not None:
+            busy_ns[e.resource] = busy_ns.get(e.resource, 0) + e.duration_ns
+    return kind_stats, energy, busy_ns
+
+
+# whole nanoseconds, expressed in microseconds, from zero up to 3 us, so
+# that sub-microsecond events occur often
+_NS_AS_US = st.integers(0, 3000).map(lambda ns: ns / 1000)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_commands=st.integers(1, 40),
+    kinds=st.sampled_from(
+        [
+            tuple(CommandKind),
+            (CommandKind.READ,),
+            (CommandKind.READ, CommandKind.WRITE, CommandKind.CACHE_READ),
+        ]
+    ),
+    timing=st.builds(
+        TimingParams,
+        t_cmd=_NS_AS_US,
+        t_sense=_NS_AS_US,
+        t_prog=_NS_AS_US,
+        t_erase=_NS_AS_US,
+        t_bus_per_byte=st.integers(0, 20).map(lambda ns: ns / 1000),
+        t_buf=_NS_AS_US,
+    ),
+    power=st.builds(
+        PowerParams,
+        **{name: st.integers(0, 90).map(float) for name in PowerParams._fields},
+    ),
+    die_serialization=st.booleans(),
+    cmd_overhead_on_bus=st.booleans(),
+)
+def test_build_report_matches_a_brute_force_reference(
+    seed, n_commands, kinds, timing, power, die_serialization, cmd_overhead_on_bus
+):
+    g = Geometry(2, 1, 2, 2, 4, 8, 512, 16)
+    trace = random_trace(random.Random(seed), g, n_commands, kinds, max_arrival_us=20)
+    policy = Policy(
+        die_serialization=die_serialization, cmd_overhead_on_bus=cmd_overhead_on_bus
+    )
+    result = run(trace, g, ALL_KINDS, ModelSet(timing, power), policy)
+    report = build_report(result)
+    kind_stats, energy, busy_ns = _reference_aggregates(result)
+
+    assert [s.kind for s in report.kind_stats] == [k for k in CommandKind if k in kind_stats]
+    for s in report.kind_stats:
+        count, mean_us, min_us, max_us, percentiles = kind_stats[s.kind]
+        assert (s.count, s.min_us, s.max_us) == (count, min_us, max_us)
+        assert s.percentiles_us == percentiles, s.kind
+        assert s.mean_us == pytest.approx(mean_us, rel=1e-12)
+    # each kind's total bit for bit, in declaration order
+    assert [(k, v.hex()) for k, v in report.energy_by_kind] == [
+        (k, energy[k].hex()) for k in EventKind if k in energy
+    ]
+    assert {u.resource: u.busy_us for u in report.usage} == {
+        resource: ns / 1000 for resource, ns in busy_ns.items() if ns
+    }
+    for u in report.usage:
+        assert u.utilization == u.busy_us / report.makespan_us
 
 
 def test_table_formatting():

@@ -36,6 +36,11 @@ supported = read, write, erase
 """
 
 
+# the line boundaries `str.splitlines` knows besides \n and \r; text-mode
+# reading ends no line at them
+SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def trace_text(*lines: str) -> str:
     return "\n".join([TRACE_HEADER, *lines]) + "\n"
 
@@ -71,8 +76,7 @@ class TestParseTrace:
         )
         assert flat.operands == dotted.operands
 
-    # whitespace that does not end a line (`str.splitlines` breaks at \x0b,
-    # \x0c, \x1c-\x1e, \x85, \u2028 and \u2029)
+    # whitespace that does not end a line
     @pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u2000", "\u3000"])
     def test_whitespace_around_fields_and_addresses_is_ignored(self, geometry, space):
         padded = parse_trace(
@@ -93,6 +97,44 @@ class TestParseTrace:
             geometry,
         )
         assert padded == plain
+
+    def test_a_form_feed_in_a_line_shifts_no_later_line_number(self, geometry):
+        text = trace_text("0,read,0.0.0.0.0.0\f", "5,read,9.0.0.0.0.0")
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(text, geometry)
+        (diag,) = excinfo.value.diagnostics
+        assert diag.line == 3 == text.count("\n")
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS)
+    def test_only_newlines_end_a_line(self, geometry, char):
+        # the character around fields and in a comment, then a bad address
+        # on the last line
+        text = trace_text(
+            f"0,read,0.0.0.0.0.0{char}",
+            f"1,{char}write,0.0.0.0.0.1",
+            f"# a comment{char}with the character",
+            f"5,read,9.0.0.0.0.0{char}",
+        )
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(text, geometry)
+        assert [d.line for d in excinfo.value.diagnostics] == [text.count("\n")]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_each_newline_text_mode_reads(self, geometry, newline):
+        text = trace_text("0,read,0", "5,read,9.0.0.0.0.0").replace("\n", newline)
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(text, geometry)
+        assert [d.line for d in excinfo.value.diagnostics] == [3]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", 1), ("\n", 2), ("# comment\n", 2), ("# comment", 2), ("\n\n", 3)],
+    )
+    def test_missing_header_is_reported_past_the_last_line(self, geometry, text, line):
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(text, geometry)
+        (diag,) = excinfo.value.diagnostics
+        assert (diag.line, "missing header" in diag.message) == (line, True)
 
     def test_every_character_strip_removes_is_a_space_or_unprintable(self):
         # parse_trace strips fields only when a line has a space or an
