@@ -4,8 +4,6 @@ from .commands import (
     Command,
     CommandKind,
     EventKind,
-    FlashEvent,
-    decompose,
     validate,
 )
 from .engine import (
@@ -26,12 +24,7 @@ from .errors import (
     Violation,
 )
 from .expr import Expression, parse_expression
-from .models import (
-    EventContext,
-    ModelSet,
-    PowerParams,
-    TimingParams,
-)
+from .models import ModelSet, PowerParams, TimingParams
 from .stats import Report, build_report, emit
 from .topology import (
     FlashAddress,
@@ -52,11 +45,9 @@ __all__ = [
     "CommandKind",
     "CommandResult",
     "Config",
-    "EventContext",
     "EventKind",
     "Expression",
     "FlashAddress",
-    "FlashEvent",
     "FlashSimError",
     "Geometry",
     "ModelSet",
@@ -76,7 +67,6 @@ __all__ = [
     "Violation",
     "build_report",
     "decode",
-    "decompose",
     "emit",
     "emit_trace",
     "encode",

@@ -185,11 +185,6 @@ class Command(_CommandFields):
     def __hash__(self) -> int:
         return hash(self[:5])
 
-    def pairs(self) -> tuple[tuple[FlashAddress, FlashAddress], ...]:
-        """(source, destination) pairs for the copy-back kinds."""
-        ops = self.operands
-        return tuple((ops[i], ops[i + 1]) for i in range(0, len(ops), 2))
-
 
 class FlashEvent(NamedTuple):
     """A primitive hardware activity within one command's decomposition.
@@ -237,7 +232,7 @@ def validate(
                 cmd,
             )
         ]
-    # the six comparisons of `FlashAddress.in_bounds`, inlined per operand
+    # the six range comparisons, inlined per operand
     channels, chips, dies, planes, blocks, pages, _, _ = geometry
     for addr in operands:
         channel, chip, die, plane, block, page = addr
@@ -310,8 +305,8 @@ def _copy_back_rules(operands: Sequence[FlashAddress]) -> list[Violation]:
 
 
 # The shape rules key addresses by slices: `a[:4]` is `a.plane_key()`,
-# `a[:3]` is `a.die_key()` and `a[:2]` is `a.chip_key()`, without a method
-# call per operand.
+# `a[:3]` is `a.die_key()` and `a[:2]` names the chip, without a method call
+# per operand.
 
 
 def _multi_plane_rules(
@@ -433,8 +428,6 @@ _STAGES = {
     CommandKind.INTERLEAVED_ERASE: (EventKind.BLOCK_ERASE,),
 }
 
-_SHAPES: dict[tuple[str, int, int, bool], tuple[Step, ...]] = {}
-
 
 def event_targets(cmd: Command) -> tuple[FlashAddress, ...]:
     """The addresses a command's shape steps index: the extent pages of a
@@ -452,20 +445,10 @@ def shape(
     kind: CommandKind, n_operands: int, page_count: int, cmd_overhead_on_bus: bool
 ) -> tuple[Step, ...]:
     """The event DAG of every command of this kind, operand count and page
-    count, built once and shared; see `decompose` for the shapes."""
-    key = (kind._value_, n_operands, page_count, cmd_overhead_on_bus)
-    steps = _SHAPES.get(key)
-    if steps is None:
-        layout = LAYOUT[kind._value_]
-        steps = _SHAPES[key] = _build_shape(
-            kind, page_count if layout == EXTENT else n_operands, cmd_overhead_on_bus
-        )
-    return steps
-
-
-def _build_shape(
-    kind: CommandKind, n_targets: int, cmd_overhead_on_bus: bool
-) -> tuple[Step, ...]:
+    count; see `decompose` for the shapes. Nothing is cached here: the
+    engine builds each shape once per run and drops it with the run."""
+    layout = LAYOUT[kind._value_]
+    n_targets = page_count if layout == EXTENT else n_operands
     steps: list[Step] = [
         (EventKind.CMD_OVERHEAD, 0, (), ROLE_BUS if cmd_overhead_on_bus else ROLE_NONE)
     ]
@@ -475,7 +458,6 @@ def _build_shape(
         steps.append((event_kind, target, deps, role))
         return len(steps) - 1
 
-    layout = LAYOUT[kind._value_]
     if layout == PAIR or layout == PAIRS:
         for src in range(0, n_targets, 2):
             sense = add(EventKind.ARRAY_SENSE, src, 0)

@@ -75,30 +75,11 @@ class FlashAddress(NamedTuple):
     block: int
     page: int
 
-    def indices(self) -> tuple[int, int, int, int, int, int]:
-        return self[:]
-
-    def in_bounds(self, geometry: Geometry) -> bool:
-        # one unpack of each tuple reads faster than twelve named fields
-        channel, chip, die, plane, block, page = self
-        channels, chips, dies, planes, blocks, pages, _, _ = geometry
-        return (
-            0 <= channel < channels
-            and 0 <= chip < chips
-            and 0 <= die < dies
-            and 0 <= plane < planes
-            and 0 <= block < blocks
-            and 0 <= page < pages
-        )
-
     def plane_key(self) -> tuple[int, int, int, int]:
         return self[:4]
 
     def die_key(self) -> tuple[int, int, int]:
         return self[:3]
-
-    def chip_key(self) -> tuple[int, int]:
-        return self[:2]
 
     def __str__(self) -> str:
         return "%d.%d.%d.%d.%d.%d" % self
@@ -230,7 +211,10 @@ class SubsystemState:
         return PageState.WRITTEN if written else PageState.ERASED
 
     def erase_count(self, addr: FlashAddress) -> int:
-        return self._erase_counts.get(self._block_index(addr), 0)
+        # an erase count names a block, so the page index is neither checked
+        # nor read
+        block = self._block_of_page(new_address((*addr[:5], 0)))
+        return self._erase_counts.get(block, 0)
 
     def write_page(self, addr: FlashAddress) -> list[Violation]:
         """Mark a page written; warn if it was already written (no erase between)."""
@@ -267,7 +251,8 @@ class SubsystemState:
         All pages of the block flip to erased atomically. Warns once the
         erase count exceeds the configured endurance limit.
         """
-        # `_block_index`, inlined: this runs once per erased block
+        # `_block_of_page` of the block's page 0, inlined: this runs once per
+        # erased block
         channel, chip, die, plane, block, _ = addr
         channels, chips, dies, planes, blocks, _ = self._counts
         if not (
@@ -314,24 +299,6 @@ class SubsystemState:
                 f"address {addr} out of range for geometry {self._counts}"
             )
         # mixed radix, channel most significant, as in `encode`
-        return (((channel * chips + chip) * dies + die) * planes + plane) * blocks + block
-
-    def _block_index(self, addr: FlashAddress) -> int:
-        """The block index of a block address: an erase and an erase count
-        name a block, so the page index is neither checked nor read."""
-        channel, chip, die, plane, block, _ = addr
-        channels, chips, dies, planes, blocks, _ = self._counts
-        if not (
-            0 <= channel < channels
-            and 0 <= chip < chips
-            and 0 <= die < dies
-            and 0 <= plane < planes
-            and 0 <= block < blocks
-        ):
-            raise AddressRangeError(
-                f"address {channel}.{chip}.{die}.{plane}.{block}.0 out of range "
-                f"for geometry {self._counts}"
-            )
         return (((channel * chips + chip) * dies + die) * planes + plane) * blocks + block
 
 

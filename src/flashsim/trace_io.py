@@ -75,24 +75,21 @@ class Config(NamedTuple):
     policy: Policy
 
 
-def parse_trace(text: str | Iterable[str], geometry: Geometry) -> list[Command]:
-    """Parse a trace into commands sorted by (arrival, line order).
+def parse_trace(text: str, geometry: Geometry) -> list[Command]:
+    """Parse a trace's text into commands sorted by (arrival, line order).
 
     Every malformed line is reported exactly once, with its line number, in
     a single TraceParseError; nothing simulates until the whole trace is
     clean. sequence_id is the command's rank in the sorted order.
     """
-    if isinstance(text, str):
-        # Lines end only where text-mode reading ends them (at \n, \r\n or
-        # \r), so diagnostics count lines as the file's reader does;
-        # `str.splitlines` would also split at \f, \x85, \u2028 and others.
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()  # the empty remainder after a final newline
-    else:
-        lines = list(text)
+    # Lines end only where text-mode reading ends them (at \n, \r\n or \r),
+    # so diagnostics count lines as the file's reader does; `str.splitlines`
+    # would also split at \f, \x85, \u2028 and others.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty remainder after a final newline
     problems: list[Diagnostic] = []
     records: list[tuple[int, int, CommandKind, tuple[FlashAddress, ...], int]] = []
     header_seen = False
@@ -260,8 +257,13 @@ def _parse_address(text: str, geometry: Geometry) -> FlashAddress:
         try:
             channel, chip, die, plane, block, page = map(int, pieces)
         except ValueError:
-            raise _LineError(f"bad address index in '{text}'")
-        # the six comparisons of `FlashAddress.in_bounds`, inlined
+            # `int` strips most of what `str.strip` removes around a field,
+            # but not \x1c-\x1f; an index accepts exactly what a field does
+            try:
+                channel, chip, die, plane, block, page = map(int, map(str.strip, pieces))
+            except ValueError:
+                raise _LineError(f"bad address index in '{text}'")
+        # the six range comparisons, inlined
         channels, chips, dies, planes, blocks, pages, _, _ = geometry
         addr = new_address((channel, chip, die, plane, block, page))
         if (
@@ -304,9 +306,9 @@ def emit_trace(commands: Iterable[Command]) -> str:
             rest = f"{cmd.operands[0]},{cmd.operands[1]}"
         elif layout == PAIRS:
             rest = (
-                ";".join(str(src) for src, _ in cmd.pairs())
+                ";".join(map(str, cmd.operands[0::2]))
                 + ","
-                + ";".join(str(dst) for _, dst in cmd.pairs())
+                + ";".join(map(str, cmd.operands[1::2]))
             )
         else:
             rest = ";".join(str(a) for a in cmd.operands)

@@ -1,9 +1,18 @@
-"""Independent brute-force oracles used only to cross-check the package.
+"""Brute-force oracles used only to cross-check the package.
 
-Nothing here shares logic with the implementation under test: the address
-oracle enumerates the hierarchy with six nested loops, and the scheduling
-oracle discovers start times by advancing a clock in minimal steps over
-per-resource FIFO queues instead of computing start = max(...) directly.
+The address oracle enumerates the hierarchy with six nested loops, and the
+scheduling oracle discovers start times by advancing a clock in minimal
+steps over per-resource FIFO queues instead of computing start = max(...)
+directly. Those two share no logic with the implementation under test.
+
+The scheduling oracle's inputs do share it. Its event DAGs come from
+`commands.decompose`, which instantiates the same `commands.shape` the
+engine reads, so a wrong shape (a missing dependency, a wrong resource) is
+wrong in both and their agreement does not catch it. Its durations and
+energies come from `ModelSet.latency_us`/`energy_uj`, whose functions are
+compiled from the same binding trees through the same `expr.Emitter` as the
+engine's `Pricer`. An oracle of the per-command latencies in closed form,
+independent of both, is ROADMAP item 10.
 """
 
 from __future__ import annotations

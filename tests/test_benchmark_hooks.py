@@ -73,8 +73,9 @@ def test_record_method_hooks_wrap_and_restore():
     """Each record method the tracer hooks can be wrapped: the wrapped call
     is counted and returns what the original returns, and uninstalling puts
     the original back."""
-    from flashsim import EventContext, EventKind, FlashAddress, Geometry, ModelSet
+    from flashsim import EventKind, FlashAddress, Geometry, ModelSet
     from flashsim import SubsystemState, parse_expression
+    from flashsim.models import EventContext
 
     tracer = _load_tracer()
     geometry = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)

@@ -37,7 +37,7 @@ def test_address_renders_dotted_and_is_a_tuple_of_its_indices():
     assert str(addr) == f"{addr}" == "1.0.3.2.1023.1099511627776"
     assert addr == (1, 0, 3, 2, 1023, 2**40)
     assert addr[4] == addr.block == 1023
-    assert addr.indices() == (1, 0, 3, 2, 1023, 2**40)
+    assert tuple(addr) == (1, 0, 3, 2, 1023, 2**40)
     assert addr.plane_key() == (1, 0, 3, 2)
     assert hash(addr) == hash(FlashAddress(1, 0, 3, 2, 1023, 2**40))
 
@@ -132,7 +132,7 @@ def test_codec_out_of_range(geometry):
 
 # The boundary table. Parse, `validate` and `SubsystemState` each range-check
 # an address with their own inlined comparisons (see the `topology` module
-# docstring), and `encode` and `in_bounds` check it too; they must agree.
+# docstring), and `encode` checks it too; they must agree.
 # Every index position is tried at -1, 0, count - 1 and count, with the other
 # five at 0, on a geometry whose six counts all differ, so a comparison that
 # reads the wrong index or the wrong count flips at least one case.
@@ -178,7 +178,6 @@ def _range_outcomes(text: str, addr: FlashAddress) -> dict[str, str | None]:
             out[name] = str(exc)
         else:
             out[name] = None
-    out["in_bounds"] = None if addr.in_bounds(g) else out["encode"]
     return out
 
 
@@ -211,7 +210,6 @@ def test_range_checks_agree_at_every_index_boundary(position, value):
         "erase_block": block_verdict,
         "erase_count": block_verdict,
         "encode": verdict,
-        "in_bounds": verdict,
     }
 
 
@@ -363,7 +361,7 @@ def _state_scripts(draw):
     # one index pushed to its count: out of range by one
     out_of_range = st.tuples(in_range, st.integers(0, 5)).map(
         lambda pair: FlashAddress(
-            *(n if i == pair[1] else x for i, (x, n) in enumerate(zip(pair[0].indices(), counts)))
+            *(n if i == pair[1] else x for i, (x, n) in enumerate(zip(pair[0], counts)))
         )
     )
     addresses = st.one_of(in_range, in_range, in_range, out_of_range)
