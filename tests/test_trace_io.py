@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from flashsim.trace_io import (
 )
 
 from conftest import A
-from gen import random_operands
+from gen import random_operands, random_trace
 
 MINIMAL_CONFIG = """\
 [geometry]
@@ -265,6 +267,11 @@ class TestParseTrace:
         (c,) = parse_trace(trace_text("0.0004,read,0"), geometry)
         assert c.arrival_ns == 0  # rounds below 1 ns
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trip(self, geometry, seed):
+        trace = random_trace(random.Random(seed), geometry, 30)
+        assert parse_trace(emit_trace(trace), geometry) == trace
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
@@ -276,7 +283,7 @@ class TestParseTrace:
             max_size=30,
         )
     )
-    def test_round_trip(self, drafts):
+    def test_round_trip_any_kind_and_arrival(self, drafts):
         # every kind at any whole-nanosecond arrival below 10**15 ns; from
         # there up, an arrival may come back a nanosecond off (see README)
         geometry = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)
