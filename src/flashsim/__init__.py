@@ -25,7 +25,7 @@ from .errors import (
 )
 from .expr import Expression, parse_expression
 from .models import ModelSet, PowerParams, TimingParams
-from .stats import Report, build_report, emit
+from .stats import Report, build_report, emit, write_report
 from .topology import (
     FlashAddress,
     Geometry,
@@ -78,4 +78,5 @@ __all__ = [
     "run",
     "validate",
     "validate_geometry",
+    "write_report",
 ]

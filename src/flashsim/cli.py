@@ -1,14 +1,15 @@
 """Command-line driver: load config, parse trace, validate, run, report.
 
 Exit codes: 0 clean run, 1 constraint warnings under --strict, 2 input
-errors (bad files, malformed trace/config, structurally invalid commands).
-Diagnostics go to stderr with file:line context; the report goes to stdout
-or the --out file.
+errors (bad files, malformed trace/config, structurally invalid commands)
+and a report that cannot be written. Diagnostics go to stderr with
+file:line context; the report is streamed to stdout or the --out file.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +21,10 @@ from .errors import (
     TraceParseError,
     ValidationFatal,
 )
-from .stats import build_report, emit
+from .stats import build_report, write_report
+# unused here: perfbench's tracer hooks cli.emit until it hooks write_report
+# and counts the bytes written (ROADMAP item 1)
+from .stats import emit  # noqa: F401
 from .trace_io import parse_config, parse_trace
 
 
@@ -106,15 +110,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.trace}: {exc}", file=err)
         return 2
 
-    rendered = emit(report, format=args.format, event_log=args.events)
     if args.out:
         try:
-            Path(args.out).write_text(rendered)
+            with open(args.out, "w") as out:
+                write_report(report, out, args.format, args.events)
         except OSError as exc:
             print(f"{args.out}: cannot write report: {exc.strerror}", file=err)
             return 2
     else:
-        sys.stdout.write(rendered)
+        try:
+            write_report(report, sys.stdout, args.format, args.events)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"<stdout>: cannot write report: {exc.strerror}", file=err)
+            # what stays buffered would fail again, loudly, when Python exits
+            sys.stdout = open(os.devnull, "w")
+            return 2
     return 0
 
 

@@ -12,11 +12,13 @@ documented order so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections import Counter
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .commands import CommandKind, EventKind
 from .engine import CommandResult, RunResult, ScheduledEvent
@@ -174,20 +176,45 @@ def _assert_conserved(report: Report) -> None:
         raise AssertionError("energy breakdown does not reproduce the total")
 
 
-def emit(report: Report, format: str = "structured", event_log: bool = False) -> str:
-    """Render a report; identical reports always render identical bytes.
+def write_report(
+    report: Report, file: TextIO, format: str = "structured", event_log: bool = False
+) -> None:
+    """Render a report into the text stream `file` as it goes, a batch of
+    rows per write; identical reports always write identical bytes.
 
     `event_log` appends the run's event log, which the run must have kept.
+    A report that cannot be rendered raises ValueError before anything is
+    written.
     """
     if event_log and report.events is None:
         raise ValueError(
             "cannot render the event log: the run kept none (run with event_log=True)"
         )
     if format == "structured":
-        return _emit_structured(report, event_log)
-    if format == "table":
-        return _emit_table(report, event_log)
-    raise ValueError(f"unknown report format '{format}'")
+        _write_structured(report, event_log, file.write)
+    elif format == "table":
+        _write_table(report, event_log, file.write)
+    else:
+        raise ValueError(f"unknown report format '{format}'")
+
+
+def emit(report: Report, format: str = "structured", event_log: bool = False) -> str:
+    """The text `write_report` writes, as one string."""
+    out = io.StringIO()
+    write_report(report, out, format, event_log)
+    return out.getvalue()
+
+
+# The arrays that grow with the trace are written this many rows at a time,
+# so that rendering holds one batch of rows, not the whole document.
+_ROWS_PER_WRITE = 256
+
+
+def _write_rows(write: Callable[[str], object], rows: Iterator[str]) -> None:
+    """Write every row of `rows`, joined a batch at a time."""
+    join = "".join
+    while batch := list(islice(rows, _ROWS_PER_WRITE)):
+        write(join(batch))
 
 
 def _labelled(
@@ -293,24 +320,23 @@ _EVENT_TAIL = (
 )
 
 
-def _write_array(parts: list[str], rows: Iterable[str]) -> None:
-    """Append a top-level key's array of `rows`, each led by a comma, to `parts`."""
-    first = len(parts)
-    parts += rows
-    if len(parts) == first:
-        parts.append("[]")
-    else:
-        parts[first] = "[" + parts[first][1:]  # the first row follows "[", not a comma
-        parts.append("\n  ]")
+def _write_array(write: Callable[[str], object], rows: Iterable[str]) -> None:
+    """Write a top-level key's array of `rows`, each led by a comma."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        write("[]")
+        return
+    write("[" + first[1:])  # the first row follows "[", not a comma
+    _write_rows(write, rows)
+    write("\n  ]")
 
 
-def _event_rows(events: Sequence[ScheduledEvent]) -> list[str]:
+def _event_rows(events: Sequence[ScheduledEvent]) -> Iterator[str]:
     # few (duration, energy) pairs recur: each tail is cached by the
     # duration's int and reused only for the very same energy object, as
     # floats that compare equal may render differently (-0.0 and 0.0)
     tails: dict[int, tuple[float, str]] = {}
-    rows: list[str] = []
-    append = rows.append
     for e, kind, target, resource in _labelled(events, _quote, "null"):
         duration, energy = e.duration_ns, e.energy_uj
         tail = tails.get(duration)
@@ -323,14 +349,14 @@ def _event_rows(events: Sequence[ScheduledEvent]) -> list[str]:
             whole, fraction = start // 1000, _NS_FRACTIONS[start % 1000]
         else:
             whole, fraction = repr(start / 1000), ""
-        append(
-            _EVENT_ROW
-            % (e.sequence_id, e.event_id, kind, target, resource, whole, fraction, tail[1])
+        yield _EVENT_ROW % (
+            e.sequence_id, e.event_id, kind, target, resource, whole, fraction, tail[1]
         )
-    return rows
 
 
-def _emit_structured(report: Report, event_log: bool) -> str:
+def _write_structured(
+    report: Report, event_log: bool, write: Callable[[str], object]
+) -> None:
     # the three arrays that grow with the trace are written from row
     # templates; json.dumps renders the other keys, in two runs around them
     scalars = json.dumps(
@@ -381,9 +407,9 @@ def _emit_structured(report: Report, event_log: bool) -> str:
         indent=2,
     )
     # each dumped object's keys, without its braces, are top-level keys here
-    parts = [scalars[:-2], ',\n  "commands": ']
+    write(scalars[:-2] + ',\n  "commands": ')
     _write_array(
-        parts,
+        write,
         (
             _COMMAND_ROW
             % (
@@ -398,9 +424,9 @@ def _emit_structured(report: Report, event_log: bool) -> str:
             for c in report.commands
         ),
     )
-    parts += [",", summaries[1:-2], ',\n  "warnings": ']
+    write("," + summaries[1:-2] + ',\n  "warnings": ')
     _write_array(
-        parts,
+        write,
         (
             _WARNING_ROW
             % (
@@ -414,13 +440,16 @@ def _emit_structured(report: Report, event_log: bool) -> str:
         ),
     )
     if event_log:
-        parts.append(',\n  "events": ')
-        _write_array(parts, _event_rows(report.events))
-    parts.append("\n}\n")
-    return "".join(parts)
+        write(',\n  "events": ')
+        _write_array(write, _event_rows(report.events))
+    write("\n}\n")
 
 
-def _emit_table(report: Report, event_log: bool) -> str:
+def _write_table(
+    report: Report, event_log: bool, write: Callable[[str], object]
+) -> None:
+    # the summary's size is set by the kinds, resources and rules, so it is
+    # written whole; the warning lines and the event log are rows
     lines = [
         "flashsim report",
         "===============",
@@ -453,14 +482,22 @@ def _emit_table(report: Report, event_log: bool) -> str:
         lines += ["", f"warnings ({len(report.warnings)})"]
         for rule, count in report.warning_counts:
             lines.append(f"{rule.value:<24}{count:>6}")
-        for w in report.warnings:
-            where = f"line {w.line}: " if w.line is not None else ""
-            lines.append(f"  {where}{w.message} [{w.rule.value}]")
+    write("\n".join(lines) + "\n")
+    if report.warning_counts:
+        _write_rows(write, _warning_lines(report.warnings))
     if event_log:
-        lines += ["", "event log (start us, duration us, kind, target, resource, energy uJ)"]
-        for e, kind, target, resource in _labelled(report.events, str, "-"):
-            lines.append(
+        write("\nevent log (start us, duration us, kind, target, resource, energy uJ)\n")
+        _write_rows(
+            write,
+            (
                 f"{e.start_ns / 1000:>12.3f}{e.duration_ns / 1000:>12.3f}  {kind:<18}"
-                f"{target:<16}{resource:<16}{e.energy_uj:>10.3f}"
-            )
-    return "\n".join(lines) + "\n"
+                f"{target:<16}{resource:<16}{e.energy_uj:>10.3f}\n"
+                for e, kind, target, resource in _labelled(report.events, str, "-")
+            ),
+        )
+
+
+def _warning_lines(warnings: Iterable[Violation]) -> Iterator[str]:
+    for w in warnings:
+        where = f"line {w.line}: " if w.line is not None else ""
+        yield f"  {where}{w.message} [{w.rule.value}]\n"

@@ -68,6 +68,57 @@ def test_table_format_and_out_file(fixture_paths, capsys, tmp_path):
     assert "makespan: 127.400 us" in out_file.read_text()
 
 
+def _long_read_trace(tmp_path) -> Path:
+    """A trace whose --events report is far longer than one write buffer,
+    with no constraint warnings."""
+    geometry = parse_config((DATA / "fixture.ini").read_text()).geometry
+    trace = tmp_path / "reads.trace"
+    trace.write_text(
+        emit_trace(random_trace(random.Random(2), geometry, 100, (CommandKind.READ,)))
+    )
+    return trace
+
+
+FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists(FULL), reason="needs /dev/full, whose writes fail with ENOSPC"
+)
+
+
+@needs_dev_full
+def test_a_failed_write_to_out_exits_2_mid_report(fixture_paths, capsys, tmp_path):
+    config, _ = fixture_paths
+    trace = _long_read_trace(tmp_path)
+    code, out, err = invoke(
+        capsys, "--config", config, "--trace", trace, "--events", "--out", FULL
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"{FULL}: cannot write report: No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("long", [False, True], ids=["at_flush", "mid_report"])
+def test_a_failed_write_to_stdout_exits_2_without_a_traceback(
+    fixture_paths, tmp_path, long
+):
+    # the short report fails only when stdout is flushed; the long one
+    # fails while it is being written
+    config, trace = fixture_paths
+    if long:
+        trace = _long_read_trace(tmp_path)
+    src = str(Path(flashsim.__file__).resolve().parents[1])
+    with open(FULL, "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flashsim", "--config", str(config),
+             "--trace", str(trace), "--events"],
+            stdout=full, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == b"<stdout>: cannot write report: No space left on device\n"
+
+
 def test_events_flag_appends_event_log(fixture_paths, capsys):
     config, trace = fixture_paths
     code, out, _ = invoke(capsys, "--config", config, "--trace", trace, "--events")

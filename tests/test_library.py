@@ -7,6 +7,8 @@ exercises one documented name the command line does not reach on its own.
 from __future__ import annotations
 
 import copy
+import io
+import json
 import re
 from pathlib import Path
 
@@ -24,12 +26,16 @@ from flashsim import (
     Policy,
     Rule,
     SubsystemState,
+    build_report,
     decode,
+    emit,
     emit_trace,
     encode,
+    idle_accounting,
     parse_config,
     parse_trace,
     run,
+    write_report,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,3 +159,18 @@ def test_emit_trace_writes_text_that_parses_back_to_the_same_commands():
     config = parse_config((ROOT / "sample" / "ssd.ini").read_text())
     sample = parse_trace((ROOT / "sample" / "mixed.trace").read_text(), config.geometry)
     assert parse_trace(emit_trace(sample), config.geometry) == sample
+
+
+def test_emit_returns_the_text_write_report_writes():
+    result = run([READ, WRITE], G, ALL, ModelSet(), Policy())
+    report = build_report(result, idle_accounting(result, G, ModelSet()))
+    for fmt in ("structured", "table"):
+        for event_log in (False, True):
+            out = io.StringIO()
+            write_report(report, out, fmt, event_log)
+            assert out.getvalue() == emit(report, fmt, event_log)
+    doc = json.loads(emit(report, event_log=True))
+    assert [c["latency_us"] for c in doc["commands"]] == [
+        r.latency_ns / 1000 for r in result.results
+    ]
+    assert len(doc["events"]) == len(result.schedule)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashsim.commands import Command, CommandKind, EventKind
-from flashsim.engine import CommandResult, Policy, idle_accounting, run
+from flashsim.engine import CommandResult, Policy, ScheduledEvent, idle_accounting, run
 from flashsim.errors import Rule, Severity, Violation
 from flashsim.models import (
     ModelSet,
@@ -21,6 +23,7 @@ from flashsim.models import (
     parse_power_expression,
 )
 from flashsim.stats import (
+    _ROWS_PER_WRITE,
     PERCENTILES,
     REPORT_SCHEMA,
     Report,
@@ -28,8 +31,9 @@ from flashsim.stats import (
     emit,
     nearest_rank,
     us_repr,
+    write_report,
 )
-from flashsim.topology import Geometry
+from flashsim.topology import Geometry, Resource
 from flashsim.trace_io import parse_config, parse_trace
 
 from checks import assert_schedule_legal
@@ -165,6 +169,10 @@ def test_emit_refuses_an_event_log_the_run_did_not_keep(geometry, models, fmt):
     assert bare.events is None
     with pytest.raises(ValueError, match="event log"):
         emit(bare, fmt, event_log=True)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="event log"):
+        write_report(bare, out, fmt, event_log=True)
+    assert out.getvalue() == ""
     assert emit(bare, fmt) == emit(logged, fmt)
 
 
@@ -281,6 +289,10 @@ def test_unknown_format_rejected():
     report = fixture_run()
     with pytest.raises(ValueError):
         emit(report, "yaml")
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="unknown report format"):
+        write_report(report, out, "yaml")
+    assert out.getvalue() == ""
 
 
 def _reference_structured(report, event_log: bool) -> str:
@@ -491,3 +503,78 @@ def test_structured_rows_escape_as_json_dumps_does(present):
 @example(ns=10**19)
 def test_us_repr_is_repr_of_the_microseconds(ns):
     assert us_repr(ns) == repr(ns / 1000)
+
+
+def _report_with_rows(n: int) -> Report:
+    """A report whose commands, warnings and events arrays have `n` rows
+    each, told apart by their numbers, in order."""
+    warnings = tuple(
+        Violation(Rule.ERASE_BEFORE_WRITE, Severity.WARNING, f"warning {i}", i, i + 1)
+        for i in range(n)
+    )
+    commands = tuple(
+        CommandResult(i, CommandKind.READ, i * 1000, i * 1000 + 500, 0.5, warnings[i:i + 1])
+        for i in range(n)
+    )
+    events = tuple(
+        ScheduledEvent(i, 0, EventKind.ARRAY_SENSE, A(page=i % 8), Resource("plane", (0,)),
+                       i * 1000, 500, 0.25)
+        for i in range(n)
+    )
+    return _hand_built_report(commands, warnings)._replace(events=events)
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1],
+    ids=["empty", "one_row", "one_batch", "one_batch_and_one"],
+)
+@pytest.mark.parametrize("event_log", [False, True], ids=["bare", "events"])
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_write_report_writes_what_emit_returns(n, event_log, fmt):
+    report = _report_with_rows(n)
+    out = io.StringIO()
+    write_report(report, out, fmt, event_log)
+    written = out.getvalue()
+    assert written == emit(report, fmt, event_log)
+    if fmt == "structured":
+        assert written == _reference_structured(report, event_log)
+        return
+    # every warning and event is on one line of its own, once and in order
+    lines = written.splitlines()
+    assert [line for line in lines if line.startswith("  line ")] == [
+        f"  line {i + 1}: warning {i} [erase_before_write]" for i in range(n)
+    ]
+    if event_log:
+        log = lines[lines.index(
+            "event log (start us, duration us, kind, target, resource, energy uJ)") + 1:]
+        assert [float(line.split()[0]) for line in log] == [float(i) for i in range(n)]
+    else:
+        assert "event log" not in written
+
+
+class _CountingSink:
+    """A text stream that keeps nothing but the number of characters written."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text: str) -> int:
+        self.length += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_write_report_memory_does_not_grow_with_the_report(geometry, models, fmt):
+    # a report rendered whole would hold all of its text, and its rows too
+    trace = random_trace(random.Random(4), geometry, 2500)
+    report = build_report(run(trace, geometry, ALL_KINDS, models))
+    assert len(report.events) > 8000
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        write_report(report, sink, fmt, event_log=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length == len(emit(report, fmt, event_log=True))
+    assert peak < 0.25 * sink.length
