@@ -9,6 +9,7 @@ file:line context; the report is streamed to stdout or the --out file.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -73,6 +74,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.config}: {exc}", file=err)
         return 2
 
+    # From the trace's parse to the report's last write, memory grows with
+    # the trace and no command leaves a reference cycle, so the cyclic
+    # collector would only rescan the parsed trace again and again. It is
+    # paused for that span and turned back on, if it was on, however the
+    # span ends.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _pipeline(args, config, trace_text, err)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _pipeline(args: argparse.Namespace, config, trace_text: str, err) -> int:
+    """Parse the trace, then check it or simulate it and write the report;
+    the exit code."""
     try:
         trace = parse_trace(trace_text, config.geometry)
     except TraceParseError as exc:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flashsim
-from flashsim import engine
+from flashsim import cli, engine
 from flashsim.cli import main
 from flashsim.commands import CommandKind
 from flashsim.trace_io import TRACE_HEADER, emit_trace, parse_config
@@ -597,6 +598,118 @@ def test_output_does_not_depend_on_the_hash_seed(fixture_paths, tmp_path, flags)
     assert (out == b"") == (flags == ("--check",))
 
 
+def _argv_for(path: str, config: Path, trace: Path, tmp_path: Path) -> list[str]:
+    """The arguments that take `main` down one exit path."""
+    if path == "help":
+        return ["--help"]
+    if path == "missing_config":
+        return ["--trace", str(trace)]
+    flags = []
+    if path == "check":
+        flags = ["--check"]
+    elif path == "simulate":
+        flags = ["--events"]
+    elif path == "strict":
+        trace = tmp_path / "parity.trace"
+        trace.write_text(PARITY_TRACE)
+        flags = ["--strict"]
+    elif path == "trace_parse_error":
+        trace = tmp_path / "broken.trace"
+        trace.write_text(f"{TRACE_HEADER}\n0,read,x.y\n")
+    elif path == "model_error":
+        config = tmp_path / "divzero.ini"
+        config.write_text(
+            (DATA / "fixture.ini").read_text() + "[performance]\narray_sense = 25 / page\n"
+        )
+    elif path == "unwritable_out":
+        flags = ["--out", str(tmp_path / "no_such_dir" / "report.json")]
+    return ["--config", str(config), "--trace", str(trace), *flags]
+
+
+@pytest.fixture
+def restore_collector():
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector_on", "collector_off"])
+@pytest.mark.parametrize(
+    "path, outcome",
+    [
+        ("check", 0),
+        ("simulate", 0),
+        ("strict", 1),
+        ("trace_parse_error", 2),
+        ("model_error", 2),
+        ("unwritable_out", 2),
+        ("help", SystemExit),
+        ("missing_config", SystemExit),
+        ("unexpected_exception", RuntimeError),
+    ],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    fixture_paths, tmp_path, monkeypatch, restore_collector, path, outcome, collecting
+):
+    # main pauses the cyclic collector while it runs; every exit path must
+    # hand the caller back the setting it had
+    config, trace = fixture_paths
+    argv = _argv_for(path, config, trace, tmp_path)
+    if path == "unexpected_exception":
+        def fail(*args, **kwargs):
+            assert not gc.isenabled()  # raised inside the paused span
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "run", fail)
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(argv)
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--check"], ["--events"], ["--format", "table"]],
+    ids=["check", "events", "table"],
+)
+def test_cyclic_garbage_does_not_grow_with_the_trace(fixture_paths, tmp_path, flags):
+    # what main leaves for the cyclic collector (argparse, configparser and
+    # json internals) must not depend on the trace, so that pausing the
+    # collector for a run costs bounded memory
+    config, _ = fixture_paths
+    geometry = parse_config(config.read_text()).geometry
+    traces = {}
+    for n in (10, 2000):
+        traces[n] = tmp_path / f"{n}.trace"
+        traces[n].write_text(emit_trace(random_trace(random.Random(n), geometry, n)))
+
+    def garbage(trace: Path) -> int:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(["--config", str(config), "--trace", str(trace), *flags])
+        return gc.collect()
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        garbage(traces[10])  # fills the caches a first run fills
+        small, large = garbage(traces[10]), garbage(traces[2000])
+    finally:
+        if collecting:
+            gc.enable()
+    assert small == large
+
+
 # closed input domain: traces from a small grammar of good and bad fields
 _ARRIVALS = st.one_of(
     st.sampled_from(["0", "1.5", "-1", "nan", "1e305", ""]),
@@ -673,6 +786,7 @@ def test_any_input_exits_0_1_or_2_with_a_finite_report(records, tail, flags):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--config", str(config), "--trace", str(trace), *flags])
+            assert gc.isenabled()
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     if code == 1:

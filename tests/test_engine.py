@@ -314,6 +314,84 @@ class TestOracleEquivalence:
                     assert engine_events(result) == expected, (name, seed, policy)
 
 
+class TestMetamorphic:
+    """Relations between runs that hold whatever the scheduling discipline
+    computes for one of them, so they check the engine without sharing a
+    reading of that discipline with the brute-force oracle."""
+
+    GEOMETRY = Geometry(2, 1, 2, 2, 2, 4, 512, 16)
+    POLICY_STRATEGY = st.sampled_from(TestOracleEquivalence.POLICIES)
+    MODELS_STRATEGY = st.sampled_from(sorted(TestOracleEquivalence.MODEL_SETS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_commands=st.integers(1, 30),
+        # a spread of 0 puts every command at instant 0
+        spread_us=st.sampled_from([0, 3, 300]),
+        delta_ns=st.integers(1, 10**12),
+        models=MODELS_STRATEGY,
+        policy=POLICY_STRATEGY,
+    )
+    def test_shifting_every_arrival_shifts_every_instant(
+        self, seed, n_commands, spread_us, delta_ns, models, policy
+    ):
+        g = self.GEOMETRY
+        models = TestOracleEquivalence.MODEL_SETS[models]
+        trace = random_trace(
+            random.Random(seed), g, n_commands, max_arrival_us=spread_us
+        )
+        shifted = [c._replace(arrival_ns=c.arrival_ns + delta_ns) for c in trace]
+        base = run(trace, g, ALL_KINDS, models, policy)
+        moved = run(shifted, g, ALL_KINDS, models, policy)
+        # durations, energies and warnings ride along unchanged
+        assert moved.results == [
+            r._replace(
+                arrival_ns=r.arrival_ns + delta_ns,
+                completion_ns=r.completion_ns + delta_ns,
+            )
+            for r in base.results
+        ]
+        assert moved.schedule == [
+            e._replace(start_ns=e.start_ns + delta_ns) for e in base.schedule
+        ]
+        assert moved.first_arrival_ns == base.first_arrival_ns + delta_ns
+        assert moved.last_end_ns == base.last_end_ns + delta_ns
+        assert moved.busy_ns == base.busy_ns
+        assert moved.energy_by_kind == base.energy_by_kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_commands=st.integers(0, 20),
+        n_appended=st.integers(1, 20),
+        # a spread of 0 appends every command at the last arrival
+        spread_us=st.sampled_from([0, 3, 300]),
+        models=MODELS_STRATEGY,
+        policy=POLICY_STRATEGY,
+    )
+    def test_appending_commands_leaves_earlier_ones_unchanged(
+        self, seed, n_commands, n_appended, spread_us, models, policy
+    ):
+        g = self.GEOMETRY
+        models = TestOracleEquivalence.MODEL_SETS[models]
+        rng = random.Random(seed)
+        trace = random_trace(rng, g, n_commands)
+        last = trace[-1].arrival_ns if trace else 0
+        appended = [
+            c._replace(
+                arrival_ns=last + c.arrival_ns, sequence_id=n_commands + c.sequence_id
+            )
+            for c in random_trace(rng, g, n_appended, max_arrival_us=spread_us)
+        ]
+        before = run(trace, g, ALL_KINDS, models, policy)
+        after = run(trace + appended, g, ALL_KINDS, models, policy)
+        assert after.results[:n_commands] == before.results
+        kept = len(before.schedule)
+        assert after.schedule[:kept] == before.schedule
+        assert all(e.sequence_id >= n_commands for e in after.schedule[kept:])
+
+
 class TestPolicies:
     def test_die_serialization_serializes_planes(self, geometry):
         trace = [cmd(CommandKind.MULTI_PLANE_READ, A(plane=0), A(plane=1))]
