@@ -70,6 +70,8 @@ ALLOWED = {
     "expr._too_deep": ERROR,
     "models._out_of_range": ERROR,
     "models._overflow": ERROR,
+    "trace_io._parse_address": ERROR + "; parse_trace's writer of address diagnostics, "
+    "and its reader of a flat index, which no data trace has",
     # the pricing adapters and decomposition the tracer still hooks
     "models.EventContext.for_event": HOOKED,
     "models.ModelSet.latency_us": HOOKED,

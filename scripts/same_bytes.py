@@ -4,13 +4,22 @@
     python3 scripts/same_bytes.py REV [--seeds 1 2 3]
 
 Run from anywhere inside the repository. REV's ``src/`` is extracted with
-``git archive`` into a temporary directory. The inputs are the benchmark
-workloads' config and trace for each seed, generated by
-``perfbench/workloads.py`` (imported, never written to). Each input runs
-through ``python -m flashsim`` from both trees with no flag, ``--events``,
-``--format table``, ``--format table --events``, ``--check`` and
-``--check --strict``, and the exit code, stdout and stderr of the two runs
-are compared.
+``git archive`` into a temporary directory. The inputs are:
+
+- the benchmark workloads' config and trace for each seed, generated by
+  ``perfbench/workloads.py`` (imported, never written to);
+- each trace of ``tests/data`` and ``sample/`` under each config of those
+  two directories;
+- for each seed, two traces on ``sample/ssd.ini`` whose indices are spelled
+  in many ways a trace may spell them (leading zeros, signs, underscores,
+  non-ASCII digits, whitespace around them) and repeated, so that parsing reads each
+  text more than once: one with only addresses in range, and one with bad
+  and out-of-range addresses added.
+
+Each input runs through ``python -m flashsim`` from both trees with no flag,
+``--events``, ``--format table``, ``--format table --events``, ``--check``
+and ``--check --strict``, and the exit code, stdout and stderr of the two
+runs are compared.
 
 Prints one line per case. For a case that differs it prints each side's
 exit code and stdout and stderr sha256, and the script exits 1. Exits 0
@@ -20,9 +29,11 @@ when every case matches. Stdlib only; the cases run one after another.
 from __future__ import annotations
 
 import argparse
+import configparser
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -39,6 +50,18 @@ FLAG_SETS = (
     ("--check", "--strict"),
 )
 CASE_TIMEOUT_S = 300
+DATA_FOLDERS = (ROOT / "tests" / "data", ROOT / "sample")
+SPELLING_CONFIG = ROOT / "sample" / "ssd.ini"
+# digit sets `int` reads: ASCII, Arabic-Indic and fullwidth
+DIGITS = (
+    "0123456789",
+    "".join(map(chr, range(0x660, 0x66A))),
+    "".join(map(chr, range(0xFF10, 0xFF1A))),
+)
+# whitespace that ends no line; `int` does not strip \x1c-\x1f itself
+SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000")
+# pieces that spell no index
+BAD_PIECES = ("", "x", "1__0", "_1", "1_", "+-1", "\u00b2", "0x1", "1 0")
 
 
 def load_workloads() -> dict:
@@ -81,38 +104,111 @@ def digest(outcome: tuple[int, bytes, bytes]) -> str:
     )
 
 
+def spelled(rng: random.Random, value: int) -> str:
+    """`value` as one index piece, spelled one of the ways a trace index
+    may be."""
+    digits = "".join(rng.choice(DIGITS)[int(d)] for d in "0" * rng.randrange(3) + str(value))
+    if len(digits) > 1 and rng.random() < 0.3:
+        cut = rng.randrange(1, len(digits))
+        digits = digits[:cut] + "_" + digits[cut:]
+    sign = rng.choice(("", "", "+", "-" if value == 0 else ""))
+    before = rng.choice(("", "", rng.choice(SPACES)))
+    after = rng.choice(("", "", rng.choice(SPACES)))
+    return before + sign + digits + after
+
+
+def spelling_trace(counts: list[int], seed: int, bad: bool) -> str:
+    """A trace of reads, writes, erases and multi-plane reads whose indices
+    are spelled in many ways and repeat; with `bad`, every tenth line is
+    instead an address that does not parse or is out of range."""
+    rng = random.Random(seed)
+    lines = ["flashsim-trace v1"]
+    for arrival in range(200):
+        indices = [rng.randrange(count) for count in counts]
+        if bad and arrival % 10 == 9:
+            broken = [spelled(rng, i) for i in indices]
+            level = rng.randrange(6)
+            broken[level] = rng.choice(
+                (rng.choice(BAD_PIECES), spelled(rng, counts[level]), f"-{rng.randrange(1, 3)}")
+            )
+            address = rng.choice(
+                (".".join(broken), ".".join(broken[:5]), str(rng.randrange(10**6)), "zz")
+            )
+            lines.append(f"{arrival},{rng.choice(('read', 'write'))},{address}")
+            continue
+        kind = rng.choice(("read", "write", "erase", "multi_plane_read"))
+        if kind == "multi_plane_read":
+            planes = rng.sample(range(counts[3]), rng.randint(1, counts[3]))
+            separator = rng.choice((";", " ; ", ";;", "\x1c;"))
+            address = separator.join(
+                ".".join(spelled(rng, i) for i in indices[:3] + [p] + indices[4:])
+                for p in sorted(planes)
+            )
+        else:
+            address = ".".join(spelled(rng, i) for i in indices)
+        lines.append(f"{arrival},{kind},{address}")
+    return "\n".join(lines) + "\n"
+
+
+def input_sets(work: Path, seeds: list[int]) -> list[tuple[str, Path, Path]]:
+    """(label, config, trace) for every input; writes the generated ones
+    under `work`."""
+    out = []
+    for name, workload in load_workloads().items():
+        for seed in seeds:
+            inputs = work / f"{name}-{seed}"
+            inputs.mkdir()
+            config, trace = inputs / "config.ini", inputs / "workload.trace"
+            config.write_text(workload.config)
+            trace.write_text(workload.make_trace(seed, workload.commands))
+            out.append((f"{name} seed {seed}", config, trace))
+    configs = [path for folder in DATA_FOLDERS for path in sorted(folder.glob("*.ini"))]
+    traces = [path for folder in DATA_FOLDERS for path in sorted(folder.glob("*.trace"))]
+    for config in configs:
+        for trace in traces:
+            out.append((f"{config.name} {trace.name}", config, trace))
+    geometry = configparser.ConfigParser(interpolation=None)
+    geometry.read(SPELLING_CONFIG, encoding="utf-8")
+    counts = [
+        int(geometry["geometry"][key])
+        for key in (
+            "channels", "chips_per_channel", "dies_per_chip",
+            "planes_per_die", "blocks_per_plane", "pages_per_block",
+        )
+    ]
+    for seed in seeds:
+        for bad in (False, True):
+            trace = work / f"spellings-{'bad' if bad else 'good'}-{seed}.trace"
+            trace.write_text(spelling_trace(counts, seed, bad), encoding="utf-8")
+            out.append((f"{SPELLING_CONFIG.name} {trace.name}", SPELLING_CONFIG, trace))
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare this checkout against")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args()
-    workloads = load_workloads()
 
-    differing = 0
+    differing = total = 0
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         work = Path(tmp)
         theirs = extract_src(args.rev, work / "rev")
         ours = ROOT / "src"
-        for name, workload in workloads.items():
-            for seed in args.seeds:
-                inputs = work / f"{name}-{seed}"
-                inputs.mkdir()
-                config, trace = inputs / "config.ini", inputs / "workload.trace"
-                config.write_text(workload.config)
-                trace.write_text(workload.make_trace(seed, workload.commands))
-                for flags in FLAG_SETS:
-                    argv = ["--config", str(config), "--trace", str(trace), *flags]
-                    label = f"{name} seed {seed} {' '.join(flags) or '(no flag)'}"
-                    before = simulate(theirs, argv, inputs)
-                    after = simulate(ours, argv, inputs)
-                    if before == after:
-                        print(f"same     {label}: {digest(after)}")
-                        continue
-                    differing += 1
-                    print(f"DIFFERS  {label}")
-                    print(f"  {args.rev}: {digest(before)}")
-                    print(f"  checkout: {digest(after)}")
-    total = len(workloads) * len(args.seeds) * len(FLAG_SETS)
+        for name, config, trace in input_sets(work, args.seeds):
+            for flags in FLAG_SETS:
+                argv = ["--config", str(config), "--trace", str(trace), *flags]
+                label = f"{name} {' '.join(flags) or '(no flag)'}"
+                before = simulate(theirs, argv, work)
+                after = simulate(ours, argv, work)
+                total += 1
+                if before == after:
+                    print(f"same     {label}: {digest(after)}")
+                    continue
+                differing += 1
+                print(f"DIFFERS  {label}")
+                print(f"  {args.rev}: {digest(before)}")
+                print(f"  checkout: {digest(after)}")
     print(f"{differing} of {total} cases differ")
     return 1 if differing else 0
 

@@ -8,12 +8,18 @@ An address is range-checked in three places, each for its own caller:
 `trace_io.parse_trace`, so that a bad trace address gets a diagnostic
 located at its line; `commands.validate`, for commands built by hand rather
 than parsed; and `SubsystemState`, for code that drives the device state
-directly. Each writes its six comparisons inline, because a shared helper
-would cost a Python call per address. The three must accept and reject the
-same addresses with the same message text (an erase and an erase count name
-a block, so `SubsystemState` reads no page index for them), and the
-boundary table in `tests/test_topology.py` checks that they do at every
-index's edges.
+directly. `validate` and `SubsystemState` write their six comparisons
+inline, because a shared helper would cost a Python call per address.
+`parse_trace` checks an index once per distinct text and level: it keeps,
+per level, the texts whose index is in range, so finding a text there
+stands for the conversion and the range check both, and a text not yet seen
+runs them. An address that fails is read again by `trace_io._parse_address`,
+which runs the same checks with inline comparisons and writes the
+diagnostic. The three must accept and reject the same addresses with the
+same message text (an erase and an erase count name a block, so
+`SubsystemState` reads no page index for them), and the boundary table in
+`tests/test_topology.py` checks that they do at every index's edges, at an
+address's first and later readings.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import configparser
 import io
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .commands import (
     DIE_LIST,
@@ -93,6 +93,7 @@ def parse_trace(text: str, geometry: Geometry) -> list[Command]:
     problems: list[Diagnostic] = []
     records: list[tuple[int, int, CommandKind, tuple[FlashAddress, ...], int]] = []
     header_seen = False
+    address = _address_reader(geometry)
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -129,7 +130,7 @@ def parse_trace(text: str, geometry: Geometry) -> list[Command]:
             continue
         kind, parse_operands = entry
         try:
-            operands, page_count = parse_operands(kind, fields[2:], geometry)
+            operands, page_count = parse_operands(kind, fields[2:], address)
         except _LineError as exc:
             problems.append(Diagnostic(lineno, str(exc)))
             continue
@@ -159,26 +160,27 @@ class _LineError(FlashSimError):
     pass
 
 
-# The operand parsers, one per operand layout. Each takes the kind and the
-# comma fields after arrival and kind, and returns (operands, page count).
+# The operand parsers, one per operand layout. Each takes the kind, the
+# comma fields after arrival and kind, and the call's address reader, and
+# returns (operands, page count).
 
 
 def _one_address(
-    kind: CommandKind, fields: list[str], geometry: Geometry
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 1:
         raise _LineError(f"{kind.value} takes one address, got {len(fields)} fields")
-    return (_parse_address(fields[0], geometry),), 1
+    return (address(fields[0]),), 1
 
 
 def _extent(
-    kind: CommandKind, fields: list[str], geometry: Geometry
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 2:
         raise _LineError(
             f"{kind.value} takes an address and a page count, got {len(fields)} fields"
         )
-    addr = _parse_address(fields[0], geometry)
+    addr = address(fields[0])
     try:
         count = int(fields[1])
     except ValueError:
@@ -189,28 +191,25 @@ def _extent(
 
 
 def _pair(
-    kind: CommandKind, fields: list[str], geometry: Geometry
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 2:
         raise _LineError(
             f"copy_back takes source and destination, got {len(fields)} fields"
         )
-    return (
-        _parse_address(fields[0], geometry),
-        _parse_address(fields[1], geometry),
-    ), 1
+    return (address(fields[0]), address(fields[1])), 1
 
 
 def _pairs(
-    kind: CommandKind, fields: list[str], geometry: Geometry
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 2:
         raise _LineError(
             "multi_plane_copy_back takes a source list and a destination list, "
             f"got {len(fields)} fields"
         )
-    sources = _parse_address_list(fields[0], geometry)
-    dests = _parse_address_list(fields[1], geometry)
+    sources = _parse_address_list(fields[0], address)
+    dests = _parse_address_list(fields[1], address)
     if len(sources) != len(dests):
         raise _LineError(f"{len(sources)} sources but {len(dests)} destinations")
     operands = []
@@ -220,13 +219,13 @@ def _pairs(
 
 
 def _address_list(
-    kind: CommandKind, fields: list[str], geometry: Geometry
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 1:
         raise _LineError(
             f"{kind.value} takes one ';'-separated address list, got {len(fields)} fields"
         )
-    return _parse_address_list(fields[0], geometry), 1
+    return _parse_address_list(fields[0], address), 1
 
 
 _OPERAND_PARSERS = {
@@ -243,11 +242,87 @@ _KIND_PARSERS = {
 }
 
 
-def _parse_address_list(text: str, geometry: Geometry) -> tuple[FlashAddress, ...]:
-    parts = [p for p in map(str.strip, text.split(";")) if p]
-    if not parts:
-        raise _LineError("empty address list")
-    return tuple([_parse_address(part, geometry) for part in parts])
+def _parse_address_list(
+    text: str, address: Callable[[str], FlashAddress]
+) -> tuple[FlashAddress, ...]:
+    parts = text.split(";")
+    # as for a line's fields in `parse_trace`: a list with no space and no
+    # unprintable character has no part to strip
+    if " " in text or not text.isprintable():
+        parts = [p.strip() for p in parts]
+    if "" in parts:
+        parts = [p for p in parts if p]
+        if not parts:
+            raise _LineError("empty address list")
+    return tuple([address(part) for part in parts])
+
+
+def _index(text: str) -> int:
+    r"""The index one dot-separated piece of an address spells; raises
+    ValueError when it spells none.
+
+    `int` strips most of what `str.strip` removes around a field, but not
+    \x1c-\x1f; an index accepts exactly what a field does.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        return int(text.strip())
+
+
+class _LevelIndices(dict):
+    """One address level's index texts, each mapped to the index it spells.
+
+    It holds only texts whose index is in range for the level, so a hit
+    stands for both the conversion and the range check. A miss runs both,
+    stores the text when they pass and raises ValueError when they fail.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self, count: int):
+        self.count = count
+
+    def __missing__(self, text: str) -> int:
+        index = _index(text)
+        if not 0 <= index < self.count:
+            raise ValueError(text)
+        self[text] = index
+        return index
+
+
+def _address_reader(geometry: Geometry) -> Callable[[str], FlashAddress]:
+    """The address parser of one `parse_trace` call.
+
+    A six-piece address whose pieces all pass their level's lookup is built
+    at once; every other address, and every failure, goes to
+    `_parse_address`, the one writer of address diagnostics. The lookups
+    live as long as the reader, so their memory follows the trace's distinct
+    index texts, not the geometry.
+    """
+    levels = map(_LevelIndices, geometry.counts())
+    channels, chips, dies, planes, blocks, pages = levels
+
+    def address(text: str) -> FlashAddress:
+        pieces = text.split(".")
+        if len(pieces) == 6:
+            channel, chip, die, plane, block, page = pieces
+            try:
+                return new_address(
+                    (
+                        channels[channel],
+                        chips[chip],
+                        dies[die],
+                        planes[plane],
+                        blocks[block],
+                        pages[page],
+                    )
+                )
+            except ValueError:
+                pass
+        return _parse_address(text, geometry)
+
+    return address
 
 
 def _parse_address(text: str, geometry: Geometry) -> FlashAddress:
@@ -255,14 +330,9 @@ def _parse_address(text: str, geometry: Geometry) -> FlashAddress:
     pieces = text.split(".")
     if len(pieces) == 6:
         try:
-            channel, chip, die, plane, block, page = map(int, pieces)
+            channel, chip, die, plane, block, page = map(_index, pieces)
         except ValueError:
-            # `int` strips most of what `str.strip` removes around a field,
-            # but not \x1c-\x1f; an index accepts exactly what a field does
-            try:
-                channel, chip, die, plane, block, page = map(int, map(str.strip, pieces))
-            except ValueError:
-                raise _LineError(f"bad address index in '{text}'")
+            raise _LineError(f"bad address index in '{text}'")
         # the six range comparisons, inlined
         channels, chips, dies, planes, blocks, pages, _, _ = geometry
         addr = new_address((channel, chip, die, plane, block, page))

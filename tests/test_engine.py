@@ -391,6 +391,42 @@ class TestMetamorphic:
         assert after.schedule[:kept] == before.schedule
         assert all(e.sequence_id >= n_commands for e in after.schedule[kept:])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_commands=st.integers(1, 30),
+        spread_us=st.sampled_from([0, 3, 300]),
+        models=MODELS_STRATEGY,
+        cmd_overhead_on_bus=st.booleans(),
+    )
+    def test_die_serialization_makes_no_command_complete_earlier(
+        self, seed, n_commands, spread_us, models, cmd_overhead_on_bus
+    ):
+        # A die's busy horizon is at least that of each of its planes, and
+        # every event placed before it ends no earlier, so by induction over
+        # the FIFO placement order no event starts or ends earlier.
+        g = self.GEOMETRY
+        models = TestOracleEquivalence.MODEL_SETS[models]
+        trace = random_trace(
+            random.Random(seed), g, n_commands, max_arrival_us=spread_us
+        )
+        apart, serialized = (
+            run(
+                trace,
+                g,
+                ALL_KINDS,
+                models,
+                Policy(die_serialization=dies, cmd_overhead_on_bus=cmd_overhead_on_bus),
+            )
+            for dies in (False, True)
+        )
+        assert [r.sequence_id for r in serialized.results] == [
+            r.sequence_id for r in apart.results
+        ]
+        for before, after in zip(apart.results, serialized.results):
+            assert after.completion_ns >= before.completion_ns
+        assert serialized.last_end_ns >= apart.last_end_ns
+
 
 class TestPolicies:
     def test_die_serialization_serializes_planes(self, geometry):

@@ -131,8 +131,11 @@ def test_codec_out_of_range(geometry):
 
 
 # The boundary table. Parse, `validate` and `SubsystemState` each range-check
-# an address with their own inlined comparisons (see the `topology` module
-# docstring), and `encode` checks it too; they must agree.
+# an address (see the `topology` module docstring), and `encode` checks it
+# too; they must agree. `parse_trace` checks an index the first time its text
+# appears at a level and afterwards looks the text up, so each address is
+# parsed twice in one trace: its first line runs the checks, and its second
+# finds whatever the first line stored.
 # Every index position is tried at -1, 0, count - 1 and count, with the other
 # five at 0, on a geometry whose six counts all differ, so a comparison that
 # reads the wrong index or the wrong count flips at least one case.
@@ -146,13 +149,14 @@ def _range_outcomes(text: str, addr: FlashAddress) -> dict[str, str | None]:
     g = BOUNDARY_GEOMETRY
     out: dict[str, str | None] = {}
     try:
-        (cmd,) = parse_trace(f"{TRACE_HEADER}\n0,write,{text}\n", g)
+        commands = parse_trace(f"{TRACE_HEADER}\n0,write,{text}\n1,write,{text}\n", g)
     except TraceParseError as exc:
-        (diag,) = exc.diagnostics
-        assert diag.line == 2
-        out["parse_trace"] = diag.message
+        first, again = exc.diagnostics
+        assert (first.line, again.line) == (2, 3)
+        assert again.message == first.message
+        out["parse_trace"] = first.message
     else:
-        assert cmd.operands == (addr,)
+        assert [cmd.operands for cmd in commands] == [(addr,), (addr,)]
         out["parse_trace"] = None
     found = validate(Command(0, CommandKind.WRITE, (addr,)), g, frozenset(CommandKind))
     if found:
@@ -228,6 +232,39 @@ def test_range_checks_agree_at_the_flat_index_boundaries(index):
     with pytest.raises(TraceParseError) as excinfo:
         parse_trace(f"{TRACE_HEADER}\n0,write,{index}\n", g)
     assert [tuple(d) for d in excinfo.value.diagnostics] == [(2, message)]
+
+
+@pytest.mark.parametrize(
+    ("stored", "checked"),
+    [
+        pytest.param(stored, checked, id=f"{_LEVELS[stored]}-then-{_LEVELS[checked]}")
+        for checked in range(6)
+        for stored in range(checked + 1, 6)
+    ],
+)
+def test_an_index_text_accepted_at_one_level_is_checked_again_at_another(
+    stored, checked
+):
+    # the counts rise from channel to page, so the count of the `checked`
+    # level is in range at the deeper `stored` level and out of range at its
+    # own; 0.0.0.0.4.0, then 0.0.4.0.0.0, is one of the cases
+    g = BOUNDARY_GEOMETRY
+    value = g.counts()[checked]
+    accepted, rejected = [0] * 6, [0] * 6
+    accepted[stored] = rejected[checked] = value
+    accepted_text = ".".join(map(str, accepted))
+    rejected_text = ".".join(map(str, rejected))
+    trace = (
+        f"{TRACE_HEADER}\n0,write,{accepted_text}\n1,write,{rejected_text}\n"
+        f"2,write,{accepted_text}\n"
+    )
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(trace, g)
+    assert [tuple(d) for d in excinfo.value.diagnostics] == [
+        (3, f"address {rejected_text} out of range for geometry (2, 3, 4, 5, 6, 7)")
+    ]
+    (good,) = parse_trace(f"{TRACE_HEADER}\n0,write,{accepted_text}\n", g)
+    assert good.operands == (FlashAddress(*accepted),)
 
 
 small_geometries = st.builds(

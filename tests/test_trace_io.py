@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from flashsim.commands import Command, CommandKind
 from flashsim.engine import Policy
 from flashsim.errors import ConfigError, TraceParseError
 from flashsim.models import EventContext, EventKind
-from flashsim.topology import Geometry, decode
+from flashsim.topology import FlashAddress, Geometry, decode
 from flashsim.trace_io import (
     TRACE_HEADER,
     emit_trace,
@@ -45,6 +46,84 @@ SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u202
 
 def trace_text(*lines: str) -> str:
     return "\n".join([TRACE_HEADER, *lines]) + "\n"
+
+
+# Index spellings: whitespace of each class that ends no line (\x1c-\x1f are
+# the ones `int` does not strip), decimal digits of three scripts, signs,
+# underscores, and a superscript two, which is a digit but not a decimal one.
+SPELLING_SPACES = [
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\xa0", "\u2000", "\u2028", "\u3000",
+]
+SPELLING_DIGITS = [
+    "0123456789",
+    "".join(map(chr, range(0x660, 0x66A))),  # Arabic-Indic
+    "".join(map(chr, range(0xFF10, 0xFF1A))),  # fullwidth
+]
+SPELLING_ALPHABET = [*SPELLING_SPACES, *"".join(SPELLING_DIGITS), "+", "-", "_", "\u00b2"]
+
+
+@st.composite
+def index_spellings(draw, below: int = 13, in_range: bool = False) -> str:
+    """One dot-separated piece of an address: a number in [0, below),
+    perhaps negated, spelled one of the ways `int` reads, or, one time in
+    four, any short text over the alphabet, the empty string included. With
+    `in_range`, always a spelling of a number in [0, below)."""
+    if not in_range and draw(st.integers(0, 3)) == 0:
+        return draw(st.text(st.sampled_from(SPELLING_ALPHABET), max_size=4))
+    spaces = st.text(st.sampled_from(SPELLING_SPACES), max_size=2)
+    value = draw(st.integers(0, below - 1))
+    digits = "0" * draw(st.integers(0, 2)) + str(value)
+    spelled = "".join(draw(st.sampled_from(SPELLING_DIGITS))[int(d)] for d in digits)
+    if len(spelled) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(spelled) - 1))
+        spelled = spelled[:cut] + "_" + spelled[cut:]
+    signs = ["", "+"] if in_range and value else ["", "+", "-"]
+    return draw(spaces) + draw(st.sampled_from(signs)) + spelled + draw(spaces)
+
+
+@st.composite
+def address_spellings(draw, counts: tuple[int, ...]) -> list[str]:
+    """Six pieces. Half the time each piece is in range both at its own
+    level and at the level before it (where a rotation by one puts it), so
+    that whole lines are accepted too."""
+    if draw(st.booleans()):
+        return [
+            draw(index_spellings(min(counts[i], counts[i - 1]), in_range=True))
+            for i in range(6)
+        ]
+    return draw(st.lists(index_spellings(), min_size=6, max_size=6))
+
+
+def reference_index(piece: str) -> int | None:
+    """The index a piece spells under the trace rules, or None: any
+    whitespace `str.strip` removes around it, an optional sign, then decimal
+    digits of any script, with single underscores between digits."""
+    body = piece.strip()
+    sign = -1 if body[:1] == "-" else 1
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    if not body or "" in body.split("_"):
+        return None
+    value = 0
+    for char in body.replace("_", ""):
+        digit = unicodedata.decimal(char, None)
+        if digit is None:
+            return None
+        value = value * 10 + digit
+    return sign * value
+
+
+def reference_address(text: str, counts: tuple[int, ...]) -> FlashAddress | str:
+    """A six-piece address field read by the same rules: the address, or
+    the diagnostic `parse_trace` gives for it."""
+    text = text.strip()
+    indices = [reference_index(piece) for piece in text.split(".")]
+    if None in indices:
+        return f"bad address index in '{text}'"
+    if all(0 <= index < count for index, count in zip(indices, counts)):
+        return FlashAddress(*indices)
+    return f"address {'.'.join(map(str, indices))} out of range for geometry {counts}"
 
 
 class TestParseTrace:
@@ -115,6 +194,53 @@ class TestParseTrace:
             geometry,
         )
         assert padded == plain
+
+    SPELLING_GEOMETRY = Geometry(2, 3, 4, 5, 6, 7, 512, 16)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(address_spellings(SPELLING_GEOMETRY.counts()), min_size=1, max_size=4),
+        st.sampled_from([";", " ; ", ";;", "\x1c;", "; ;"]),
+    )
+    def test_index_spellings_read_as_the_reference_reads_them(self, addresses, separator):
+        # Each address is read on its own, then rotated by one level, then
+        # both in one list; and the whole block twice, so that every text is
+        # read at two levels, and again after its first reading was stored.
+        g = self.SPELLING_GEOMETRY
+        block = []
+        for pieces in addresses:
+            text = ".".join(pieces)
+            rotated = ".".join(pieces[1:] + pieces[:1])
+            block += [
+                (CommandKind.READ, text),
+                (CommandKind.WRITE, rotated),
+                (CommandKind.INTERLEAVED_READ, f"{text}{separator}{rotated}"),
+            ]
+        lines = block + block
+
+        def verdict(field: str) -> tuple[FlashAddress, ...] | str:
+            """The line's operands, or the diagnostic of its first bad address."""
+            read = [reference_address(p, g.counts()) for p in field.split(";") if p.strip()]
+            return next((r for r in read if isinstance(r, str)), tuple(read))
+
+        verdicts = [verdict(field) for _, field in lines]
+        problems = [
+            (lineno, v) for lineno, v in enumerate(verdicts, start=2) if isinstance(v, str)
+        ]
+        if problems:
+            with pytest.raises(TraceParseError) as excinfo:
+                parse_trace(trace_text(*(f"0,{k.value},{f}" for k, f in lines)), g)
+            assert [tuple(d) for d in excinfo.value.diagnostics] == problems
+        # the lines the reference accepts, as a trace of their own
+        accepted = [
+            (kind, field, v)
+            for (kind, field), v in zip(lines, verdicts)
+            if not isinstance(v, str)
+        ]
+        commands = parse_trace(trace_text(*(f"0,{k.value},{f}" for k, f, _ in accepted)), g)
+        assert [(c.kind, c.operands) for c in commands] == [
+            (kind, operands) for kind, _, operands in accepted
+        ]
 
     def test_a_form_feed_in_a_line_shifts_no_later_line_number(self, geometry):
         text = trace_text("0,read,0.0.0.0.0.0\f", "5,read,9.0.0.0.0.0")
