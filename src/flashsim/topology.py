@@ -13,9 +13,8 @@ inline, because a shared helper would cost a Python call per address.
 `parse_trace` checks an index once per distinct text and level: it keeps,
 per level, the texts whose index is in range, so finding a text there
 stands for the conversion and the range check both, and a text not yet seen
-runs them. An address that fails is read again by `trace_io._parse_address`,
-which runs the same checks with inline comparisons and writes the
-diagnostic. The three must accept and reject the same addresses with the
+runs them. An address that fails is read again by `trace_io._parse_address`
+only to write its diagnostic. The three must accept and reject the same addresses with the
 same message text (an erase and an erase count name a block, so
 `SubsystemState` reads no page index for them), and the boundary table in
 `tests/test_topology.py` checks that they do at every index's edges, at an

@@ -326,26 +326,21 @@ def _address_reader(geometry: Geometry) -> Callable[[str], FlashAddress]:
 
 
 def _parse_address(text: str, geometry: Geometry) -> FlashAddress:
-    """Either six dot-separated indices or one flat page index."""
+    """Read one flat page index, or raise the diagnostic of an address the
+    reader's lookups turned down.
+
+    A six-piece address reaches here only when some piece spells no index or
+    an index out of its level's range; the lookups have made the range check.
+    """
     pieces = text.split(".")
     if len(pieces) == 6:
         try:
-            channel, chip, die, plane, block, page = map(_index, pieces)
+            indices = tuple(map(_index, pieces))
         except ValueError:
             raise _LineError(f"bad address index in '{text}'")
-        # the six range comparisons, inlined
-        channels, chips, dies, planes, blocks, pages, _, _ = geometry
-        addr = new_address((channel, chip, die, plane, block, page))
-        if (
-            0 <= channel < channels
-            and 0 <= chip < chips
-            and 0 <= die < dies
-            and 0 <= plane < planes
-            and 0 <= block < blocks
-            and 0 <= page < pages
-        ):
-            return addr
-        raise _LineError(f"address {addr} out of range for geometry {geometry.counts()}")
+        raise _LineError(
+            f"address {new_address(indices)} out of range for geometry {geometry.counts()}"
+        )
     if len(pieces) > 1:
         raise _LineError(
             f"address '{text}' needs 6 dot-separated indices, got {len(pieces)}"
