@@ -14,7 +14,12 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
   in many ways a trace may spell them (leading zeros, signs, underscores,
   non-ASCII digits, whitespace around them) and repeated, so that parsing reads each
   text more than once: one with only addresses in range, and one with bad
-  and out-of-range addresses added.
+  and out-of-range addresses added;
+- ``sample/mixed.trace`` under edited copies of ``sample/ssd.ini``: die
+  serialization with idle power (no benchmark workload has both), policy
+  flags spelled ``yes``, ``on`` and ``1``, and configs that each fail with
+  one of the config diagnostics ``tests/test_trace_io.py`` pins, so that
+  their stderr is compared.
 
 Each input runs through ``python -m flashsim`` from both trees with no flag,
 ``--events``, ``--format table``, ``--format table --events``, ``--check``
@@ -52,6 +57,54 @@ FLAG_SETS = (
 CASE_TIMEOUT_S = 300
 DATA_FOLDERS = (ROOT / "tests" / "data", ROOT / "sample")
 SPELLING_CONFIG = ROOT / "sample" / "ssd.ini"
+EDITED_TRACE = ROOT / "sample" / "mixed.trace"
+# (name, the (old, new) texts replaced in sample/ssd.ini)
+CONFIG_EDITS = (
+    (
+        "dies-idle",
+        (
+            ("die_serialization = false", "die_serialization = true"),
+            ("p_idle_plane = 0", "p_idle_plane = 1.5"),
+            ("p_idle_bus = 0", "p_idle_bus = 0.5"),
+        ),
+    ),
+    (
+        "flags-spelled",
+        (
+            ("die_serialization = false", "die_serialization = yes"),
+            ("cmd_overhead_on_bus = false", "cmd_overhead_on_bus = on"),
+            ("initially_written = false", "initially_written = 1"),
+            ("multi_plane_same_offsets = true", "multi_plane_same_offsets = YES"),
+        ),
+    ),
+    ("unknown-geometry-key", (("oob_size = 128", "oob_bytes = 128"),)),
+    ("unknown-policy-key", (("violation_severity", "loud = yes\nviolation_severity"),)),
+    ("missing-geometry-key", (("pages_per_block = 8\n", ""),)),
+    (
+        "unknown-key-before-missing-key",
+        (("pages_per_block = 8\n", ""), ("oob_size", "oob_bytes")),
+    ),
+    ("bad-int", (("channels = 2", "channels = two"),)),
+    ("bad-float", (("p_sense = 30", "p_sense = fast"),)),
+    ("bad-bool", (("die_serialization = false", "die_serialization = maybe"),)),
+    ("bad-severity", (("violation_severity = warn", "violation_severity = LOUD"),)),
+    ("negative-endurance-limit", (("endurance_limit = none", "endurance_limit = -1"),)),
+    ("nan-timing", (("t_sense = 25", "t_sense = nan"),)),
+    ("negative-timing", (("t_sense = 25", "t_sense = -4"),)),
+    (
+        "power-key-before-timing-range",
+        (("t_sense = 25", "t_sense = -4"), ("p_buf = 0", "p_warp = 0")),
+    ),
+    (
+        "performance-expression",
+        (("#array_sense = 25 + 0.001 * block", "array_sense = 25 +"),),
+    ),
+    (
+        "power-expression",
+        (("#array_sense = 0.030 * duration", "array_sense = nonsense_var"),),
+    ),
+    ("default-key", (("[geometry]", "[DEFAULT]\nt_sense = 30\n[geometry]"),)),
+)
 # digit sets `int` reads: ASCII, Arabic-Indic and fullwidth
 DIGITS = (
     "0123456789",
@@ -181,6 +234,15 @@ def input_sets(work: Path, seeds: list[int]) -> list[tuple[str, Path, Path]]:
             trace = work / f"spellings-{'bad' if bad else 'good'}-{seed}.trace"
             trace.write_text(spelling_trace(counts, seed, bad), encoding="utf-8")
             out.append((f"{SPELLING_CONFIG.name} {trace.name}", SPELLING_CONFIG, trace))
+    for name, edits in CONFIG_EDITS:
+        text = SPELLING_CONFIG.read_text(encoding="utf-8")
+        for old, new in edits:
+            if text.count(old) != 1:
+                raise SystemExit(f"{SPELLING_CONFIG}: no single '{old}' for {name}")
+            text = text.replace(old, new)
+        config = work / f"ssd-{name}.ini"
+        config.write_text(text, encoding="utf-8")
+        out.append((f"{config.name} {EDITED_TRACE.name}", config, EDITED_TRACE))
     return out
 
 

@@ -113,7 +113,7 @@ def _pipeline(args: argparse.Namespace, config, trace_text: str, err) -> int:
             event_log=args.events,
         )
         _print_violations(result.warnings, args.trace, err)
-        idle = idle_accounting(result, config.geometry, config.models, policy)
+        idle = idle_accounting(result, config.geometry, config.models)
         report = build_report(result, idle)
     except ValidationFatal as exc:
         _print_violations(exc.violations, args.trace, err)
@@ -131,13 +131,13 @@ def _pipeline(args: argparse.Namespace, config, trace_text: str, err) -> int:
     if args.out:
         try:
             with open(args.out, "w") as out:
-                write_report(report, out, args.format, args.events)
+                write_report(report, out, args.format)
         except OSError as exc:
             print(f"{args.out}: cannot write report: {exc.strerror}", file=err)
             return 2
     else:
         try:
-            write_report(report, sys.stdout, args.format, args.events)
+            write_report(report, sys.stdout, args.format)
             sys.stdout.flush()
         except OSError as exc:
             print(f"<stdout>: cannot write report: {exc.strerror}", file=err)

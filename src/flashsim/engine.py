@@ -12,6 +12,11 @@ on identical inputs byte-identical.
 Time is integer nanoseconds internally (trace microseconds scaled by 1000)
 so schedules never diverge through float accumulation; energy is carried
 as double-precision microjoules.
+
+A run's `RunResult` records the choices the later layers follow: whether it
+kept an event log (`event_log`) and whether its plane events occupied whole
+dies (`die_serialization`). `idle_accounting` and the report read them
+there and take neither again.
 """
 
 from __future__ import annotations
@@ -103,6 +108,8 @@ class RunResult:
     (`event_log` false) has an empty one. `energy_by_kind` holds each event
     kind that some event of the run had, in `EventKind` declaration order,
     with its total `0.0 + e1 + e2 + ...` summed in schedule order.
+    `die_serialization` is the policy the run scheduled under: true when
+    its plane events occupied whole dies.
     """
 
     def __init__(
@@ -114,6 +121,7 @@ class RunResult:
         last_end_ns: int,
         energy_by_kind: tuple[tuple[EventKind, float], ...],
         event_log: bool,
+        die_serialization: bool,
     ):
         self.results = results
         self.schedule = schedule
@@ -122,6 +130,7 @@ class RunResult:
         self.last_end_ns = last_end_ns
         self.energy_by_kind = energy_by_kind
         self.event_log = event_log
+        self.die_serialization = die_serialization
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunResult):
@@ -337,6 +346,7 @@ def run(
         last_end,
         energy_by_kind,
         event_log,
+        serialize_dies,
     )
 
 
@@ -350,13 +360,14 @@ def _resource(role: int, target: FlashAddress, serialize_dies: bool) -> Resource
     return plane_resource(target)
 
 
-def all_resources(geometry: Geometry, policy: Policy = Policy()) -> list[Resource]:
-    """Every scheduling resource the geometry defines, in sorted order."""
+def all_resources(geometry: Geometry, die_serialization: bool = False) -> list[Resource]:
+    """Every scheduling resource the geometry defines, in sorted order: its
+    buses and planes, or its buses and dies under die serialization."""
     out = [Resource("bus", (ch,)) for ch in range(geometry.channels)]
     for ch in range(geometry.channels):
         for chip in range(geometry.chips_per_channel):
             for die in range(geometry.dies_per_chip):
-                if policy.die_serialization:
+                if die_serialization:
                     out.append(Resource("die", (ch, chip, die)))
                 else:
                     out.extend(
@@ -367,20 +378,18 @@ def all_resources(geometry: Geometry, policy: Policy = Policy()) -> list[Resourc
 
 
 def idle_accounting(
-    run_result: RunResult,
-    geometry: Geometry,
-    models: ModelSet,
-    policy: Policy = Policy(),
+    run_result: RunResult, geometry: Geometry, models: ModelSet
 ) -> dict[Resource, float]:
     """Idle energy per resource: idle power x (makespan - busy time), uJ.
 
-    Covers every resource the geometry defines, including ones the trace
-    never touched; all zeros when no idle power is configured.
+    Covers every resource the geometry defines at the granularity the run
+    scheduled (dies under die serialization, else planes), including ones
+    the trace never touched; all zeros when no idle power is configured.
     """
     makespan_us = run_result.makespan_ns / 1000
     busy = run_result.busy_ns
     out: dict[Resource, float] = {}
-    for resource in all_resources(geometry, policy):
+    for resource in all_resources(geometry, run_result.die_serialization):
         idle_us = makespan_us - busy.get(resource, 0) / 1000
         out[resource] = models.idle_power_mw(resource.kind) * idle_us / 1000
     return out

@@ -7,7 +7,9 @@ sorted order). The conservation identity
 ``total == sum(kind totals) + sum(idle totals)`` is therefore exact, not
 approximate, and is asserted on every build. Percentiles use the
 nearest-rank definition. All report content is emitted in a fixed,
-documented order so identical runs produce identical bytes.
+documented order so identical runs produce identical bytes. A report holds
+the run's event log exactly when the run kept one, and is written with it
+exactly then.
 """
 
 from __future__ import annotations
@@ -176,32 +178,27 @@ def _assert_conserved(report: Report) -> None:
         raise AssertionError("energy breakdown does not reproduce the total")
 
 
-def write_report(
-    report: Report, file: TextIO, format: str = "structured", event_log: bool = False
-) -> None:
+def write_report(report: Report, file: TextIO, format: str = "structured") -> None:
     """Render a report into the text stream `file` as it goes, a batch of
     rows per write; identical reports always write identical bytes.
 
-    `event_log` appends the run's event log, which the run must have kept.
-    A report that cannot be rendered raises ValueError before anything is
-    written.
+    The run's event log is appended exactly when the report has one
+    (`report.events` is not None); `report._replace(events=None)` renders a
+    logged report without it. An unknown format raises ValueError before
+    anything is written.
     """
-    if event_log and report.events is None:
-        raise ValueError(
-            "cannot render the event log: the run kept none (run with event_log=True)"
-        )
     if format == "structured":
-        _write_structured(report, event_log, file.write)
+        _write_structured(report, file.write)
     elif format == "table":
-        _write_table(report, event_log, file.write)
+        _write_table(report, file.write)
     else:
         raise ValueError(f"unknown report format '{format}'")
 
 
-def emit(report: Report, format: str = "structured", event_log: bool = False) -> str:
+def emit(report: Report, format: str = "structured") -> str:
     """The text `write_report` writes, as one string."""
     out = io.StringIO()
-    write_report(report, out, format, event_log)
+    write_report(report, out, format)
     return out.getvalue()
 
 
@@ -354,9 +351,7 @@ def _event_rows(events: Sequence[ScheduledEvent]) -> Iterator[str]:
         )
 
 
-def _write_structured(
-    report: Report, event_log: bool, write: Callable[[str], object]
-) -> None:
+def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     # the three arrays that grow with the trace are written from row
     # templates; json.dumps renders the other keys, in two runs around them
     scalars = json.dumps(
@@ -439,15 +434,13 @@ def _write_structured(
             for w in report.warnings
         ),
     )
-    if event_log:
+    if report.events is not None:
         write(',\n  "events": ')
         _write_array(write, _event_rows(report.events))
     write("\n}\n")
 
 
-def _write_table(
-    report: Report, event_log: bool, write: Callable[[str], object]
-) -> None:
+def _write_table(report: Report, write: Callable[[str], object]) -> None:
     # the summary's size is set by the kinds, resources and rules, so it is
     # written whole; the warning lines and the event log are rows
     lines = [
@@ -485,7 +478,7 @@ def _write_table(
     write("\n".join(lines) + "\n")
     if report.warning_counts:
         _write_rows(write, _warning_lines(report.warnings))
-    if event_log:
+    if report.events is not None:
         write("\nevent log (start us, duration us, kind, target, resource, energy uJ)\n")
         _write_rows(
             write,

@@ -53,6 +53,7 @@ from .errors import (
 )
 from .models import (
     EventKind,
+    Expression,
     ModelSet,
     PowerParams,
     TimingParams,
@@ -381,31 +382,15 @@ def emit_trace(commands: Iterable[Command]) -> str:
     return "\n".join(out) + "\n"
 
 
-_GEOMETRY_KEYS = (
-    "channels",
-    "chips_per_channel",
-    "dies_per_chip",
-    "planes_per_die",
-    "blocks_per_plane",
-    "pages_per_block",
-    "page_size",
+# The keys of [geometry], [performance] and [power] are the fields of the
+# records they build. [policy]'s boolean keys are named as their Policy field.
+_POLICY_FLAGS = (
+    "die_serialization",
+    "cmd_overhead_on_bus",
+    "initially_written",
+    "multi_plane_same_offsets",
 )
-_TIMING_KEYS = frozenset(
-    {"t_cmd", "t_sense", "t_prog", "t_erase", "t_bus_per_byte", "t_buf"}
-)
-_POWER_KEYS = frozenset(
-    {"p_cmd", "p_sense", "p_prog", "p_erase", "p_bus", "p_buf", "p_idle_plane", "p_idle_bus"}
-)
-_POLICY_KEYS = frozenset(
-    {
-        "violation_severity",
-        "endurance_limit",
-        "die_serialization",
-        "cmd_overhead_on_bus",
-        "initially_written",
-        "multi_plane_same_offsets",
-    }
-)
+_POLICY_KEYS = frozenset(("violation_severity", "endurance_limit", *_POLICY_FLAGS))
 _SECTIONS = frozenset({"geometry", "commands", "performance", "power", "policy"})
 
 
@@ -433,18 +418,14 @@ def parse_config(text: str) -> Config:
 
 def _parse_geometry(section: configparser.SectionProxy) -> Geometry:
     for key in section:
-        if key not in _GEOMETRY_KEYS and key != "oob_size":
+        if key not in Geometry._fields:
             raise ConfigError(f"unknown key geometry.{key}")
     values = {}
-    for key in _GEOMETRY_KEYS:
-        if key not in section:
+    for key in Geometry._fields:  # a field with a default is optional
+        if key in section:
+            values[key] = _int_value("geometry", key, section[key])
+        elif key not in Geometry._field_defaults:
             raise ConfigError(f"missing required key geometry.{key}")
-        values[key] = _int_value("geometry", key, section[key])
-    values["oob_size"] = (
-        _int_value("geometry", "oob_size", section["oob_size"])
-        if "oob_size" in section
-        else 0
-    )
     geometry = Geometry(**values)
     try:
         validate_geometry(geometry)
@@ -471,40 +452,43 @@ def _parse_supported(section: configparser.SectionProxy) -> frozenset[CommandKin
 
 
 def _parse_models(parser: configparser.ConfigParser) -> ModelSet:
-    timing_kwargs: dict[str, float] = {}
-    latency_exprs = {}
-    if parser.has_section("performance"):
-        for key, value in parser["performance"].items():
-            if key in _TIMING_KEYS:
-                timing_kwargs[key] = _float_value("performance", key, value)
-            elif key in _EVENT_BY_NAME:
-                try:
-                    latency_exprs[_EVENT_BY_NAME[key]] = parse_latency_expression(value)
-                except FlashSimError as exc:
-                    raise ConfigError(f"performance.{key}: {exc}")
-            else:
-                raise ConfigError(f"unknown key performance.{key}")
-
-    power_kwargs: dict[str, float] = {}
-    power_exprs = {}
-    if parser.has_section("power"):
-        for key, value in parser["power"].items():
-            if key in _POWER_KEYS:
-                power_kwargs[key] = _float_value("power", key, value)
-            elif key in _EVENT_BY_NAME:
-                try:
-                    power_exprs[_EVENT_BY_NAME[key]] = parse_power_expression(value)
-                except FlashSimError as exc:
-                    raise ConfigError(f"power.{key}: {exc}")
-            else:
-                raise ConfigError(f"unknown key power.{key}")
-
+    timing_kwargs, latency_exprs = _model_section(
+        parser, "performance", TimingParams._fields, parse_latency_expression
+    )
+    power_kwargs, power_exprs = _model_section(
+        parser, "power", PowerParams._fields, parse_power_expression
+    )
     try:
         timing = TimingParams(**timing_kwargs)
         power = PowerParams(**power_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc))
     return ModelSet(timing, power, latency_exprs, power_exprs)
+
+
+def _model_section(
+    parser: configparser.ConfigParser,
+    name: str,
+    params: tuple[str, ...],
+    parse_expression: Callable[[str], Expression],
+) -> tuple[dict[str, float], dict[EventKind, Expression]]:
+    """A model section's parameter values by field and its expression
+    bindings by event kind, in the section's key order; both empty when the
+    section is absent."""
+    values: dict[str, float] = {}
+    exprs: dict[EventKind, Expression] = {}
+    if parser.has_section(name):
+        for key, value in parser[name].items():
+            if key in params:
+                values[key] = _float_value(name, key, value)
+            elif key in _EVENT_BY_NAME:
+                try:
+                    exprs[_EVENT_BY_NAME[key]] = parse_expression(value)
+                except FlashSimError as exc:
+                    raise ConfigError(f"{name}.{key}: {exc}")
+            else:
+                raise ConfigError(f"unknown key {name}.{key}")
+    return values, exprs
 
 
 def _parse_policy(parser: configparser.ConfigParser) -> Policy:
@@ -529,12 +513,7 @@ def _parse_policy(parser: configparser.ConfigParser) -> Policy:
             if limit < 0:
                 raise ConfigError("policy.endurance_limit must be >= 0 or 'none'")
             kwargs["endurance_limit"] = limit
-    for key in (
-        "die_serialization",
-        "cmd_overhead_on_bus",
-        "initially_written",
-        "multi_plane_same_offsets",
-    ):
+    for key in _POLICY_FLAGS:
         if key in section:
             kwargs[key] = _bool_value("policy", key, section[key])
     return Policy(**kwargs)

@@ -189,8 +189,8 @@ def test_criterion_5_energy_conservation():
 
     # the conservation identity holds exactly on every run made so far
     assert _RUNS
-    for result, _, geometry, models, policy in _RUNS:
-        idle = idle_accounting(result, geometry, models, policy)
+    for result, _, geometry, models, _ in _RUNS:
+        idle = idle_accounting(result, geometry, models)
         report = build_report(result, idle)
         recomputed = 0.0
         for _, kind_total in report.energy_by_kind:

@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashsim import engine
@@ -30,7 +30,8 @@ from flashsim.models import (
     parse_latency_expression,
     parse_power_expression,
 )
-from flashsim.topology import Geometry, Resource
+from flashsim.stats import build_report
+from flashsim.topology import FlashAddress, Geometry, Resource
 
 from checks import ReferenceState, assert_schedule_legal
 from conftest import ALL_KINDS, A
@@ -142,6 +143,24 @@ class TestEnergy:
         idle = idle_accounting(result, g, models)
         # the erase occupies the only plane for the entire makespan
         assert idle[Resource("plane", (0, 0, 0, 0))] == 0.0
+
+    def test_idle_accounting_counts_the_resources_the_run_scheduled(self):
+        g = Geometry(1, 1, 2, 2, 4, 4, 4096)
+        models = ModelSet(power=PowerParams(p_idle_plane=1.0))
+        trace = [
+            cmd(CommandKind.READ, A(die=0), seq=0),
+            cmd(CommandKind.READ, A(die=1), seq=1),
+        ]
+        result = run_checked(trace, g, models=models, policy=Policy(die_serialization=True))
+        report = build_report(result, idle_accounting(result, g, models))
+        # the run placed its senses on dies, so the dies, not their planes,
+        # idle for the 229.8 us makespan less each one's 25 us sense
+        labels = [u.resource.label for u in report.usage]
+        assert labels == ["bus/0", "die/0.0.0", "die/0.0.1"]
+        assert [u.idle_energy_uj for u in report.usage[1:]] == pytest.approx(
+            [0.2048, 0.2048], rel=1e-12
+        )
+        assert report.total_energy_uj == pytest.approx(6.0056, rel=1e-12)
 
 
 class TestScheduleProperties:
@@ -426,6 +445,114 @@ class TestMetamorphic:
         for before, after in zip(apart.results, serialized.results):
             assert after.completion_ns >= before.completion_ns
         assert serialized.last_end_ns >= apart.last_end_ns
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_commands=st.integers(1, 30),
+        spread_us=st.sampled_from([0, 3, 300]),
+        # TimingParams in field order, in whole nanoseconds (per byte for
+        # t_bus_per_byte)
+        params_ns=st.tuples(
+            *[st.integers(0, 2_000_000)] * 4, st.integers(0, 50), st.integers(0, 2_000_000)
+        ),
+        k=st.integers(2, 9),
+        policy=POLICY_STRATEGY,
+    )
+    # 1.001 us reads back as 1000.9999999999999 ns and 2.002 us as
+    # 2001.9999999999998 ns, so a duration truncated, not rounded, breaks it
+    @example(
+        seed=0,
+        n_commands=5,
+        spread_us=0,
+        params_ns=(0, 1001, 200_000, 1_500_000, 25, 0),
+        k=2,
+        policy=Policy(),
+    )
+    def test_scaling_every_latency_and_arrival_scales_every_instant(
+        self, seed, n_commands, spread_us, params_ns, k, policy
+    ):
+        g = self.GEOMETRY
+
+        def timing(scale):
+            return TimingParams(*(scale * ns / 1000 for ns in params_ns))
+
+        trace = random_trace(
+            random.Random(seed), g, n_commands, max_arrival_us=spread_us
+        )
+        scaled = [c._replace(arrival_ns=k * c.arrival_ns) for c in trace]
+        base = run(trace, g, ALL_KINDS, ModelSet(timing(1)), policy)
+        large = run(scaled, g, ALL_KINDS, ModelSet(timing(k)), policy)
+        # energy is left out: it is a float product of power and duration
+        assert [
+            (r.sequence_id, r.arrival_ns, r.completion_ns, r.latency_ns)
+            for r in large.results
+        ] == [
+            (r.sequence_id, k * r.arrival_ns, k * r.completion_ns, k * r.latency_ns)
+            for r in base.results
+        ]
+        assert [
+            (e.sequence_id, e.event_id, e.resource, e.start_ns, e.duration_ns, e.end_ns)
+            for e in large.schedule
+        ] == [
+            (e.sequence_id, e.event_id, e.resource, k * e.start_ns, k * e.duration_ns,
+             k * e.end_ns)
+            for e in base.schedule
+        ]
+        assert large.busy_ns == {r: k * ns for r, ns in base.busy_ns.items()}
+        assert large.makespan_ns == k * base.makespan_ns
+
+    PERMUTED_GEOMETRY = Geometry(3, 3, 2, 2, 2, 4, 512, 16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_commands=st.integers(1, 30),
+        spread_us=st.sampled_from([0, 3, 300]),
+        channels=st.permutations(range(3)),
+        chips=st.tuples(*[st.permutations(range(3))] * 3),
+        # models that read no address, so a command's place cannot price it
+        models=st.sampled_from(["builtin", "address_free"]),
+        policy=POLICY_STRATEGY,
+    )
+    def test_permuting_channels_and_chips_permutes_resources_only(
+        self, seed, n_commands, spread_us, channels, chips, models, policy
+    ):
+        g = self.PERMUTED_GEOMETRY
+        models = TestOracleEquivalence.MODEL_SETS[models]
+
+        def moved(key):
+            # channel c goes to channels[c], and chip i of channel c to
+            # chips[c][i] of that channel; the rest of the key stays
+            channel, *rest = key
+            if rest:
+                rest[0] = chips[channel][rest[0]]
+            return (channels[channel], *rest)
+
+        trace = random_trace(
+            random.Random(seed), g, n_commands, max_arrival_us=spread_us
+        )
+        permuted = [
+            c._replace(operands=tuple(FlashAddress(*moved(a)) for a in c.operands))
+            for c in trace
+        ]
+        base = run(trace, g, ALL_KINDS, models, policy)
+        other = run(permuted, g, ALL_KINDS, models, policy)
+        # every field but the warnings, whose messages name addresses
+        assert [r[:5] for r in other.results] == [r[:5] for r in base.results]
+        assert [
+            [(w.rule, w.severity) for w in r.warnings] for r in other.results
+        ] == [[(w.rule, w.severity) for w in r.warnings] for r in base.results]
+        assert other.schedule == [
+            e._replace(
+                target=FlashAddress(*moved(e.target)),
+                resource=e.resource and e.resource._replace(key=moved(e.resource.key)),
+            )
+            for e in base.schedule
+        ]
+        assert other.busy_ns == {
+            r._replace(key=moved(r.key)): ns for r, ns in base.busy_ns.items()
+        }
 
 
 class TestPolicies:

@@ -165,11 +165,11 @@ def test_emit_returns_the_text_write_report_writes():
     result = run([READ, WRITE], G, ALL, ModelSet(), Policy())
     report = build_report(result, idle_accounting(result, G, ModelSet()))
     for fmt in ("structured", "table"):
-        for event_log in (False, True):
+        for rendered in (report._replace(events=None), report):
             out = io.StringIO()
-            write_report(report, out, fmt, event_log)
-            assert out.getvalue() == emit(report, fmt, event_log)
-    doc = json.loads(emit(report, event_log=True))
+            write_report(rendered, out, fmt)
+            assert out.getvalue() == emit(rendered, fmt)
+    doc = json.loads(emit(report))
     assert [c["latency_us"] for c in doc["commands"]] == [
         r.latency_ns / 1000 for r in result.results
     ]

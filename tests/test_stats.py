@@ -48,7 +48,7 @@ def fixture_run(trace_name="single_read.trace"):
     trace = parse_trace((DATA / trace_name).read_text(), config.geometry)
     result = run(trace, config.geometry, config.supported, config.models, config.policy)
     assert_schedule_legal(result, trace, config.geometry, config.policy)
-    idle = idle_accounting(result, config.geometry, config.models, config.policy)
+    idle = idle_accounting(result, config.geometry, config.models)
     return build_report(result, idle)
 
 
@@ -118,31 +118,32 @@ def test_latency_consistency_with_event_log():
 def test_emit_is_deterministic():
     report = fixture_run()
     for fmt in ("structured", "table"):
-        assert emit(report, fmt, True) == emit(report, fmt, True)
-        assert emit(report, fmt, False) == emit(report, fmt, False)
+        for rendered in (report, report._replace(events=None)):
+            assert emit(rendered, fmt) == emit(rendered, fmt)
 
 
 def test_event_log_record_count(geometry, models):
     trace = [Command(0, CommandKind.READ, (A(),), 1, 0)]
     result = run(trace, geometry, ALL_KINDS, models)
     report = build_report(result)
-    structured = json.loads(emit(report, "structured", event_log=True))
+    structured = json.loads(emit(report, "structured"))
     assert len(structured["events"]) == 3  # overhead, sense, transfer
-    assert "events" not in json.loads(emit(report, "structured", event_log=False))
-    table = emit(report, "table", event_log=True)
+    bare = report._replace(events=None)
+    assert "events" not in json.loads(emit(bare, "structured"))
+    table = emit(report, "table")
     assert table.count("array_sense") >= 1
 
 
 def test_structured_golden_single_read():
     report = fixture_run()
-    rendered = emit(report, "structured", event_log=True)
+    rendered = emit(report, "structured")
     golden = (DATA / "golden_single_read.json").read_text()
     assert rendered == golden
 
 
 def test_structured_schema_fields():
     report = fixture_run()
-    doc = json.loads(emit(report, "structured", event_log=True))
+    doc = json.loads(emit(report, "structured"))
     assert doc["schema"] == REPORT_SCHEMA
     assert doc["command_count"] == 1
     assert doc["commands"][0]["latency_us"] == 127.4
@@ -162,25 +163,25 @@ def test_nearest_rank_percentiles():
 
 
 @pytest.mark.parametrize("fmt", ["structured", "table"])
-def test_emit_refuses_an_event_log_the_run_did_not_keep(geometry, models, fmt):
+def test_a_run_without_a_log_renders_as_a_logged_run_without_its_events(
+    geometry, models, fmt
+):
     trace = random_trace(random.Random(3), geometry, 20)
     logged = build_report(run(trace, geometry, ALL_KINDS, models))
     bare = build_report(run(trace, geometry, ALL_KINDS, models, event_log=False))
-    assert bare.events is None
-    with pytest.raises(ValueError, match="event log"):
-        emit(bare, fmt, event_log=True)
+    assert bare.events is None and logged.events
+    assert bare == logged._replace(events=None)
     out = io.StringIO()
-    with pytest.raises(ValueError, match="event log"):
-        write_report(bare, out, fmt, event_log=True)
-    assert out.getvalue() == ""
-    assert emit(bare, fmt) == emit(logged, fmt)
+    write_report(bare, out, fmt)
+    assert out.getvalue() == emit(bare, fmt) == emit(logged._replace(events=None), fmt)
+    assert emit(bare, fmt) != emit(logged, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["structured", "table"])
 def test_a_kept_empty_event_log_still_renders(geometry, models, fmt):
     report = build_report(run([], geometry, ALL_KINDS, models))
     assert report.events == []
-    rendered = emit(report, fmt, event_log=True)
+    rendered = emit(report, fmt)
     if fmt == "structured":
         assert json.loads(rendered)["events"] == []
         assert rendered.endswith('\n  "events": []\n}\n')
@@ -295,9 +296,10 @@ def test_unknown_format_rejected():
     assert out.getvalue() == ""
 
 
-def _reference_structured(report, event_log: bool) -> str:
+def _reference_structured(report) -> str:
     """The structured report built key by key from the report's own records,
-    one dict per row, and rendered whole by json.dumps(doc, indent=2)."""
+    one dict per row, and rendered whole by json.dumps(doc, indent=2); the
+    event log is in it when the report has one."""
     doc = {
         "schema": REPORT_SCHEMA,
         "command_count": report.command_count,
@@ -356,7 +358,7 @@ def _reference_structured(report, event_log: bool) -> str:
             for w in report.warnings
         ],
     }
-    if event_log:
+    if report.events is not None:
         doc["events"] = [
             {
                 "sequence_id": e.sequence_id,
@@ -450,11 +452,12 @@ def test_event_log_has_the_bytes_of_json_dumps(
         trace = [c._replace(arrival_ns=c.arrival_ns + shift) for c in trace]
     model_set = _MODELS[models]
     result = run(trace, geometry, ALL_KINDS, model_set, policy)
-    report = build_report(result, idle_accounting(result, geometry, model_set, policy))
-    rendered = emit(report, "structured", True)
-    assert rendered == _reference_structured(report, True)
+    report = build_report(result, idle_accounting(result, geometry, model_set))
+    rendered = emit(report, "structured")
+    assert rendered == _reference_structured(report)
     assert expected in rendered
-    assert emit(report, "structured", False) == _reference_structured(report, False)
+    bare = report._replace(events=None)
+    assert emit(bare, "structured") == _reference_structured(bare)
 
 
 def _hand_built_report(commands, warnings) -> Report:
@@ -486,8 +489,8 @@ def test_structured_rows_escape_as_json_dumps_does(present):
         CommandResult(1, CommandKind.CACHE_WRITE, 10**15 + 1, 10**15 + 3, -0.0, ()),
     )
     report = _hand_built_report(commands, warnings) if present else _hand_built_report((), ())
-    for event_log in (False, True):
-        assert emit(report, "structured", event_log) == _reference_structured(report, event_log)
+    for rendered in (report._replace(events=None), report):
+        assert emit(rendered, "structured") == _reference_structured(rendered)
     if present:
         assert '"sequence_id": null,\n      "line": null\n' in emit(report, "structured")
 
@@ -532,12 +535,14 @@ def _report_with_rows(n: int) -> Report:
 @pytest.mark.parametrize("fmt", ["structured", "table"])
 def test_write_report_writes_what_emit_returns(n, event_log, fmt):
     report = _report_with_rows(n)
+    if not event_log:
+        report = report._replace(events=None)
     out = io.StringIO()
-    write_report(report, out, fmt, event_log)
+    write_report(report, out, fmt)
     written = out.getvalue()
-    assert written == emit(report, fmt, event_log)
+    assert written == emit(report, fmt)
     if fmt == "structured":
-        assert written == _reference_structured(report, event_log)
+        assert written == _reference_structured(report)
         return
     # every warning and event is on one line of its own, once and in order
     lines = written.splitlines()
@@ -572,9 +577,9 @@ def test_write_report_memory_does_not_grow_with_the_report(geometry, models, fmt
     sink = _CountingSink()
     tracemalloc.start()
     try:
-        write_report(report, sink, fmt, event_log=True)
+        write_report(report, sink, fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.length == len(emit(report, fmt, event_log=True))
+    assert sink.length == len(emit(report, fmt))
     assert peak < 0.25 * sink.length

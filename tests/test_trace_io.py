@@ -11,7 +11,7 @@ import flashsim.expr
 from flashsim.commands import Command, CommandKind
 from flashsim.engine import Policy
 from flashsim.errors import ConfigError, TraceParseError
-from flashsim.models import EventContext, EventKind
+from flashsim.models import EventContext, EventKind, PowerParams, TimingParams
 from flashsim.topology import FlashAddress, Geometry, decode
 from flashsim.trace_io import (
     TRACE_HEADER,
@@ -37,6 +37,205 @@ oob_size = 128
 [commands]
 supported = read, write, erase
 """
+
+# the boolean keys of [policy], each named as its Policy field
+POLICY_FLAGS = (
+    "die_serialization",
+    "cmd_overhead_on_bus",
+    "initially_written",
+    "multi_plane_same_offsets",
+)
+
+
+def _edited(*replacements: tuple[str, str], tail: str = "") -> str:
+    """MINIMAL_CONFIG with each (old, new) text replaced and `tail` appended."""
+    text = MINIMAL_CONFIG
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    return text + tail
+
+
+# (config text, the exact ConfigError text); where a config has two faults
+# the case pins which one is reported
+CONFIG_DIAGNOSTICS = [
+    pytest.param(
+        "no section\n",
+        "malformed config: File contains no section headers.\n"
+        "file: '<???>', line: 1\n'no section\\n'",
+        id="malformed",
+    ),
+    pytest.param(
+        _edited(tail="[plumbing]\nx = 1\n"),
+        "unknown section [plumbing]",
+        id="unknown-section",
+    ),
+    pytest.param(
+        "[geometry]\nchannels = 1\n",
+        "missing required section [commands]",
+        id="missing-section",
+    ),
+    pytest.param(
+        _edited(("oob_size", "oob_bytes")),
+        "unknown key geometry.oob_bytes",
+        id="unknown-geometry-key",
+    ),
+    pytest.param(
+        _edited(("supported", "extra = 1\nsupported")),
+        "unknown key commands.extra",
+        id="unknown-commands-key",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\nt_warp = 9\n"),
+        "unknown key performance.t_warp",
+        id="unknown-performance-key",
+    ),
+    pytest.param(
+        _edited(tail="[power]\np_warp = 9\n"),
+        "unknown key power.p_warp",
+        id="unknown-power-key",
+    ),
+    pytest.param(
+        _edited(tail="[policy]\nloud = yes\n"),
+        "unknown key policy.loud",
+        id="unknown-policy-key",
+    ),
+    pytest.param(
+        _edited(("pages_per_block = 8\n", "")),
+        "missing required key geometry.pages_per_block",
+        id="missing-geometry-key",
+    ),
+    pytest.param(
+        _edited(("pages_per_block = 8\n", ""), ("oob_size", "oob_bytes")),
+        "unknown key geometry.oob_bytes",
+        id="unknown-key-before-missing-key",
+    ),
+    pytest.param(
+        _edited(("pages_per_block = 8\n", ""), ("channels = 2", "channels = two")),
+        "geometry.channels: expected an integer, got 'two'",
+        id="bad-value-before-a-later-missing-key",
+    ),
+    pytest.param(
+        _edited(("chips_per_channel = 2\n", ""), ("page_size = 4096", "page_size = big")),
+        "missing required key geometry.chips_per_channel",
+        id="missing-key-before-a-later-bad-value",
+    ),
+    pytest.param(
+        _edited(("page_size = 4096\n", ""), ("oob_size = 128", "oob_size = x")),
+        "missing required key geometry.page_size",
+        id="missing-key-before-a-bad-oob-size",
+    ),
+    pytest.param(
+        _edited(("oob_size = 128", "oob_size = x")),
+        "geometry.oob_size: expected an integer, got 'x'",
+        id="bad-oob-size",
+    ),
+    pytest.param(
+        _edited(("channels = 2", "channels = 0")),
+        "geometry: channels must be >= 1, got 0",
+        id="invalid-geometry",
+    ),
+    pytest.param(
+        _edited(("supported = read, write, erase", "supported = ,")),
+        "commands.supported must list at least one command kind",
+        id="no-supported-kind",
+    ),
+    pytest.param(
+        _edited(("supported = read, write, erase", "supported = read, warp")),
+        "commands.supported: unknown command kind 'warp'",
+        id="unknown-supported-kind",
+    ),
+    pytest.param(
+        _edited(tail="[power]\np_sense = fast\n"),
+        "power.p_sense: expected a number, got 'fast'",
+        id="bad-float",
+    ),
+    pytest.param(
+        _edited(tail="[policy]\ndie_serialization = Maybe\n"),
+        "policy.die_serialization: expected a boolean, got 'Maybe'",
+        id="bad-bool",
+    ),
+    pytest.param(
+        _edited(tail="[policy]\nviolation_severity = LOUD \n"),
+        "policy.violation_severity must be 'warn' or 'error', got 'loud'",
+        id="bad-violation-severity",
+    ),
+    pytest.param(
+        _edited(tail="[policy]\ndie_serialization = maybe\nviolation_severity = loud\n"),
+        "policy.violation_severity must be 'warn' or 'error', got 'loud'",
+        id="violation-severity-before-flags",
+    ),
+    pytest.param(
+        _edited(tail="[policy]\nendurance_limit = -1\n"),
+        "policy.endurance_limit must be >= 0 or 'none'",
+        id="negative-endurance-limit",
+    ),
+    pytest.param(
+        _edited(tail="[policy]\nendurance_limit = Nothing\n"),
+        "policy.endurance_limit: expected an integer, got 'nothing'",
+        id="bad-endurance-limit",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\nt_sense = nan\n"),
+        "t_sense must be finite and >= 0, got nan",
+        id="nan-timing",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\nt_sense = -4\n"),
+        "t_sense must be finite and >= 0, got -4.0",
+        id="negative-timing",
+    ),
+    pytest.param(
+        _edited(tail="[power]\np_idle_bus = inf\n"),
+        "p_idle_bus must be finite and >= 0, got inf",
+        id="infinite-power",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\nt_sense = -4\n[power]\np_sense = -1\n"),
+        "t_sense must be finite and >= 0, got -4.0",
+        id="timing-range-before-power-range",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\nt_sense = -4\n[power]\np_warp = 1\n"),
+        "unknown key power.p_warp",
+        id="power-key-before-timing-range",
+    ),
+    pytest.param(
+        _edited(tail="[power]\np_sense = x\n[performance]\nt_warp = 1\n"),
+        "unknown key performance.t_warp",
+        id="performance-before-power",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\nt_sense = x\nt_warp = 1\n"),
+        "performance.t_sense: expected a number, got 'x'",
+        id="section-keys-in-file-order",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\narray_sense = 25 +\n"),
+        "performance.array_sense: unexpected end of input (at offset 4)",
+        id="performance-expression",
+    ),
+    pytest.param(
+        _edited(tail="[power]\narray_sense = nonsense_var\n"),
+        "power.array_sense: unknown identifier 'nonsense_var' (at offset 0)",
+        id="power-expression",
+    ),
+    pytest.param(
+        _edited(tail="[performance]\narray_sense = duration\n"),
+        "performance.array_sense: unknown identifier 'duration' (at offset 0)",
+        id="duration-in-performance",
+    ),
+    pytest.param(
+        "[DEFAULT]\nt_sense = 30\n" + MINIMAL_CONFIG,
+        "unknown key geometry.t_sense",
+        id="default-key-in-geometry",
+    ),
+    pytest.param(
+        "[DEFAULT]\nchannels = 2\n" + _edited(("channels = 2\n", "")),
+        "unknown key commands.channels",
+        id="default-key-in-commands",
+    ),
+]
 
 
 # the line boundaries `str.splitlines` knows besides \n and \r; text-mode
@@ -548,3 +747,38 @@ class TestParseConfig:
         assert config.models.power.p_sense == 45.0
         assert config.models.idle_power_mw("bus") == 1.0
         assert config.models.idle_power_mw("plane") == 0.0
+
+    @pytest.mark.parametrize("text, message", CONFIG_DIAGNOSTICS)
+    def test_config_diagnostics_are_pinned(self, text, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert str(excinfo.value) == message
+
+    def test_every_record_field_and_policy_flag_is_a_key_of_its_section(self):
+        geometry = Geometry(3, 2, 2, 2, 4, 8, 2048, 64)
+        timing = TimingParams(*(1.0 + i for i in range(len(TimingParams._fields))))
+        power = PowerParams(*(2.0 + i for i in range(len(PowerParams._fields))))
+        flags = {name: not getattr(Policy(), name) for name in POLICY_FLAGS}
+
+        def lines(pairs):
+            return "".join(f"{key} = {value}\n" for key, value in pairs)
+
+        config = parse_config(
+            "[geometry]\n" + lines(zip(Geometry._fields, geometry))
+            + "[commands]\nsupported = read\n"
+            + "[performance]\n" + lines(zip(TimingParams._fields, timing))
+            + lines((kind.value, 7) for kind in EventKind)
+            + "[power]\n" + lines(zip(PowerParams._fields, power))
+            + lines((kind.value, 9) for kind in EventKind)
+            + "[policy]\nviolation_severity = error\nendurance_limit = 7\n"
+            + lines(flags.items())
+        )
+        assert config.geometry == geometry
+        assert config.models.timing == timing
+        assert config.models.power == power
+        assert set(config.models.latency_exprs) == set(EventKind)
+        assert set(config.models.power_exprs) == set(EventKind)
+        assert config.policy == Policy(strict=True, endurance_limit=7, **flags)
+        # oob_size is the one optional geometry key
+        no_oob = parse_config(MINIMAL_CONFIG.replace("oob_size = 128\n", ""))
+        assert no_oob.geometry == Geometry(2, 2, 2, 2, 4, 8, 4096, 0)
