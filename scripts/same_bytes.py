@@ -16,10 +16,16 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
   text more than once: one with only addresses in range, and one with bad
   and out-of-range addresses added;
 - ``sample/mixed.trace`` under edited copies of ``sample/ssd.ini``: die
-  serialization with idle power (no benchmark workload has both), policy
+  serialization with idle power (no benchmark workload has both), die
+  serialization with the command overhead on the bus, energies of -0.0 on
+  channel 0 and 0.0 on channel 1 (equal floats that render apart), policy
   flags spelled ``yes``, ``on`` and ``1``, and configs that each fail with
   one of the config diagnostics ``tests/test_trace_io.py`` pins, so that
-  their stderr is compared.
+  their stderr is compared;
+- ``sample/mixed.trace`` with every arrival moved later, on
+  ``sample/ssd.ini``: so that event starts cross 10^15 ns, where a start
+  in microseconds may need more than 15 digits, and so that they pass
+  2^63 ns.
 
 Each input runs through ``python -m flashsim`` from both trees with no flag,
 ``--events``, ``--format table``, ``--format table --events``, ``--check``
@@ -104,7 +110,32 @@ CONFIG_EDITS = (
         (("#array_sense = 0.030 * duration", "array_sense = nonsense_var"),),
     ),
     ("default-key", (("[geometry]", "[DEFAULT]\nt_sense = 30\n[geometry]"),)),
+    (
+        "dies-overhead-on-bus",
+        (
+            ("die_serialization = false", "die_serialization = true"),
+            ("cmd_overhead_on_bus = false", "cmd_overhead_on_bus = true"),
+        ),
+    ),
+    (
+        "signed-zero-energies",
+        (
+            (
+                "#array_sense = 0.030 * duration",
+                "\n".join(
+                    f"{kind} = (channel - 0.5) * 0.0 * duration"
+                    for kind in (
+                        "cmd_overhead", "array_sense", "array_program", "block_erase",
+                        "bus_transfer_in", "bus_transfer_out", "buffer_copy",
+                    )
+                ),
+            ),
+        ),
+    ),
 )
+# microseconds added to every arrival of EDITED_TRACE: starts from just
+# below 10^15 ns to above it, and starts above 2^63 ns
+ARRIVAL_SHIFTS_US = (10**12 - 1, 10**16)
 # digit sets `int` reads: ASCII, Arabic-Indic and fullwidth
 DIGITS = (
     "0123456789",
@@ -203,6 +234,17 @@ def spelling_trace(counts: list[int], seed: int, bad: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def shifted_trace(text: str, shift_us: int) -> str:
+    """`text` with `shift_us` added to each command's whole-microsecond
+    arrival."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines[1:], 1):
+        if line and not line.startswith("#"):
+            arrival, rest = line.split(",", 1)
+            lines[i] = f"{int(arrival) + shift_us},{rest}"
+    return "\n".join(lines) + "\n"
+
+
 def input_sets(work: Path, seeds: list[int]) -> list[tuple[str, Path, Path]]:
     """(label, config, trace) for every input; writes the generated ones
     under `work`."""
@@ -243,6 +285,10 @@ def input_sets(work: Path, seeds: list[int]) -> list[tuple[str, Path, Path]]:
         config = work / f"ssd-{name}.ini"
         config.write_text(text, encoding="utf-8")
         out.append((f"{config.name} {EDITED_TRACE.name}", config, EDITED_TRACE))
+    for shift in ARRIVAL_SHIFTS_US:
+        trace = work / f"mixed-later-by-{shift}.trace"
+        trace.write_text(shifted_trace(EDITED_TRACE.read_text(encoding="utf-8"), shift))
+        out.append((f"{SPELLING_CONFIG.name} {trace.name}", SPELLING_CONFIG, trace))
     return out
 
 

@@ -16,12 +16,16 @@ as double-precision microjoules.
 A run's `RunResult` records the choices the later layers follow: whether it
 kept an event log (`event_log`) and whether its plane events occupied whole
 dies (`die_serialization`). `idle_accounting` and the report read them
-there and take neither again.
+there and take neither again. The event log is an `EventLog`: the columns
+the run computed, which the report writes rows from, and which build a
+`ScheduledEvent` only when one is asked for.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from array import array
+from bisect import bisect_right
+from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Sequence
 
 from .commands import (
     ROLE_BUS,
@@ -70,7 +74,7 @@ class Policy(NamedTuple):
 class ScheduledEvent(NamedTuple):
     """One priced and placed event from the run's event log.
 
-    A named tuple: a run builds one per event.
+    A named tuple, built by the `EventLog` each time an event is read.
     """
 
     sequence_id: int
@@ -85,6 +89,121 @@ class ScheduledEvent(NamedTuple):
     @property
     def end_ns(self) -> int:
         return self.start_ns + self.duration_ns
+
+
+class EventLog:
+    """A run's event log, kept as the columns the run computes.
+
+    Per command: its sequence id, its compiled steps (a step's event kind
+    at index 0 and the index of its target at 1; an event's id is its
+    step's position), its targets and the position of its first event.
+    Per event: its start, the (duration_ns, energy_uj) pair its pricing
+    returned and its resource's slot in `resources`, -1 for none. Starts
+    are kept as 64-bit integers until one does not fit (arrivals and
+    durations have no upper bound), and as Python ints from then on.
+
+    Read as a sequence, the log builds a `ScheduledEvent` for each event
+    on access, in placement order. It supports `len`, iteration, indexing
+    (negative indices too; a slice gives a list) and `==` with another log
+    or a list of `ScheduledEvent`s.
+    """
+
+    __slots__ = (
+        "sequence_ids", "steps", "targets", "firsts", "starts", "prices", "slots",
+        "resources",
+    )
+
+    def __init__(self, resources: list[Resource]):
+        self.sequence_ids: list[int] = []
+        self.steps: list[Sequence[tuple]] = []
+        self.targets: list[Sequence[FlashAddress]] = []
+        self.firsts: MutableSequence[int] = array("q")
+        self.starts: MutableSequence[int] = array("q")
+        self.prices: list[tuple[int, float]] = []
+        self.slots: MutableSequence[int] = array("i")
+        self.resources = resources
+
+    @classmethod
+    def of(cls, events: Iterable[ScheduledEvent]) -> EventLog:
+        """The log of `events`, which are numbered as a run numbers them:
+        each command's events together, with ids 0, 1, 2, ... in order.
+        Raises ValueError for an event that breaks that numbering."""
+        slot_of: dict[Resource, int] = {}
+        log = cls([])
+        log.widen()  # a record's start may be any int
+        for e in events:
+            if e.event_id == 0:
+                log.add_command(e.sequence_id, [], [])
+            elif not log.steps or (e.sequence_id, e.event_id) != (
+                log.sequence_ids[-1], len(log.steps[-1])
+            ):
+                raise ValueError(
+                    f"event {e.event_id} of command {e.sequence_id} does not follow "
+                    f"its event {e.event_id - 1}"
+                )
+            log.steps[-1].append((e.kind, e.event_id))
+            log.targets[-1].append(e.target)
+            log.starts.append(e.start_ns)
+            log.prices.append((e.duration_ns, e.energy_uj))
+            log.slots.append(
+                -1 if e.resource is None else slot_of.setdefault(e.resource, len(slot_of))
+            )
+        log.resources = list(slot_of)
+        return log
+
+    def widen(self) -> Callable[[int], None]:
+        """Keep the starts as Python ints, for a start past 2**63 - 1 ns;
+        returns the method that appends one."""
+        self.starts = list(self.starts)
+        return self.starts.append
+
+    def add_command(
+        self, sequence_id: int, steps: Sequence[tuple], targets: Sequence[FlashAddress]
+    ) -> None:
+        """Start the next command's events."""
+        self.sequence_ids.append(sequence_id)
+        self.steps.append(steps)
+        self.targets.append(targets)
+        self.firsts.append(len(self.starts))
+
+    def _event(self, command: int, event_id: int, i: int) -> ScheduledEvent:
+        step = self.steps[command][event_id]
+        slot = self.slots[i]
+        return ScheduledEvent(
+            self.sequence_ids[command],
+            event_id,
+            step[0],
+            self.targets[command][step[1]],
+            None if slot < 0 else self.resources[slot],
+            self.starts[i],
+            *self.prices[i],
+        )
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[ScheduledEvent]:
+        i = 0
+        for command, steps in enumerate(self.steps):
+            for event_id in range(len(steps)):
+                yield self._event(command, event_id, i)
+                i += 1
+
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = index + len(self) if index < 0 else index
+        if not 0 <= i < len(self):
+            raise IndexError("event log index out of range")
+        command = bisect_right(self.firsts, i) - 1
+        return self._event(command, i - self.firsts[command], i)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventLog):
+            other = list(other)
+        if not isinstance(other, list):
+            return NotImplemented
+        return list(self) == other
 
 
 class CommandResult(NamedTuple):
@@ -104,7 +223,8 @@ class RunResult:
     """Everything a run produced: per-command results, per-kind energy, busy
     time and, when the run kept one, its event log.
 
-    `schedule` is the event log in placement order; a run that kept no log
+    `schedule` is the event log, an `EventLog` read as a sequence of
+    `ScheduledEvent`s in placement order; a run that kept no log
     (`event_log` false) has an empty one. `energy_by_kind` holds each event
     kind that some event of the run had, in `EventKind` declaration order,
     with its total `0.0 + e1 + e2 + ...` summed in schedule order.
@@ -115,7 +235,7 @@ class RunResult:
     def __init__(
         self,
         results: list[CommandResult],
-        schedule: list[ScheduledEvent],
+        schedule: EventLog,
         busy_ns: dict[Resource, int],  # occupied nanoseconds per resource, exact
         first_arrival_ns: int,
         last_end_ns: int,
@@ -206,9 +326,10 @@ def run(
     strict policy. A model binding that fails on an event aborts the run
     with a ModelEvaluationError located at its command's trace line.
 
-    Every event's energy is added to its kind's total as it is placed. With
-    `event_log` false no `ScheduledEvent` is built, and the result's
-    `schedule` stays empty.
+    Every event's energy is added to its kind's total as it is placed. The
+    result's `schedule` holds each event's start, price and resource slot
+    with its command's steps and targets, and builds no `ScheduledEvent`
+    until one is read; with `event_log` false it stays empty.
     """
     validate_geometry(geometry)
     _check_order(trace)
@@ -235,7 +356,9 @@ def run(
     busy_until: list[int] = []
     busy: list[int] = []
     results: list[CommandResult] = []
-    schedule: list[ScheduledEvent] = []
+    schedule = EventLog(resources)
+    log_start, log_price = schedule.starts.append, schedule.prices.append
+    log_slot = schedule.slots.append
     last_end = 0
 
     for cmd, warnings in replay(trace, geometry, supported, policy):
@@ -268,24 +391,26 @@ def run(
         targets = event_targets(cmd)
         arrival = cmd.arrival_ns
         sequence_id = cmd.sequence_id
+        if event_log:
+            schedule.add_command(sequence_id, steps, targets)
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0
-        for event_id, (kind, index, deps, role, priced, kind_slot) in enumerate(steps):
+        for kind, index, deps, role, priced, kind_slot in steps:
             target = targets[index]
             ready = arrival
             for dep in deps:
                 if ends[dep] > ready:
                     ready = ends[dep]
             try:
-                duration, energy = priced(target)
+                duration, energy = pair = priced(target)
             except ModelEvaluationError as exc:
                 raise exc.located(
                     cmd.line,
                     f"the {kind.value} event of {cmd.kind.value} command {sequence_id}",
                 ) from exc
             if role == ROLE_NONE:
-                resource = None
+                slot = -1
                 start = ready
             else:
                 if role == ROLE_BUS:
@@ -301,7 +426,6 @@ def run(
                     resources.append(_resource(role, target, serialize_dies))
                     busy_until.append(0)
                     busy.append(0)
-                resource = resources[slot]
                 start = busy_until[slot]
                 if start < ready:
                     start = ready
@@ -314,11 +438,13 @@ def run(
             energy_total += energy
             kind_energy[kind_slot] += energy
             if event_log:
-                schedule.append(
-                    ScheduledEvent(
-                        sequence_id, event_id, kind, target, resource, start, duration, energy
-                    )
-                )
+                try:
+                    log_start(start)
+                except OverflowError:
+                    log_start = schedule.widen()
+                    log_start(start)
+                log_price(pair)
+                log_slot(slot)
         if completion > last_end:
             last_end = completion
         results.append(

@@ -9,7 +9,9 @@ approximate, and is asserted on every build. Percentiles use the
 nearest-rank definition. All report content is emitted in a fixed,
 documented order so identical runs produce identical bytes. A report holds
 the run's event log exactly when the run kept one, and is written with it
-exactly then.
+exactly then. The log's rows are written from its columns (`EventLog`):
+each step of a compiled shape, each resource and each priced pair is
+rendered once, a target once per command, and a start per event.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ import io
 import json
 import math
 from collections import Counter
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .commands import CommandKind, EventKind
-from .engine import CommandResult, RunResult, ScheduledEvent
+from .engine import CommandResult, EventLog, RunResult, ScheduledEvent
 from .errors import ModelEvaluationError, Rule, Violation
-from .topology import Resource
+from .topology import ADDRESS_FORMAT, Resource
 
 REPORT_SCHEMA = "flashsim-report v1"
 
@@ -51,7 +53,9 @@ class ResourceUsage(NamedTuple):
 class Report(NamedTuple):
     """A run's aggregates; `commands` and `events` are the run's own records.
 
-    `events` is None when the run kept no event log.
+    `events` is the run's `schedule`, or None when the run kept no event
+    log. A report built by hand may hold any sequence of `ScheduledEvent`s
+    there, numbered as a run numbers them.
     """
 
     command_count: int
@@ -202,49 +206,41 @@ def emit(report: Report, format: str = "structured") -> str:
     return out.getvalue()
 
 
-# The arrays that grow with the trace are written this many rows at a time,
-# so that rendering holds one batch of rows, not the whole document.
+# The arrays that grow with the trace are written this many rows at a time
+# (event rows a whole command at a time, from this many on), so that
+# rendering holds one batch of rows, not the whole document.
 _ROWS_PER_WRITE = 256
 
 
-def _write_rows(write: Callable[[str], object], rows: Iterator[str]) -> None:
-    """Write every row of `rows`, joined a batch at a time."""
-    join = "".join
+def _batches(rows: Iterator[str]) -> Iterator[list[str]]:
+    """`rows` in lists of _ROWS_PER_WRITE."""
     while batch := list(islice(rows, _ROWS_PER_WRITE)):
+        yield batch
+
+
+def _command_batches(commands: Iterator[tuple[int, list[str]]]) -> Iterator[list[str]]:
+    """The parts of each command's event rows, given with the number of
+    rows they make, in lists of whole commands of _ROWS_PER_WRITE rows or
+    more (the last list may have fewer)."""
+    batch: list[str] = []
+    rows = 0
+    for count, parts in commands:
+        batch += parts
+        rows += count
+        if rows >= _ROWS_PER_WRITE:
+            yield batch
+            batch, rows = [], 0
+    if batch:
+        yield batch
+
+
+def _write_batches(
+    write: Callable[[str], object], batches: Iterable[list[str]]
+) -> None:
+    """Write each batch of rows, given as the strings that make them up."""
+    join = "".join
+    for batch in batches:
         write(join(batch))
-
-
-def _labelled(
-    events: Sequence[ScheduledEvent], render: Callable[[str], str], missing: str
-) -> Iterator[tuple[ScheduledEvent, str, str, str]]:
-    """Each event with its kind, target and resource rendered by `render`;
-    an event without a resource gets `missing` for it.
-
-    Nothing is hashed per event in Python: kinds are keyed by
-    `kind._value_`, and resources by `id()`. That is a value key because
-    `engine.run` interns one `Resource` object per slot (equal resources
-    that are distinct objects are merely rendered once each), and a safe
-    one because `events` keeps every resource alive, so no id is reused.
-    The events of one command share their target objects, so a target is
-    rendered again only when it is not the previous event's target.
-    """
-    kinds: dict[str, str] = {}
-    resources: dict[int, str] = {id(None): missing}
-    previous: object = object()  # no event's target
-    target_text = ""
-    for e in events:
-        value = e.kind._value_
-        kind = kinds.get(value)
-        if kind is None:
-            kind = kinds[value] = render(value)
-        target = e.target
-        if target is not previous:
-            previous = target
-            target_text = render(str(target))
-        resource = resources.get(id(e.resource))
-        if resource is None:
-            resource = resources[id(e.resource)] = render(e.resource.label)
-        yield e, kind, target_text, resource
 
 
 # Below 10**15 ns the exact decimal ns / 1000 has at most 15 significant
@@ -299,56 +295,84 @@ _WARNING_ROW = (
     '      "line": %s\n'
     "    }"
 )
-_EVENT_ROW = (
-    ",\n    {\n"
-    '      "sequence_id": %d,\n'
-    '      "event_id": %d,\n'
-    '      "kind": %s,\n'
-    '      "target": %s,\n'
-    '      "resource": %s,\n'
-    '      "start_us": %s%s,\n'
-    "%s"
-)
-# an event row's duration and energy, shared by events priced alike
-_EVENT_TAIL = (
-    '      "duration_us": %s,\n'
-    '      "energy_uj": %s\n'
-    "    }"
-)
+# An event row is written from its parts: its command's head, its step's
+# event id and kind, its target, its resource, its start and the tail that
+# its priced (duration, energy) pair renders to.
+_EVENT_HEAD = ',\n    {\n      "sequence_id": %d,\n      "event_id": '
+_EVENT_STEP = '%d,\n      "kind": %s,\n      "target": '
+# a target's text is quoted as it is, as digits and dots need no escaping
+_EVENT_TARGET = '"' + ADDRESS_FORMAT + '",\n      "resource": '
+_EVENT_RESOURCE = ',\n      "start_us": '
+_EVENT_TAIL = ',\n      "duration_us": %s,\n      "energy_uj": %s\n    }'
 
 
-def _write_array(write: Callable[[str], object], rows: Iterable[str]) -> None:
-    """Write a top-level key's array of `rows`, each led by a comma."""
-    rows = iter(rows)
-    first = next(rows, None)
+def _write_array(
+    write: Callable[[str], object], batches: Iterator[list[str]]
+) -> None:
+    """Write a top-level key's array of rows, each led by a comma, from
+    `batches` of the strings that make them up."""
+    first = next(batches, None)
     if first is None:
         write("[]")
         return
-    write("[" + first[1:])  # the first row follows "[", not a comma
-    _write_rows(write, rows)
+    first[0] = "[" + first[0][1:]  # the first row follows "[", not a comma
+    _write_batches(write, chain((first,), batches))
     write("\n  ]")
 
 
-def _event_rows(events: Sequence[ScheduledEvent]) -> Iterator[str]:
-    # few (duration, energy) pairs recur: each tail is cached by the
-    # duration's int and reused only for the very same energy object, as
-    # floats that compare equal may render differently (-0.0 and 0.0)
-    tails: dict[int, tuple[float, str]] = {}
-    for e, kind, target, resource in _labelled(events, _quote, "null"):
-        duration, energy = e.duration_ns, e.energy_uj
-        tail = tails.get(duration)
-        if tail is None or tail[0] is not energy:
-            tail = tails[duration] = (
-                energy, _EVENT_TAIL % (us_repr(duration), _json_float(energy))
-            )
-        start = e.start_ns
-        if 0 <= start < _EXACT_US_LIMIT_NS:  # us_repr(start), inlined
-            whole, fraction = start // 1000, _NS_FRACTIONS[start % 1000]
-        else:
-            whole, fraction = repr(start / 1000), ""
-        yield _EVENT_ROW % (
-            e.sequence_id, e.event_id, kind, target, resource, whole, fraction, tail[1]
-        )
+def _events_of(report: Report) -> EventLog:
+    """The report's event log as columns; a hand-built report's sequence of
+    `ScheduledEvent`s is read into them."""
+    events = report.events
+    return events if isinstance(events, EventLog) else EventLog.of(events)
+
+
+# Tails are cached by the identity of their priced pair, as floats that
+# compare equal may render differently (-0.0 and 0.0). The log keeps every
+# pair alive, so no identity is reused while a log is written. Pricing that
+# reads the address returns a new pair per event, so the cache is emptied
+# when it holds this many tails.
+_TAILS_KEPT = 1024
+
+
+def _event_rows(log: EventLog) -> Iterator[tuple[int, list[str]]]:
+    """The structured event rows of each command, from the log's columns,
+    as the number of rows and their parts. Each step of a compiled shape,
+    each resource and each priced pair is rendered once, and each target
+    once per command."""
+    resources = [_quote(r.label) + _EVENT_RESOURCE for r in log.resources]
+    resources.append("null" + _EVENT_RESOURCE)  # slot -1: no resource
+    shapes: dict[int, list[tuple[str, int]]] = {}
+    tails: dict[int, str] = {}
+    events = zip(log.starts, log.prices, log.slots)
+    for sequence_id, steps, targets in zip(log.sequence_ids, log.steps, log.targets):
+        head = _EVENT_HEAD % sequence_id
+        shape = shapes.get(id(steps))
+        if shape is None:
+            shape = shapes[id(steps)] = [
+                (_EVENT_STEP % (event_id, _quote(step[0]._value_)), step[1])
+                for event_id, step in enumerate(steps)
+            ]
+        texts = [_EVENT_TARGET % target for target in targets]
+        parts: list[str] = []
+        add = parts.extend
+        # zip reads a step before an event, so it leaves the next
+        # command's events unread
+        for (step, index), (start, pair, slot) in zip(shape, events):
+            tail = tails.get(id(pair))
+            if tail is None:
+                if len(tails) == _TAILS_KEPT:
+                    tails.clear()
+                tail = tails[id(pair)] = _EVENT_TAIL % (
+                    us_repr(pair[0]), _json_float(pair[1])
+                )
+            if 0 <= start < _EXACT_US_LIMIT_NS:  # us_repr(start), inlined
+                whole, ns = divmod(start, 1000)
+                add((head, step, texts[index], resources[slot], str(whole),
+                     _NS_FRACTIONS[ns], tail))
+            else:
+                add((head, step, texts[index], resources[slot], repr(start / 1000), tail))
+        yield len(shape), parts
 
 
 def _write_structured(report: Report, write: Callable[[str], object]) -> None:
@@ -405,7 +429,7 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     write(scalars[:-2] + ',\n  "commands": ')
     _write_array(
         write,
-        (
+        _batches(
             _COMMAND_ROW
             % (
                 c.sequence_id,
@@ -422,7 +446,7 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     write("," + summaries[1:-2] + ',\n  "warnings": ')
     _write_array(
         write,
-        (
+        _batches(
             _WARNING_ROW
             % (
                 _quote(w.rule._value_),
@@ -436,7 +460,7 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     )
     if report.events is not None:
         write(',\n  "events": ')
-        _write_array(write, _event_rows(report.events))
+        _write_array(write, _command_batches(_event_rows(_events_of(report))))
     write("\n}\n")
 
 
@@ -477,17 +501,43 @@ def _write_table(report: Report, write: Callable[[str], object]) -> None:
             lines.append(f"{rule.value:<24}{count:>6}")
     write("\n".join(lines) + "\n")
     if report.warning_counts:
-        _write_rows(write, _warning_lines(report.warnings))
+        _write_batches(write, _batches(_warning_lines(report.warnings)))
     if report.events is not None:
         write("\nevent log (start us, duration us, kind, target, resource, energy uJ)\n")
-        _write_rows(
-            write,
-            (
-                f"{e.start_ns / 1000:>12.3f}{e.duration_ns / 1000:>12.3f}  {kind:<18}"
-                f"{target:<16}{resource:<16}{e.energy_uj:>10.3f}\n"
-                for e, kind, target, resource in _labelled(report.events, str, "-")
-            ),
-        )
+        _write_batches(write, _command_batches(_event_lines(_events_of(report))))
+
+
+def _event_lines(log: EventLog) -> Iterator[tuple[int, list[str]]]:
+    """The table's event lines of each command, from the log's columns, as
+    the number of lines and their fields, each padded to its column. Each
+    step of a compiled shape, each resource and each priced pair is
+    rendered once, and each target once per command."""
+    resources = [f"{r.label:<16}" for r in log.resources]
+    resources.append(f"{'-':<16}")  # slot -1: no resource
+    shapes: dict[int, list[tuple[str, int]]] = {}
+    tails: dict[int, tuple[str, str]] = {}
+    events = zip(log.starts, log.prices, log.slots)
+    for steps, targets in zip(log.steps, log.targets):
+        shape = shapes.get(id(steps))
+        if shape is None:
+            shape = shapes[id(steps)] = [
+                (f"  {step[0]._value_:<18}", step[1]) for step in steps
+            ]
+        texts = [f"{ADDRESS_FORMAT % target:<16}" for target in targets]
+        parts: list[str] = []
+        add = parts.extend
+        for (step, index), (start, pair, slot) in zip(shape, events):
+            tail = tails.get(id(pair))
+            if tail is None:
+                if len(tails) == _TAILS_KEPT:
+                    tails.clear()
+                duration, energy = pair
+                tail = tails[id(pair)] = (
+                    f"{duration / 1000:>12.3f}", f"{energy:>10.3f}\n"
+                )
+            add(("%12.3f" % (start / 1000), tail[0], step, texts[index], resources[slot],
+                 tail[1]))
+        yield len(shape), parts
 
 
 def _warning_lines(warnings: Iterable[Violation]) -> Iterator[str]:

@@ -67,6 +67,10 @@ class Geometry(NamedTuple):
         return self[:6]
 
 
+# The text of an address: its six indices, dotted.
+ADDRESS_FORMAT = "%d.%d.%d.%d.%d.%d"
+
+
 class FlashAddress(NamedTuple):
     """Hierarchical physical page coordinate; every index is zero-based.
 
@@ -87,7 +91,7 @@ class FlashAddress(NamedTuple):
         return self[:3]
 
     def __str__(self) -> str:
-        return "%d.%d.%d.%d.%d.%d" % self
+        return ADDRESS_FORMAT % self
 
 
 # FlashAddress from a tuple of its six int indices, built in C: the named

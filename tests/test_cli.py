@@ -298,27 +298,38 @@ def test_check_counts_lines_as_the_file_has_newlines(
     assert err.startswith(f"{trace}:{text.count(chr(10))}: ")
 
 
-def test_a_run_without_events_builds_no_event_records(
+def test_a_command_line_run_builds_no_event_records(
     fixture_paths, capsys, tmp_path, monkeypatch
 ):
+    # with or without --events: the log is written from the run's columns
     config, _ = fixture_paths
-    geometry = parse_config(config.read_text()).geometry
+    parsed = parse_config(config.read_text())
     trace = tmp_path / "random.trace"
-    trace.write_text(emit_trace(random_trace(random.Random(8), geometry, 60)))
-    outputs = {
-        fmt: invoke(capsys, "--config", config, "--trace", trace, "--format", fmt)
+    commands = random_trace(random.Random(8), parsed.geometry, 60)
+    trace.write_text(emit_trace(commands))
+    argvs = [
+        ("--config", config, "--trace", trace, "--format", fmt, *events)
         for fmt in ("structured", "table")
-    }
+        for events in ((), ("--events",))
+    ]
+    outputs = {argv: invoke(capsys, *argv) for argv in argvs}
 
     def refuse(*args):
         raise AssertionError("an event record was built")
 
     monkeypatch.setattr(engine, "ScheduledEvent", refuse)
-    for fmt, expected in outputs.items():
+    for argv, expected in outputs.items():
         assert expected[0] == 0
-        assert invoke(capsys, "--config", config, "--trace", trace, "--format", fmt) == expected
+        assert invoke(capsys, *argv) == expected
+    # the refusal takes effect: reading a library run's log builds records
+    schedule = engine.run(
+        commands, parsed.geometry, parsed.supported, parsed.models, parsed.policy
+    ).schedule
+    assert len(schedule) > 0
     with pytest.raises(AssertionError, match="event record"):
-        main(["--config", str(config), "--trace", str(trace), "--events"])
+        next(iter(schedule))
+    with pytest.raises(AssertionError, match="event record"):
+        schedule[-1]
 
 
 def test_bad_config_exit_2(fixture_paths, capsys, tmp_path):

@@ -190,19 +190,6 @@ class TestScheduleProperties:
         for order in by_resource.values():
             assert order == sorted(order)
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 8))
-    def test_parallel_and_pipeline_bounds(self, k, n):
-        g = Geometry(1, 1, 1, 4, 4, 8, 2048, 64)
-        single = run_checked([cmd(CommandKind.READ, A())], g)
-        one = single.results[0].latency_ns
-        multi = run_checked(
-            [cmd(CommandKind.MULTI_PLANE_READ, *(A(plane=p) for p in range(k)))], g
-        )
-        assert one <= multi.results[0].latency_ns <= k * one
-        cache = run_checked([cmd(CommandKind.CACHE_READ, A(), page_count=n)], g)
-        assert cache.results[0].latency_ns <= n * one
-
     def test_causality_with_late_arrival(self, geometry):
         result = run_checked([cmd(CommandKind.READ, A(), arrival_us=50)], geometry)
         assert all(e.start_ns >= 50000 for e in result.schedule)
@@ -502,6 +489,42 @@ class TestMetamorphic:
         assert large.busy_ns == {r: k * ns for r, ns in base.busy_ns.items()}
         assert large.makespan_ns == k * base.makespan_ns
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        n=st.integers(1, 8),
+        # TimingParams in field order, in whole nanoseconds (per byte for
+        # t_bus_per_byte)
+        params_ns=st.tuples(
+            *[st.integers(0, 2_000_000)] * 4, st.integers(0, 50), st.integers(0, 2_000_000)
+        ),
+        cmd_overhead_on_bus=st.booleans(),
+    )
+    # the built-in parameters
+    @example(
+        k=4, n=8, params_ns=(0, 25_000, 200_000, 1_500_000, 25, 0), cmd_overhead_on_bus=False
+    )
+    def test_parallel_and_pipeline_bounds(self, k, n, params_ns, cmd_overhead_on_bus):
+        g = Geometry(1, 1, 1, 4, 4, 8, 2048, 64)
+        models = ModelSet(TimingParams(*(ns / 1000 for ns in params_ns)))
+        policy = Policy(cmd_overhead_on_bus=cmd_overhead_on_bus)
+
+        def makespan(*commands):
+            trace = [c._replace(sequence_id=i) for i, c in enumerate(commands)]
+            return run_checked(trace, g, models, policy).makespan_ns
+
+        one = makespan(cmd(CommandKind.READ, A()))
+        multi = makespan(
+            cmd(CommandKind.MULTI_PLANE_READ, *(A(plane=p) for p in range(k)))
+        )
+        assert one <= multi <= k * one
+        # never slower than k separate reads of its planes, queued together
+        assert multi <= makespan(*(cmd(CommandKind.READ, A(plane=p)) for p in range(k)))
+        cache = makespan(cmd(CommandKind.CACHE_READ, A(), page_count=n))
+        assert cache <= n * one
+        # never slower than n reads of its pages, queued together
+        assert cache <= makespan(*(cmd(CommandKind.READ, A(page=i)) for i in range(n)))
+
     PERMUTED_GEOMETRY = Geometry(3, 3, 2, 2, 2, 4, 512, 16)
 
     @settings(max_examples=60, deadline=None)
@@ -794,3 +817,59 @@ class TestWithoutEventLog:
         assert [(k, v.hex()) for k, v in bare.energy_by_kind] == [
             (k, v.hex()) for k, v in logged.energy_by_kind
         ]
+
+
+class TestEventLog:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_commands=st.integers(0, 20),
+        models=TestMetamorphic.MODELS_STRATEGY,
+        policy=TestMetamorphic.POLICY_STRATEGY,
+    )
+    def test_a_run_s_log_reads_as_the_list_of_its_events(
+        self, seed, n_commands, models, policy
+    ):
+        g = TestMetamorphic.GEOMETRY
+        trace = random_trace(random.Random(seed), g, n_commands)
+        models = TestOracleEquivalence.MODEL_SETS[models]
+        log = run(trace, g, ALL_KINDS, models, policy).schedule
+        events = list(log)
+        assert len(log) == len(events) >= n_commands
+        assert log == events and events == log
+        assert log == run(trace, g, ALL_KINDS, models, policy).schedule
+        assert [log[i] for i in range(len(log))] == events
+        assert [log[i] for i in range(-len(log), 0)] == events
+        assert log[1:-1] == events[1:-1] and log[::-3] == events[::-3]
+        for past_the_end in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                log[past_the_end]
+        if events:
+            assert log[-1] == events[-1]
+            assert log != events[:-1]
+        assert log.__eq__(tuple(events)) is NotImplemented
+        # a list of records reads back into the same columns
+        assert engine.EventLog.of(events) == log
+
+    def test_a_log_that_was_not_kept_is_empty(self, geometry):
+        trace = random_trace(random.Random(2), geometry, 5)
+        for log in (
+            run([], geometry, ALL_KINDS, ModelSet()).schedule,
+            run(trace, geometry, ALL_KINDS, ModelSet(), event_log=False).schedule,
+        ):
+            assert log == [] and not log and list(log) == []
+            for index in (0, -1):
+                with pytest.raises(IndexError):
+                    log[index]
+
+    @pytest.mark.parametrize(
+        "ids", [[(0, 1)], [(0, 0), (0, 2)], [(0, 0), (1, 1)]],
+        ids=["no-first", "gap", "other-command"],
+    )
+    def test_records_numbered_as_no_run_numbers_them_are_refused(self, ids):
+        events = [
+            engine.ScheduledEvent(seq, event_id, EventKind.CMD_OVERHEAD, A(), None, 0, 0, 0.0)
+            for seq, event_id in ids
+        ]
+        with pytest.raises(ValueError, match="does not follow"):
+            engine.EventLog.of(events)

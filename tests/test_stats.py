@@ -460,6 +460,57 @@ def test_event_log_has_the_bytes_of_json_dumps(
     assert emit(bare, "structured") == _reference_structured(bare)
 
 
+def _reference_table(report: Report) -> str:
+    """The table report with its event log's lines rendered one by one from
+    the log's `ScheduledEvent`s by the table's row formula; the lines before
+    the log are the writer's own."""
+    text = emit(report._replace(events=None), "table")
+    if report.events is None:
+        return text
+    header = "\nevent log (start us, duration us, kind, target, resource, energy uJ)\n"
+    return text + header + "".join(
+        f"{e.start_ns / 1000:>12.3f}{e.duration_ns / 1000:>12.3f}  {e.kind.value:<18}"
+        f"{str(e.target):<16}{'-' if e.resource is None else e.resource.label:<16}"
+        f"{e.energy_uj:>10.3f}\n"
+        for e in list(report.events)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_commands=st.integers(0, 12),
+    policy=_POLICIES,
+    models=st.sampled_from(sorted(_MODELS)),
+    first_arrival_ns=st.sampled_from([None, 10**15 - 150_000, 10**19 + 1]),
+)
+@example(seed=1, n_commands=2, policy=Policy(cmd_overhead_on_bus=False),
+         models="builtin", first_arrival_ns=None)
+@example(seed=2, n_commands=4, policy=Policy(), models="huge_sense", first_arrival_ns=None)
+@example(seed=4, n_commands=3, policy=Policy(), models="negative_zero",
+         first_arrival_ns=None)
+@example(seed=5, n_commands=8, policy=Policy(), models="signed_zeros",
+         first_arrival_ns=None)
+@example(seed=7, n_commands=4, policy=Policy(die_serialization=True), models="expressions",
+         first_arrival_ns=10**19 + 1)
+def test_table_event_log_has_the_bytes_of_its_reference(
+    seed, n_commands, policy, models, first_arrival_ns
+):
+    geometry = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)
+    trace = random_trace(random.Random(seed), geometry, n_commands)
+    if first_arrival_ns is not None and trace:
+        shift = first_arrival_ns - trace[0].arrival_ns
+        trace = [c._replace(arrival_ns=c.arrival_ns + shift) for c in trace]
+    model_set = _MODELS[models]
+    result = run(trace, geometry, ALL_KINDS, model_set, policy)
+    report = build_report(result, idle_accounting(result, geometry, model_set))
+    assert emit(report, "table") == _reference_table(report)
+    # a hand-built report's list of records writes as the run's own log
+    listed = report._replace(events=list(result.schedule))
+    for fmt in ("structured", "table"):
+        assert emit(listed, fmt) == emit(report, fmt)
+
+
 def _hand_built_report(commands, warnings) -> Report:
     return Report(
         command_count=len(commands),
