@@ -92,7 +92,6 @@ ALLOWED = {
     "topology.decode": API + "; also the command line's reader of a flat trace index",
     "topology.SubsystemState.page_state": API,
     "topology.SubsystemState.erase_count": API,
-    "topology.SubsystemState._block_of_page": API + "; helper of page_state/erase_count",
     "engine.ScheduledEvent.end_ns": API,
     "engine.RunResult.__eq__": API,
     # RunResult.schedule read as a sequence; the command line reads its columns

@@ -41,48 +41,6 @@ class CommandKind(Enum):
     __hash__ = object.__hash__  # as for errors.Rule
 
 
-# How each kind lays out its operands. Code that branches on a command's
-# kind looks it up here by `kind._value_`, a plain attribute: a frozenset of
-# members would hash each one through Enum.__hash__, a Python-level function
-# in 3.11, and `CommandKind.X` is a metaclass attribute lookup.
-ONE_ADDRESS = 0  # read, write, erase: one page (erase: its block)
-EXTENT = 1  # cache kinds: a start page, plus `page_count` consecutive pages
-PAIR = 2  # copy_back: source, destination
-PAIRS = 3  # multi_plane_copy_back: alternating source/destination pairs
-PLANE_LIST = 4  # multi-plane kinds: one address per plane
-DIE_LIST = 5  # interleaved kinds: one address per die
-
-LAYOUT: dict[str, int] = {
-    "read": ONE_ADDRESS,
-    "write": ONE_ADDRESS,
-    "erase": ONE_ADDRESS,
-    "copy_back": PAIR,
-    "cache_read": EXTENT,
-    "cache_write": EXTENT,
-    "multi_plane_read": PLANE_LIST,
-    "multi_plane_write": PLANE_LIST,
-    "multi_plane_erase": PLANE_LIST,
-    "interleaved_read": DIE_LIST,
-    "interleaved_write": DIE_LIST,
-    "interleaved_erase": DIE_LIST,
-    "multi_plane_copy_back": PAIRS,
-}
-
-# Kinds, by value, that program pages (see `written_pages`) and that erase
-# blocks (see `erased_blocks`).
-_WRITING = frozenset(
-    {
-        "write",
-        "cache_write",
-        "multi_plane_write",
-        "interleaved_write",
-        "copy_back",
-        "multi_plane_copy_back",
-    }
-)
-_ERASING = frozenset({"erase", "multi_plane_erase", "interleaved_erase"})
-
-
 class EventKind(Enum):
     CMD_OVERHEAD = "cmd_overhead"
     ARRAY_SENSE = "array_sense"
@@ -105,6 +63,50 @@ PLANE_EVENTS = frozenset(
     }
 )
 BUS_EVENTS = frozenset({EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT})
+
+# How each kind lays out its operands. Code that branches on a command's
+# kind looks it up by `kind._value_`, a plain attribute: a frozenset of
+# members would hash each one through Enum.__hash__, a Python-level function
+# in 3.11, and `CommandKind.X` is a metaclass attribute lookup.
+ONE_ADDRESS = 0  # read, write, erase: one page (erase: its block)
+EXTENT = 1  # cache kinds: a start page, plus `page_count` consecutive pages
+PAIR = 2  # copy_back: source, destination
+PAIRS = 3  # multi_plane_copy_back: alternating source/destination pairs
+PLANE_LIST = 4  # multi-plane kinds: one address per plane
+DIE_LIST = 5  # interleaved kinds: one address per die
+
+# The stages each target runs through, in order (each source/destination
+# pair, for the copy-back kinds).
+_READ = (EventKind.ARRAY_SENSE, EventKind.BUS_TRANSFER_OUT)
+_WRITE = (EventKind.BUS_TRANSFER_IN, EventKind.ARRAY_PROGRAM)
+_ERASE = (EventKind.BLOCK_ERASE,)
+_COPY_BACK = (EventKind.ARRAY_SENSE, EventKind.BUFFER_COPY, EventKind.ARRAY_PROGRAM)
+
+# Each kind, by value: its operand layout and its stages. `LAYOUT`,
+# `_WRITING` and `_ERASING` are derived from this table, and `shape` reads
+# it.
+_KINDS: dict[str, tuple[int, tuple[EventKind, ...]]] = {
+    "read": (ONE_ADDRESS, _READ),
+    "write": (ONE_ADDRESS, _WRITE),
+    "erase": (ONE_ADDRESS, _ERASE),
+    "copy_back": (PAIR, _COPY_BACK),
+    "cache_read": (EXTENT, _READ),
+    "cache_write": (EXTENT, _WRITE),
+    "multi_plane_read": (PLANE_LIST, _READ),
+    "multi_plane_write": (PLANE_LIST, _WRITE),
+    "multi_plane_erase": (PLANE_LIST, _ERASE),
+    "interleaved_read": (DIE_LIST, _READ),
+    "interleaved_write": (DIE_LIST, _WRITE),
+    "interleaved_erase": (DIE_LIST, _ERASE),
+    "multi_plane_copy_back": (PAIRS, _COPY_BACK),
+}
+LAYOUT: dict[str, int] = {value: layout for value, (layout, _) in _KINDS.items()}
+# Kinds, by value, whose stages program pages (see `written_pages`) and whose
+# stages are one block erase (see `erased_blocks`).
+_WRITING = frozenset(
+    value for value, (_, stages) in _KINDS.items() if EventKind.ARRAY_PROGRAM in stages
+)
+_ERASING = frozenset(value for value, (_, stages) in _KINDS.items() if stages == _ERASE)
 
 
 class _CommandFields(NamedTuple):
@@ -411,23 +413,6 @@ ROLE_NONE, ROLE_PLANE, ROLE_BUS = 0, 1, 2
 # targets, ids of the earlier steps it waits for, resource role).
 Step = tuple[EventKind, int, tuple[int, ...], int]
 
-# The stages each target of a non-copy-back kind runs through, in order.
-_READ_STAGES = (EventKind.ARRAY_SENSE, EventKind.BUS_TRANSFER_OUT)
-_WRITE_STAGES = (EventKind.BUS_TRANSFER_IN, EventKind.ARRAY_PROGRAM)
-_STAGES = {
-    CommandKind.READ: _READ_STAGES,
-    CommandKind.MULTI_PLANE_READ: _READ_STAGES,
-    CommandKind.INTERLEAVED_READ: _READ_STAGES,
-    CommandKind.CACHE_READ: _READ_STAGES,
-    CommandKind.WRITE: _WRITE_STAGES,
-    CommandKind.MULTI_PLANE_WRITE: _WRITE_STAGES,
-    CommandKind.INTERLEAVED_WRITE: _WRITE_STAGES,
-    CommandKind.CACHE_WRITE: _WRITE_STAGES,
-    CommandKind.ERASE: (EventKind.BLOCK_ERASE,),
-    CommandKind.MULTI_PLANE_ERASE: (EventKind.BLOCK_ERASE,),
-    CommandKind.INTERLEAVED_ERASE: (EventKind.BLOCK_ERASE,),
-}
-
 
 def event_targets(cmd: Command) -> tuple[FlashAddress, ...]:
     """The addresses a command's shape steps index: the extent pages of a
@@ -447,7 +432,7 @@ def shape(
     """The event DAG of every command of this kind, operand count and page
     count; see `decompose` for the shapes. Nothing is cached here: the
     engine builds each shape once per run and drops it with the run."""
-    layout = LAYOUT[kind._value_]
+    layout, stages = _KINDS[kind._value_]
     n_targets = page_count if layout == EXTENT else n_operands
     steps: list[Step] = [
         (EventKind.CMD_OVERHEAD, 0, (), ROLE_BUS if cmd_overhead_on_bus else ROLE_NONE)
@@ -459,17 +444,19 @@ def shape(
         return len(steps) - 1
 
     if layout == PAIR or layout == PAIRS:
+        # each pair chains its source's sense to its destination's program
+        sense_kind, copy_kind, program_kind = stages
         for src in range(0, n_targets, 2):
-            sense = add(EventKind.ARRAY_SENSE, src, 0)
-            copy = add(EventKind.BUFFER_COPY, src, sense)
-            add(EventKind.ARRAY_PROGRAM, src + 1, copy)
-    elif len(_STAGES[kind]) == 1:
+            sense = add(sense_kind, src, 0)
+            copy = add(copy_kind, src, sense)
+            add(program_kind, src + 1, copy)
+    elif len(stages) == 1:
         for target in range(n_targets):
-            add(_STAGES[kind][0], target, 0)
+            add(stages[0], target, 0)
     else:
         # a cache command chains each stage to its own previous page, so the
         # array pipelines against the bus; the other kinds fan out per target
-        first_kind, second_kind = _STAGES[kind]
+        first_kind, second_kind = stages
         chained = layout == EXTENT
         first = second = None
         for target in range(n_targets):

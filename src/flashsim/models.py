@@ -36,7 +36,7 @@ import math
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .commands import EventKind
+from .commands import BUS_EVENTS, EventKind
 from .errors import ModelEvaluationError, NegativeResultError
 from .expr import (
     DIVISION_BY_ZERO,
@@ -167,21 +167,16 @@ class EventContext(NamedTuple):
         )
 
 
-_TIMING_PARAM_FOR = {
-    EventKind.CMD_OVERHEAD: "t_cmd",
-    EventKind.ARRAY_SENSE: "t_sense",
-    EventKind.ARRAY_PROGRAM: "t_prog",
-    EventKind.BLOCK_ERASE: "t_erase",
-    EventKind.BUFFER_COPY: "t_buf",
-}
-_POWER_PARAM_FOR = {
-    EventKind.CMD_OVERHEAD: "p_cmd",
-    EventKind.ARRAY_SENSE: "p_sense",
-    EventKind.ARRAY_PROGRAM: "p_prog",
-    EventKind.BLOCK_ERASE: "p_erase",
-    EventKind.BUS_TRANSFER_IN: "p_bus",
-    EventKind.BUS_TRANSFER_OUT: "p_bus",
-    EventKind.BUFFER_COPY: "p_buf",
+# Each event kind's built-in latency and power parameters. A bus transfer's
+# latency parameter is per byte.
+_PARAMS_FOR = {
+    EventKind.CMD_OVERHEAD: ("t_cmd", "p_cmd"),
+    EventKind.ARRAY_SENSE: ("t_sense", "p_sense"),
+    EventKind.ARRAY_PROGRAM: ("t_prog", "p_prog"),
+    EventKind.BLOCK_ERASE: ("t_erase", "p_erase"),
+    EventKind.BUS_TRANSFER_IN: ("t_bus_per_byte", "p_bus"),
+    EventKind.BUS_TRANSFER_OUT: ("t_bus_per_byte", "p_bus"),
+    EventKind.BUFFER_COPY: ("t_buf", "p_buf"),
 }
 
 
@@ -219,19 +214,17 @@ class ModelSet:
         expr = self.latency_exprs.get(kind)
         if expr is not None:
             return expr.root, f"[performance] {kind.value}"
-        if kind in (EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT):
-            return (
-                Binary("*", Var("byte_count"), Num(self.timing.t_bus_per_byte)),
-                "[performance] t_bus_per_byte",
-            )
-        name = _TIMING_PARAM_FOR[kind]
-        return Num(getattr(self.timing, name)), f"[performance] {name}"
+        name = _PARAMS_FOR[kind][0]
+        value = Num(getattr(self.timing, name))
+        if kind in BUS_EVENTS:
+            return Binary("*", Var("byte_count"), value), f"[performance] {name}"
+        return value, f"[performance] {name}"
 
     def _energy_binding(self, kind: EventKind) -> Binding:
         expr = self.power_exprs.get(kind)
         if expr is not None:
             return expr.root, f"[power] {kind.value}"
-        name = _POWER_PARAM_FOR[kind]
+        name = _PARAMS_FOR[kind][1]
         milliwatts = Num(getattr(self.power, name))
         return (
             Binary("/", Binary("*", milliwatts, Var("duration")), Num(1000)),

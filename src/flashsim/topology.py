@@ -8,13 +8,15 @@ An address is range-checked in three places, each for its own caller:
 `trace_io.parse_trace`, so that a bad trace address gets a diagnostic
 located at its line; `commands.validate`, for commands built by hand rather
 than parsed; and `SubsystemState`, for code that drives the device state
-directly. `validate` and `SubsystemState` write their six comparisons
-inline, because a shared helper would cost a Python call per address.
-`parse_trace` checks an index once per distinct text and level: it keeps,
-per level, the texts whose index is in range, so finding a text there
-stands for the conversion and the range check both, and a text not yet seen
-runs them. An address that fails is read again by `trace_io._parse_address`
-only to write its diagnostic. The three must accept and reject the same addresses with the
+directly. `validate` and `SubsystemState.write_page`/`erase_block` write
+their six comparisons inline, because a shared helper would cost a Python
+call per address; `SubsystemState.page_state` and `erase_count` read their
+block index through `encode`, which checks the same ranges. `parse_trace`
+checks an index once per distinct text and level: it keeps, per level, the
+texts whose index is in range, so finding a text there stands for the
+conversion and the range check both, and a text not yet seen runs them. An
+address that fails is read again by `trace_io._parse_address` only to write
+its diagnostic. The three must accept and reject the same addresses with the
 same message text (an erase and an erase count name a block, so
 `SubsystemState` reads no page index for them), and the boundary table in
 `tests/test_topology.py` checks that they do at every index's edges, at an
@@ -132,15 +134,7 @@ def bus_resource(addr: FlashAddress) -> Resource:
 
 def validate_geometry(geometry: Geometry) -> None:
     """Raise GeometryError unless every Geometry invariant holds."""
-    names = (
-        "channels",
-        "chips_per_channel",
-        "dies_per_chip",
-        "planes_per_die",
-        "blocks_per_plane",
-        "pages_per_block",
-    )
-    for name, count in zip(names, geometry.counts()):
+    for name, count in zip(Geometry._fields, geometry.counts()):
         if count < 1:
             raise GeometryError(f"{name} must be >= 1, got {count}")
     if geometry.page_size < 1:
@@ -215,19 +209,22 @@ class SubsystemState:
         self._erase_counts: dict[int, int] = {}
 
     def page_state(self, addr: FlashAddress) -> PageState:
-        pages = self._written.get(self._block_of_page(addr))
+        block = encode(addr, self.geometry) // self.geometry.pages_per_block
+        pages = self._written.get(block)
         written = self._default_written if pages is None else addr.page in pages
         return PageState.WRITTEN if written else PageState.ERASED
 
     def erase_count(self, addr: FlashAddress) -> int:
         # an erase count names a block, so the page index is neither checked
         # nor read
-        block = self._block_of_page(new_address((*addr[:5], 0)))
+        page0 = new_address((*addr[:5], 0))
+        block = encode(page0, self.geometry) // self.geometry.pages_per_block
         return self._erase_counts.get(block, 0)
 
     def write_page(self, addr: FlashAddress) -> list[Violation]:
         """Mark a page written; warn if it was already written (no erase between)."""
-        # `_block_of_page`, inlined: this runs once per programmed page
+        # the range check and block index of `encode`, inlined: this runs
+        # once per programmed page
         channel, chip, die, plane, block, page = addr
         channels, chips, dies, planes, blocks, pages = self._counts
         if not (
@@ -260,8 +257,8 @@ class SubsystemState:
         All pages of the block flip to erased atomically. Warns once the
         erase count exceeds the configured endurance limit.
         """
-        # `_block_of_page` of the block's page 0, inlined: this runs once per
-        # erased block
+        # the range check and block index of `encode` of the block's page 0,
+        # inlined: this runs once per erased block
         channel, chip, die, plane, block, _ = addr
         channels, chips, dies, planes, blocks, _ = self._counts
         if not (
@@ -290,25 +287,6 @@ class SubsystemState:
                 )
             ]
         return []
-
-    def _block_of_page(self, addr: FlashAddress) -> int:
-        """The block index of a page address, after a range check of all six
-        indices."""
-        channel, chip, die, plane, block, page = addr
-        channels, chips, dies, planes, blocks, pages = self._counts
-        if not (
-            0 <= channel < channels
-            and 0 <= chip < chips
-            and 0 <= die < dies
-            and 0 <= plane < planes
-            and 0 <= block < blocks
-            and 0 <= page < pages
-        ):
-            raise AddressRangeError(
-                f"address {addr} out of range for geometry {self._counts}"
-            )
-        # mixed radix, channel most significant, as in `encode`
-        return (((channel * chips + chip) * dies + die) * planes + plane) * blocks + block
 
 
 def _rewrite_warning(addr: FlashAddress) -> Violation:
