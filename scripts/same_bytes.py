@@ -19,9 +19,9 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
   serialization with idle power (no benchmark workload has both), die
   serialization with the command overhead on the bus, energies of -0.0 on
   channel 0 and 0.0 on channel 1 (equal floats that render apart), policy
-  flags spelled ``yes``, ``on`` and ``1``, and configs that each fail with
-  one of the config diagnostics ``tests/test_trace_io.py`` pins, so that
-  their stderr is compared;
+  flags spelled ``yes``, ``on`` and ``1``, an empty ``[DEFAULT]`` header,
+  and configs that each fail with one of the config diagnostics
+  ``tests/test_trace_io.py`` pins, so that their stderr is compared;
 - ``sample/mixed.trace`` with every arrival moved later, on
   ``sample/ssd.ini``: so that event starts cross 10^15 ns, where a start
   in microseconds may need more than 15 digits, and so that they pass
@@ -95,6 +95,7 @@ CONFIG_EDITS = (
     ("bad-bool", (("die_serialization = false", "die_serialization = maybe"),)),
     ("bad-severity", (("violation_severity = warn", "violation_severity = LOUD"),)),
     ("negative-endurance-limit", (("endurance_limit = none", "endurance_limit = -1"),)),
+    ("bad-endurance-limit", (("endurance_limit = none", "endurance_limit = Nothing"),)),
     ("nan-timing", (("t_sense = 25", "t_sense = nan"),)),
     ("negative-timing", (("t_sense = 25", "t_sense = -4"),)),
     (
@@ -110,6 +111,7 @@ CONFIG_EDITS = (
         (("#array_sense = 0.030 * duration", "array_sense = nonsense_var"),),
     ),
     ("default-key", (("[geometry]", "[DEFAULT]\nt_sense = 30\n[geometry]"),)),
+    ("empty-default", (("[geometry]", "[DEFAULT]\n[geometry]"),)),
     (
         "dies-overhead-on-bus",
         (

@@ -405,6 +405,10 @@ def parse_config(text: str) -> Config:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+    # configparser copies a [DEFAULT] key into every section; an empty
+    # [DEFAULT] header changes nothing and is accepted
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
     for required in ("geometry", "commands"):
         if not parser.has_section(required):
             raise ConfigError(f"missing required section [{required}]")
@@ -500,15 +504,16 @@ def _parse_policy(parser: configparser.ConfigParser) -> Policy:
             raise ConfigError(f"unknown key policy.{key}")
     kwargs: dict = {}
     if "violation_severity" in section:
-        value = section["violation_severity"].strip().lower()
+        raw = section["violation_severity"]
+        value = raw.strip().lower()
         if value not in ("warn", "error"):
             raise ConfigError(
-                f"policy.violation_severity must be 'warn' or 'error', got '{value}'"
+                f"policy.violation_severity must be 'warn' or 'error', got '{raw}'"
             )
         kwargs["strict"] = value == "error"
     if "endurance_limit" in section:
-        raw = section["endurance_limit"].strip().lower()
-        if raw != "none":
+        raw = section["endurance_limit"]
+        if raw.strip().lower() != "none":
             limit = _int_value("policy", "endurance_limit", raw)
             if limit < 0:
                 raise ConfigError("policy.endurance_limit must be >= 0 or 'none'")

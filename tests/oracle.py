@@ -11,8 +11,8 @@ engine reads, so a wrong shape (a missing dependency, a wrong resource) is
 wrong in both and their agreement does not catch it. Its durations and
 energies come from `ModelSet.latency_us`/`energy_uj`, whose functions are
 compiled from the same binding trees through the same `expr.Emitter` as the
-engine's `Pricer`. An oracle of the per-command latencies in closed form,
-independent of both, is ROADMAP item 10.
+engine's `Pricer`. `closed_form.py` gives per-command latencies in closed
+form, independent of both, and criterion 3 checks the engine against it.
 """
 
 from __future__ import annotations

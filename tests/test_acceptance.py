@@ -15,16 +15,19 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flashsim.commands import Command, CommandKind, validate
 from flashsim.engine import Policy, idle_accounting, run
 from flashsim.errors import Rule
-from flashsim.models import EventContext, EventKind, ModelSet
+from flashsim.models import EventContext, EventKind, ModelSet, TimingParams
 from flashsim.stats import build_report
 from flashsim.topology import Geometry, encode, decode
 from flashsim.trace_io import parse_config
 
 from checks import assert_schedule_legal
+from closed_form import LATENCY_NS, Timing
 from conftest import ALL_KINDS, A
 from gen import random_trace
 from oracle import enumerated_addresses, oracle_schedule
@@ -155,6 +158,49 @@ def test_criterion_3_pipeline_math():
 
     cache1 = checked_run([Command(0, CommandKind.CACHE_READ, (A(),), 1)], g)
     assert cache1.results[0].latency_ns == read_ns
+
+    closed_forms_hold()
+
+
+CLOSED_FORM_GEOMETRY = Geometry(1, 1, 4, 4, 2, 16, 2048, 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # TimingParams in field order, in whole nanoseconds (per byte for
+    # t_bus_per_byte)
+    params_ns=st.tuples(
+        *[st.integers(0, 2_000_000)] * 4, st.integers(0, 50), st.integers(0, 2_000_000)
+    ),
+    n=st.integers(1, CLOSED_FORM_GEOMETRY.pages_per_block),
+    k=st.integers(1, CLOSED_FORM_GEOMETRY.planes_per_die),
+)
+# the built-in parameters
+@example(params_ns=(0, 25_000, 200_000, 1_500_000, 25, 0), n=3, k=2)
+def closed_forms_hold(params_ns, n, k):
+    """Each command alone on an idle device takes the latency
+    `closed_form.py` gives, a derivation that shares no code with
+    `commands.shape`."""
+    g = CLOSED_FORM_GEOMETRY
+    models = ModelSet(TimingParams(*(ns / 1000 for ns in params_ns)))
+    t_cmd, t_sense, t_prog, t_erase, ns_per_byte, t_buf = params_ns
+    timing = Timing(t_cmd, t_sense, t_prog, t_erase, t_buf, g.page_size * ns_per_byte)
+    planes = tuple(A(plane=i) for i in range(k))
+    dies = tuple(A(die=i) for i in range(k))
+    # (kind, operands, page count, the count its formula takes)
+    for kind, operands, page_count, count in (
+        (CommandKind.READ, (A(),), 1, 1),
+        (CommandKind.WRITE, (A(),), 1, 1),
+        (CommandKind.ERASE, (A(),), 1, 1),
+        (CommandKind.COPY_BACK, (A(), A(block=1)), 1, 1),
+        (CommandKind.CACHE_READ, (A(),), n, n),
+        (CommandKind.CACHE_WRITE, (A(),), n, n),
+        (CommandKind.MULTI_PLANE_READ, planes, 1, k),
+        (CommandKind.MULTI_PLANE_WRITE, planes, 1, k),
+        (CommandKind.INTERLEAVED_READ, dies, 1, k),
+    ):
+        result = checked_run([Command(0, kind, operands, page_count)], g, models)
+        assert result.results[0].latency_ns == LATENCY_NS[kind](timing, count), kind
 
 
 @criterion(4, "des-oracle-equivalence")

@@ -11,7 +11,9 @@ from flashsim.commands import (
     CommandKind,
     EventKind,
     decompose,
+    erased_blocks,
     validate,
+    written_pages,
 )
 from flashsim.errors import Rule, Severity
 from flashsim.topology import Resource
@@ -215,6 +217,73 @@ class TestCommandRecord:
         second = first._replace(**change)
         assert first != second
         assert not first == second
+
+
+# (command, the pages it programs, the blocks it erases), written out for
+# every kind
+STATE_EFFECTS = [
+    (cmd(CommandKind.READ, A(page=3)), (), ()),
+    (cmd(CommandKind.WRITE, A(page=3)), (A(page=3),), ()),
+    (cmd(CommandKind.ERASE, A(block=2)), (), (A(block=2),)),
+    (
+        cmd(CommandKind.COPY_BACK, A(page=1), A(block=1, page=3)),
+        (A(block=1, page=3),),
+        (),
+    ),
+    (cmd(CommandKind.CACHE_READ, A(page=2), page_count=3), (), ()),
+    (
+        cmd(CommandKind.CACHE_WRITE, A(block=1, page=2), page_count=3),
+        (A(block=1, page=2), A(block=1, page=3), A(block=1, page=4)),
+        (),
+    ),
+    (cmd(CommandKind.MULTI_PLANE_READ, A(plane=0, page=4), A(plane=1, page=4)), (), ()),
+    (
+        cmd(CommandKind.MULTI_PLANE_WRITE, A(plane=0, page=4), A(plane=1, page=4)),
+        (A(plane=0, page=4), A(plane=1, page=4)),
+        (),
+    ),
+    (
+        cmd(CommandKind.MULTI_PLANE_ERASE, A(plane=0, block=3), A(plane=1, block=3)),
+        (),
+        (A(plane=0, block=3), A(plane=1, block=3)),
+    ),
+    (cmd(CommandKind.INTERLEAVED_READ, A(die=0), A(die=1)), (), ()),
+    (
+        cmd(CommandKind.INTERLEAVED_WRITE, A(die=0, page=5), A(die=1, page=6)),
+        (A(die=0, page=5), A(die=1, page=6)),
+        (),
+    ),
+    (
+        cmd(CommandKind.INTERLEAVED_ERASE, A(die=0, block=1), A(die=1, block=2)),
+        (),
+        (A(die=0, block=1), A(die=1, block=2)),
+    ),
+    (
+        cmd(
+            CommandKind.MULTI_PLANE_COPY_BACK,
+            A(plane=0, page=1),
+            A(plane=0, block=2, page=3),
+            A(plane=1, page=1),
+            A(plane=1, block=2, page=3),
+        ),
+        (A(plane=0, block=2, page=3), A(plane=1, block=2, page=3)),
+        (),
+    ),
+]
+
+
+class TestStateEffects:
+    def test_every_kind_has_a_case(self):
+        assert [c.kind for c, _, _ in STATE_EFFECTS] == list(CommandKind)
+
+    @pytest.mark.parametrize(
+        "command, pages, blocks",
+        STATE_EFFECTS,
+        ids=[c.kind.value for c, _, _ in STATE_EFFECTS],
+    )
+    def test_written_pages_and_erased_blocks(self, command, pages, blocks):
+        assert written_pages(command) == pages
+        assert erased_blocks(command) == blocks
 
 
 class TestDecompose:

@@ -157,7 +157,7 @@ CONFIG_DIAGNOSTICS = [
     ),
     pytest.param(
         _edited(tail="[policy]\nviolation_severity = LOUD \n"),
-        "policy.violation_severity must be 'warn' or 'error', got 'loud'",
+        "policy.violation_severity must be 'warn' or 'error', got 'LOUD'",
         id="bad-violation-severity",
     ),
     pytest.param(
@@ -172,7 +172,7 @@ CONFIG_DIAGNOSTICS = [
     ),
     pytest.param(
         _edited(tail="[policy]\nendurance_limit = Nothing\n"),
-        "policy.endurance_limit: expected an integer, got 'nothing'",
+        "policy.endurance_limit: expected an integer, got 'Nothing'",
         id="bad-endurance-limit",
     ),
     pytest.param(
@@ -227,13 +227,28 @@ CONFIG_DIAGNOSTICS = [
     ),
     pytest.param(
         "[DEFAULT]\nt_sense = 30\n" + MINIMAL_CONFIG,
-        "unknown key geometry.t_sense",
+        "unknown section [DEFAULT]",
         id="default-key-in-geometry",
     ),
     pytest.param(
         "[DEFAULT]\nchannels = 2\n" + _edited(("channels = 2\n", "")),
-        "unknown key commands.channels",
+        "unknown section [DEFAULT]",
         id="default-key-in-commands",
+    ),
+    pytest.param(
+        "[DEFAULT]\nchannels = 2\n[commands]\nsupported = read\n",
+        "unknown section [DEFAULT]",
+        id="default-key-before-missing-geometry",
+    ),
+    pytest.param(
+        "[DEFAULT]\n" + _edited(("channels = 2\n", "")),
+        "missing required key geometry.channels",
+        id="empty-default-is-no-section",
+    ),
+    pytest.param(
+        "[DEFAULT]\nchannels = 2\n[warp]\n" + MINIMAL_CONFIG,
+        "unknown section [warp]",
+        id="named-section-before-default",
     ),
 ]
 
@@ -747,6 +762,13 @@ class TestParseConfig:
         assert config.models.power.p_sense == 45.0
         assert config.models.idle_power_mw("bus") == 1.0
         assert config.models.idle_power_mw("plane") == 0.0
+
+    def test_empty_default_header_changes_nothing(self):
+        headed, plain = parse_config("[DEFAULT]\n" + MINIMAL_CONFIG), parse_config(MINIMAL_CONFIG)
+        assert headed._replace(models=None) == plain._replace(models=None)
+        assert (headed.models.timing, headed.models.power) == (
+            plain.models.timing, plain.models.power
+        )
 
     @pytest.mark.parametrize("text, message", CONFIG_DIAGNOSTICS)
     def test_config_diagnostics_are_pinned(self, text, message):
