@@ -375,35 +375,27 @@ def _interleave_rules(addrs: Sequence[FlashAddress]) -> list[Violation]:
     return out
 
 
-def written_pages(cmd: Command) -> tuple[FlashAddress, ...]:
-    """Pages a command programs, in operand order (empty for reads/erases)."""
+def written_pages(cmd: Command) -> tuple[tuple[FlashAddress, ...], int]:
+    """The pages a command programs, as runs: (first pages, run length).
+
+    Each first page starts a run of that many consecutive pages of its
+    block, in operand order: a cache write is one run of its page count,
+    every other writing kind writes single pages, and reads and erases
+    write none."""
     value = cmd.kind._value_
     if value not in _WRITING:
-        return ()
+        return (), 1
     layout = LAYOUT[value]
     if layout == EXTENT:
-        return _extent_pages(cmd)
+        return cmd.operands, cmd.page_count
     if layout == PAIR or layout == PAIRS:
-        return cmd.operands[1::2]
-    return cmd.operands
+        return cmd.operands[1::2], 1
+    return cmd.operands, 1
 
 
 def erased_blocks(cmd: Command) -> tuple[FlashAddress, ...]:
     """Block-identifying addresses a command erases (empty for the rest)."""
     return cmd.operands if cmd.kind._value_ in _ERASING else ()
-
-
-def _extent_pages(cmd: Command) -> tuple[FlashAddress, ...]:
-    channel, chip, die, plane, block, first = cmd.operands[0]
-    return tuple(
-        map(
-            new_address,
-            [
-                (channel, chip, die, plane, block, page)
-                for page in range(first, first + cmd.page_count)
-            ],
-        )
-    )
 
 
 # The resource a shape step occupies, resolved against its target address.
@@ -418,7 +410,18 @@ def event_targets(cmd: Command) -> tuple[FlashAddress, ...]:
     """The addresses a command's shape steps index: the extent pages of a
     cache command, the operands of every other kind (a copy-back pair i is
     source 2i and destination 2i+1)."""
-    return _extent_pages(cmd) if LAYOUT[cmd.kind._value_] == EXTENT else cmd.operands
+    if LAYOUT[cmd.kind._value_] != EXTENT:
+        return cmd.operands
+    channel, chip, die, plane, block, first = cmd.operands[0]
+    return tuple(
+        map(
+            new_address,
+            [
+                (channel, chip, die, plane, block, page)
+                for page in range(first, first + cmd.page_count)
+            ],
+        )
+    )
 
 
 def event_bytes(kind: EventKind, geometry: Geometry) -> int:

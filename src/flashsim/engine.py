@@ -25,14 +25,18 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import islice
 from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Sequence
 
 from .commands import (
+    EXTENT,
+    LAYOUT,
     ROLE_BUS,
     ROLE_NONE,
     Command,
     CommandKind,
     EventKind,
+    Step,
     decompose,  # noqa: F401 - unused here; perfbench's tracer hooks engine.decompose
     erased_blocks,
     event_bytes,
@@ -48,7 +52,7 @@ from .errors import (
     ValidationFatal,
     Violation,
 )
-from .models import ModelSet
+from .models import ModelSet, Pricer
 from .topology import (
     FlashAddress,
     Geometry,
@@ -294,8 +298,9 @@ def replay(
         if violations and any(v.severity is error for v in violations):
             yield cmd, violations
             continue
-        for addr in written_pages(cmd):
-            found = write_page(addr)
+        firsts, count = written_pages(cmd)
+        for addr in firsts:
+            found = write_page(addr, count)
             if found:
                 violations.extend(v.located(cmd.sequence_id, cmd.line) for v in found)
         for addr in erased_blocks(cmd):
@@ -339,18 +344,23 @@ def run(
     chips, dies = geometry.chips_per_channel, geometry.dies_per_chip
     planes = geometry.planes_per_die
 
-    # Each (command kind value, operand count, page count) shape with its
-    # steps' pricing entries and kind slots, resolved once per run. A kind's
-    # slot indexes its energy total, which starts at 0.0 when a compiled
-    # shape first has the kind and stays None otherwise. Every compiled
-    # shape's events are all placed unless the run aborts, so the kinds with
-    # a total are exactly the kinds some event had.
-    compiled: dict[tuple[str, int, int], tuple] = {}
+    # Each (command kind value, operand count, page count) shape, compiled
+    # once per run: its steps, each with its pricing entry, kind slot and the
+    # position of its (role, operand) in the shape's list of distinct ones.
+    # A step's operand is the index of its target, except in a cache command,
+    # whose extent pages share its operand's plane and bus, so every step's
+    # operand is 0. A kind's slot indexes its energy total, which starts at
+    # 0.0 when a compiled shape first has the kind and stays None otherwise.
+    # Every compiled shape's events are all placed unless the run aborts, so
+    # the kinds with a total are exactly the kinds some event had.
+    compiled: dict[tuple[str, int, int], tuple[tuple, tuple]] = {}
     kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
-    # Resources are interned to dense slots the first time an event occupies
-    # them, so memory follows the trace, not the geometry. A plane (or, under
-    # die serialization, a die) is keyed by its mixed-radix index, a channel
-    # bus by the bitwise complement of its channel.
+    # Resources are interned to dense slots in the order the events occupy
+    # them, so memory follows the trace, not the geometry: each command
+    # resolves its shape's (role, operand) list to slots before its events
+    # are placed, and that list is in step order. A plane (or, under die
+    # serialization, a die) is keyed by its mixed-radix index, a channel bus
+    # by the bitwise complement of its channel.
     slot_of: dict[int, int] = {}
     resources: list[Resource] = []
     busy_until: list[int] = []
@@ -368,26 +378,41 @@ def run(
         if policy.strict and warnings:
             raise ValidationFatal(warnings)
 
-        n_operands, page_count = len(cmd.operands), cmd.page_count
+        operands = cmd.operands
+        n_operands, page_count = len(operands), cmd.page_count
         key = (cmd.kind._value_, n_operands, page_count)
-        steps = compiled.get(key)
-        if steps is None:
-            steps = compiled[key] = tuple(
-                (
-                    kind,
-                    index,
-                    deps,
-                    role,
-                    price.entry(kind, event_bytes(kind, geometry)),
-                    _KIND_SLOTS[kind],
-                )
-                for kind, index, deps, role in shape(
-                    cmd.kind, n_operands, page_count, overhead_on_bus
-                )
+        found = compiled.get(key)
+        if found is None:
+            found = compiled[key] = _compile(
+                shape(cmd.kind, n_operands, page_count, overhead_on_bus),
+                LAYOUT[key[0]] == EXTENT,
+                price,
+                geometry,
             )
-            for step in steps:
+            for step in found[0]:
                 if kind_energy[step[5]] is None:
                     kind_energy[step[5]] = 0.0
+        steps, uses = found
+        cmd_slots: list[int] = []
+        for role, operand in uses:
+            if role == ROLE_NONE:
+                cmd_slots.append(-1)
+                continue
+            target = operands[operand]
+            if role == ROLE_BUS:
+                resource_key = ~target[0]
+            else:
+                channel, chip, die, plane, _, _ = target
+                resource_key = (channel * chips + chip) * dies + die
+                if not serialize_dies:
+                    resource_key = resource_key * planes + plane
+            slot = slot_of.get(resource_key)
+            if slot is None:
+                slot = slot_of[resource_key] = len(resources)
+                resources.append(_resource(role, target, serialize_dies))
+                busy_until.append(0)
+                busy.append(0)
+            cmd_slots.append(slot)
         targets = event_targets(cmd)
         arrival = cmd.arrival_ns
         sequence_id = cmd.sequence_id
@@ -396,36 +421,22 @@ def run(
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0
-        for kind, index, deps, role, priced, kind_slot in steps:
-            target = targets[index]
+        for kind, index, deps, use, priced, kind_slot in steps:
             ready = arrival
             for dep in deps:
                 if ends[dep] > ready:
                     ready = ends[dep]
             try:
-                duration, energy = pair = priced(target)
+                duration, energy = pair = priced(targets[index])
             except ModelEvaluationError as exc:
                 raise exc.located(
                     cmd.line,
                     f"the {kind.value} event of {cmd.kind.value} command {sequence_id}",
                 ) from exc
-            if role == ROLE_NONE:
-                slot = -1
+            slot = cmd_slots[use]
+            if slot < 0:
                 start = ready
             else:
-                if role == ROLE_BUS:
-                    resource_key = ~target.channel
-                else:
-                    channel, chip, die, plane, _, _ = target
-                    resource_key = (channel * chips + chip) * dies + die
-                    if not serialize_dies:
-                        resource_key = resource_key * planes + plane
-                slot = slot_of.get(resource_key)
-                if slot is None:
-                    slot = slot_of[resource_key] = len(resources)
-                    resources.append(_resource(role, target, serialize_dies))
-                    busy_until.append(0)
-                    busy.append(0)
                 start = busy_until[slot]
                 if start < ready:
                     start = ready
@@ -476,6 +487,27 @@ def run(
     )
 
 
+def _compile(
+    steps: Sequence[Step], extent: bool, price: Pricer, geometry: Geometry
+) -> tuple[tuple, tuple[tuple[int, int], ...]]:
+    """A shape's steps as the run places them, (kind, target index, deps,
+    position of its (role, operand) in uses, pricing entry, kind slot), and
+    those distinct uses in first-step order; see `run`."""
+    uses: dict[tuple[int, int], int] = {}
+    compiled = tuple(
+        (
+            kind,
+            index,
+            deps,
+            uses.setdefault((role, 0 if extent else index), len(uses)),
+            price.entry(kind, event_bytes(kind, geometry)),
+            _KIND_SLOTS[kind],
+        )
+        for kind, index, deps, role in steps
+    )
+    return compiled, tuple(uses)
+
+
 def _resource(role: int, target: FlashAddress, serialize_dies: bool) -> Resource:
     """The resource a step of `role` occupies at `target`; die serialization
     coarsens every plane to its die."""
@@ -522,7 +554,7 @@ def idle_accounting(
 
 
 def _check_order(trace: Sequence[Command]) -> None:
-    for prev, cur in zip(trace, trace[1:]):
+    for prev, cur in zip(trace, islice(trace, 1, None)):
         if cur.arrival_ns < prev.arrival_ns or (
             cur.arrival_ns == prev.arrival_ns and cur.sequence_id <= prev.sequence_id
         ):

@@ -25,9 +25,10 @@ Every binding, built-in or expression, is a parsed tree: the built-ins are
 ``t_x``, ``byte_count * t_bus_per_byte`` and ``p_x * duration / 1000``.
 Pricing an event is one call of a function generated from its kind's two
 trees and compiled once per (event kind, byte_count), the first time a run
-needs it (see `Pricer`). Every built-in, and every expression that reads
-no address variable, gives one result per (event kind, byte_count), which a
-run evaluates once.
+needs it (see `Pricer`). That function remembers its results by the address
+indices the two trees read, so an input already priced is not evaluated
+again: every built-in, and every expression that reads no address
+variable, is evaluated once per (event kind, byte_count).
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ VARIABLE_ORDER = (
 _DURATION = VARIABLE_ORDER.index("duration")
 PERF_VARIABLES = frozenset(VARIABLE_ORDER[:_DURATION])
 POWER_VARIABLES = frozenset(VARIABLE_ORDER)
-# A binding that reads none of the address variables is constant per
-# (event kind, byte_count) on one geometry.
-ADDRESS_FREE_VARIABLES = frozenset({"byte_count", "page_size", "oob_size", "duration"})
-_ADDRESS_VARIABLES = tuple(v for v in VARIABLE_ORDER if v not in ADDRESS_FREE_VARIABLES)
+# The variables an event's target gives, named as its fields; variable i is
+# index i of the target.
+_ADDRESS_VARIABLES = FlashAddress._fields
+# Each pricing function's memo is emptied when it holds this many results,
+# so a run whose inputs rarely repeat keeps its memory flat.
+_PRICES_KEPT = 256
 
 # The tree of a binding's equation and the config key it comes from,
 # "[section] key".
@@ -201,11 +204,6 @@ class ModelSet:
         self.power_exprs = dict(power_exprs or {})
         self._latency = {kind: self._latency_binding(kind) for kind in EventKind}
         self._energy = {kind: self._energy_binding(kind) for kind in EventKind}
-        self._address_free = {
-            kind: variables_of(self._latency[kind][0]) | variables_of(self._energy[kind][0])
-            <= ADDRESS_FREE_VARIABLES
-            for kind in EventKind
-        }
         # the single bindings behind latency_us and energy_uj, compiled on
         # first use and keyed by (kind, whether it is the power binding)
         self._functions: dict[tuple[EventKind, bool], Callable[..., float]] = {}
@@ -274,16 +272,18 @@ class Pricer:
     or when the latency is too large to count in nanoseconds.
 
     Each entry is one function generated from the kind's two trees and
-    compiled when the entry is first asked for. A kind whose two bindings
-    read no address variable is evaluated once per byte_count, at the first
-    event that needs it, and that result is reused; a failing binding
-    therefore raises at its first event, as it would if evaluated per
-    event. Bindings that read the address are evaluated per event.
+    compiled when the entry is first asked for. It keeps a memo for as long
+    as its pricer lives, keyed by the tuple of the target indices the two
+    trees read (the empty tuple for a kind that reads none): a target whose
+    key is stored gets the stored pair itself, and any other is evaluated
+    and its pair stored. Only results are stored, so a failing binding
+    raises at the first event that evaluates its key, and again at every
+    later one, as it would if each event were evaluated on its own. The
+    memo is emptied when it holds `_PRICES_KEPT` pairs.
     """
 
     def __init__(self, models: ModelSet, geometry: Geometry):
         self._latency, self._energy = models._latency, models._energy
-        self._address_free = models._address_free
         self._page_size = float(geometry.page_size)
         self._oob_size = float(geometry.oob_size)
         self._entries: dict[
@@ -298,28 +298,14 @@ class Pricer:
         key = (kind, byte_count)
         found = self._entries.get(key)
         if found is None:
-            found = self._entries[key] = self._new_entry(kind, byte_count)
+            found = self._entries[key] = self._kernel(kind, byte_count)
         return found
-
-    def _new_entry(
-        self, kind: EventKind, byte_count: int
-    ) -> Callable[[FlashAddress], tuple[int, float]]:
-        evaluate = self._kernel(kind, byte_count)
-        if not self._address_free[kind]:
-            return evaluate
-        priced: list[tuple[int, float]] = []
-
-        def table_entry(target: FlashAddress) -> tuple[int, float]:
-            if not priced:
-                priced.append(evaluate(target))
-            return priced[0]
-
-        return table_entry
 
     def _kernel(
         self, kind: EventKind, byte_count: int
     ) -> Callable[[FlashAddress], tuple[int, float]]:
-        """Generate and compile the function that prices one event."""
+        """Generate and compile the function that prices one event, with
+        its memo."""
         (latency, latency_key), (energy, energy_key) = self._latency[kind], self._energy[kind]
         emitter = Emitter()
         names = {
@@ -329,10 +315,14 @@ class Pricer:
             "duration": "duration",
         }
         read = variables_of(latency) | variables_of(energy)
+        memo: dict[tuple[int, ...], tuple[int, float]] = {}
+        indices = [i for i, name in enumerate(_ADDRESS_VARIABLES) if name in read]
+        key = emitter.assign("(" + "".join(f"target[{i}], " for i in indices) + ")")
+        stored = emitter.assign(f"{emitter.bind(memo.get)}({key})")
+        emitter.lines.append(f"if {stored} is not None: return {stored}")
         to_float = emitter.bind(float)
-        for name in _ADDRESS_VARIABLES:
-            if name in read:
-                names[name] = emitter.assign(f"{to_float}(target.{name})")
+        for i in indices:
+            names[_ADDRESS_VARIABLES[i]] = emitter.assign(f"{to_float}(target[{i}])")
         duration_us = emitter.emit(latency, names, _division_by_zero(latency_key))
         _check_range(emitter, duration_us, latency_key)
         # units.us_to_ns, with its overflow named after the binding
@@ -346,7 +336,13 @@ class Pricer:
         emitter.lines.append(f"duration = {duration_ns} / {ns_per_us}")
         energy_uj = emitter.emit(energy, names, _division_by_zero(energy_key))
         _check_range(emitter, energy_uj, energy_key)
-        return emitter.function(["target"], f"{duration_ns}, {energy_uj}")
+        pair = emitter.assign(f"{duration_ns}, {energy_uj}")
+        emitter.lines.append(
+            f"if {emitter.bind(memo.__len__)}() == {_PRICES_KEPT}: "
+            f"{emitter.bind(memo.clear)}()"
+        )
+        emitter.lines.append(f"{emitter.bind(memo)}[{key}] = {pair}")
+        return emitter.function(["target"], pair)
 
 
 def _values(ctx: EventContext) -> tuple[float, ...]:

@@ -329,8 +329,8 @@ def _events_of(report: Report) -> EventLog:
 
 # Tails are cached by the identity of their priced pair, as floats that
 # compare equal may render differently (-0.0 and 0.0). The log keeps every
-# pair alive, so no identity is reused while a log is written. Pricing that
-# reads the address returns a new pair per event, so the cache is emptied
+# pair alive, so no identity is reused while a log is written. Pricing
+# returns a new pair for each input it evaluates, so the cache is emptied
 # when it holds this many tails.
 _TAILS_KEPT = 1024
 

@@ -221,10 +221,17 @@ class SubsystemState:
         block = encode(page0, self.geometry) // self.geometry.pages_per_block
         return self._erase_counts.get(block, 0)
 
-    def write_page(self, addr: FlashAddress) -> list[Violation]:
-        """Mark a page written; warn if it was already written (no erase between)."""
+    def write_page(self, addr: FlashAddress, count: int = 1) -> list[Violation]:
+        """Mark `count` consecutive pages of one block written, from `addr`
+        on; warn, in page order, for each one already written (no erase
+        between).
+
+        The run is checked whole before any page is written: a run that
+        leaves the geometry or its block raises the AddressRangeError of its
+        first page outside, and writes nothing. `count` must be >= 1.
+        """
         # the range check and block index of `encode`, inlined: this runs
-        # once per programmed page
+        # once per programmed page or run
         channel, chip, die, plane, block, page = addr
         channels, chips, dies, planes, blocks, pages = self._counts
         if not (
@@ -240,6 +247,8 @@ class SubsystemState:
             )
         key = (((channel * chips + chip) * dies + die) * planes + plane) * blocks + block
         written = self._written.get(key)
+        if count != 1:
+            return self._write_run(key, written, addr, count)
         if written is None:
             if self._default_written:
                 # the block is still in its all-written initial state
@@ -250,6 +259,33 @@ class SubsystemState:
             return [_rewrite_warning(addr)]
         written.add(page)
         return []
+
+    def _write_run(
+        self, key: int, written: set[int] | None, addr: FlashAddress, count: int
+    ) -> list[Violation]:
+        """`write_page` of `count` != 1 pages, once `addr` is checked and
+        its block's `key` and `written` set are read."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        first = addr[5]
+        pages = self._counts[5]
+        if first + count > pages:
+            raise AddressRangeError(
+                f"address {new_address((*addr[:5], pages))} out of range for "
+                f"geometry {self._counts}"
+            )
+        run = range(first, first + count)
+        if written is None:
+            if not self._default_written:
+                self._written[key] = set(run)
+                return []
+            # the block is still in its all-written initial state
+            again = list(run)
+        else:
+            again = sorted(written.intersection(run))
+            written.update(run)
+        head = addr[:5]
+        return [_rewrite_warning(new_address((*head, page))) for page in again]
 
     def erase_block(self, addr: FlashAddress) -> list[Violation]:
         """Erase the whole block containing `addr`; bump its wear counter.

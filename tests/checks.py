@@ -85,7 +85,18 @@ class ReferenceState:
     def erase_count(self, addr: FlashAddress) -> int:
         return self._erase_counts.get(self._block_index(addr), 0)
 
-    def write_page(self, addr: FlashAddress) -> list[Violation]:
+    def write_page(self, addr: FlashAddress, count: int = 1) -> list[Violation]:
+        """A run of `count` pages as that many single-page writes, once
+        every page of the run is in range."""
+        encode(addr, self.geometry)
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        run = [addr._replace(page=addr.page + i) for i in range(count)]
+        for page in run:
+            encode(page, self.geometry)
+        return [warning for page in run for warning in self._write_one(page)]
+
+    def _write_one(self, addr: FlashAddress) -> list[Violation]:
         index = encode(addr, self.geometry)
         warnings = []
         if self._written.get(index, self._default_written):

@@ -18,7 +18,11 @@ closed form in the timing parameters:
 | cache_write of n pages         | c+x+p+(n-1)*max(p,x)     |
 | multi-plane read of k planes   | c+s+k*x                  |
 | multi-plane write of k planes  | c+k*x+p                  |
+| multi-plane erase of k planes  | c+e                      |
 | interleaved read of k dies     | c+s+k*x                  |
+| interleaved write of k dies    | c+k*x+p                  |
+| interleaved erase of k dies    | c+e                      |
+| multi-plane copy-back, k pairs | c+s+b+p                  |
 
 Nothing here reads `commands.shape`, `decompose` or the models, so a wrong
 row of the command-kind table is wrong in the engine only, and criterion 3
@@ -45,7 +49,8 @@ class Timing(NamedTuple):
 
 
 # Each kind's latency from its timing and its count: the pages of a cache
-# command, the planes or dies of a multi-plane or interleaved one, else 1.
+# command, the planes, dies or pairs of a multi-plane or interleaved one,
+# else 1.
 LATENCY_NS: dict[CommandKind, Callable[[Timing, int], int]] = {
     CommandKind.READ: lambda t, n: t.c + t.s + t.x,
     CommandKind.WRITE: lambda t, n: t.c + t.x + t.p,
@@ -55,5 +60,9 @@ LATENCY_NS: dict[CommandKind, Callable[[Timing, int], int]] = {
     CommandKind.CACHE_WRITE: lambda t, n: t.c + t.x + t.p + (n - 1) * max(t.p, t.x),
     CommandKind.MULTI_PLANE_READ: lambda t, k: t.c + t.s + k * t.x,
     CommandKind.MULTI_PLANE_WRITE: lambda t, k: t.c + k * t.x + t.p,
+    CommandKind.MULTI_PLANE_ERASE: lambda t, k: t.c + t.e,
     CommandKind.INTERLEAVED_READ: lambda t, k: t.c + t.s + k * t.x,
+    CommandKind.INTERLEAVED_WRITE: lambda t, k: t.c + k * t.x + t.p,
+    CommandKind.INTERLEAVED_ERASE: lambda t, k: t.c + t.e,
+    CommandKind.MULTI_PLANE_COPY_BACK: lambda t, k: t.c + t.s + t.b + t.p,
 }

@@ -187,8 +187,9 @@ def closed_forms_hold(params_ns, n, k):
     timing = Timing(t_cmd, t_sense, t_prog, t_erase, t_buf, g.page_size * ns_per_byte)
     planes = tuple(A(plane=i) for i in range(k))
     dies = tuple(A(die=i) for i in range(k))
+    pairs = tuple(a for i in range(k) for a in (A(plane=i), A(plane=i, block=1)))
     # (kind, operands, page count, the count its formula takes)
-    for kind, operands, page_count, count in (
+    table = (
         (CommandKind.READ, (A(),), 1, 1),
         (CommandKind.WRITE, (A(),), 1, 1),
         (CommandKind.ERASE, (A(),), 1, 1),
@@ -197,8 +198,14 @@ def closed_forms_hold(params_ns, n, k):
         (CommandKind.CACHE_WRITE, (A(),), n, n),
         (CommandKind.MULTI_PLANE_READ, planes, 1, k),
         (CommandKind.MULTI_PLANE_WRITE, planes, 1, k),
+        (CommandKind.MULTI_PLANE_ERASE, planes, 1, k),
         (CommandKind.INTERLEAVED_READ, dies, 1, k),
-    ):
+        (CommandKind.INTERLEAVED_WRITE, dies, 1, k),
+        (CommandKind.INTERLEAVED_ERASE, dies, 1, k),
+        (CommandKind.MULTI_PLANE_COPY_BACK, pairs, 1, k),
+    )
+    assert [row[0] for row in table] == list(LATENCY_NS) == list(CommandKind)
+    for kind, operands, page_count, count in table:
         result = checked_run([Command(0, kind, operands, page_count)], g, models)
         assert result.results[0].latency_ns == LATENCY_NS[kind](timing, count), kind
 

@@ -851,6 +851,19 @@ class TestEventLog:
         # a list of records reads back into the same columns
         assert engine.EventLog.of(events) == log
 
+    @pytest.mark.parametrize("policy", TestOracleEquivalence.POLICIES)
+    def test_resources_are_in_the_order_events_first_occupy_them(self, geometry, policy):
+        # each command resolves its resources before placing its events;
+        # the order must still be the order the schedule occupies them
+        for seed in range(10):
+            trace = random_trace(random.Random(seed), geometry, 30)
+            result = run_checked(trace, geometry, policy=policy)
+            first_use = list(
+                dict.fromkeys(e.resource for e in result.schedule if e.resource is not None)
+            )
+            assert list(result.busy_ns) == first_use, seed
+            assert result.schedule.resources == first_use, seed
+
     def test_a_log_that_was_not_kept_is_empty(self, geometry):
         trace = random_trace(random.Random(2), geometry, 5)
         for log in (

@@ -101,6 +101,10 @@ def test_subsystem_state_tracks_each_page_and_each_block_s_wear():
     assert state.page_state(page) is PageState.WRITTEN
     (again,) = state.write_page(page)
     assert again.rule is Rule.ERASE_BEFORE_WRITE
+    # a run of pages 6, 7 and 8 warns for page 7, the one already written
+    (again,) = state.write_page(FlashAddress(0, 0, 0, 0, 3, 6), 3)
+    assert again.message == "page 0.0.0.0.3.7 written again without an intervening erase"
+    assert state.page_state(FlashAddress(0, 0, 0, 0, 3, 8)) is PageState.WRITTEN
     # an erase and an erase count name a block: any page of it will do
     assert state.erase_block(FlashAddress(0, 0, 0, 0, 3, 0)) == []
     assert state.page_state(page) is PageState.ERASED

@@ -11,6 +11,7 @@ from flashsim.topology import FlashAddress, Geometry
 from flashsim.units import us_to_ns
 from flashsim.errors import ModelEvaluationError, NegativeResultError
 from flashsim.models import (
+    _PRICES_KEPT,
     EventContext,
     ModelSet,
     PowerParams,
@@ -221,13 +222,21 @@ LATENCY_SOURCES = SOURCES.map(lambda source: source.replace("duration", "page_si
 
 @st.composite
 def pricing_cases(draw):
-    """A kind, a geometry, a byte count and two targets inside the geometry."""
+    """A kind, a geometry, a byte count and targets inside the geometry: two
+    drawn ones, each again with one index redrawn (the same memo key when
+    the bindings do not read that index), and the first once more."""
     counts = [draw(st.integers(1, 4)) for _ in range(6)]
     geometry = Geometry(*counts, draw(st.integers(1, 8192)), draw(st.integers(0, 256)))
     targets = [
         FlashAddress(*(draw(st.integers(0, count - 1)) for count in counts))
         for _ in range(2)
     ]
+    for target in targets[:2]:
+        level = draw(st.integers(0, 5))
+        index = draw(st.integers(0, counts[level] - 1))
+        indices = [index if i == level else x for i, x in enumerate(target)]
+        targets.append(FlashAddress(*indices))
+    targets.append(targets[0])
     kind = draw(st.sampled_from(list(EventKind)))
     return kind, geometry, draw(st.integers(0, 1 << 16)), targets
 
@@ -273,8 +282,11 @@ def _outcome(entry, target):
     return duration_ns, float.hex(energy)
 
 
+# (block, page) 1.2, 0.3, then 0.2 and 1.3, which repeat a bindings' key
+# that reads only the page, and 1.2 again
 _CASE = (EventKind.ARRAY_SENSE, Geometry(1, 1, 1, 1, 2, 4, 4096, 128), 4096,
-         [FlashAddress(0, 0, 0, 0, 1, 2), FlashAddress(0, 0, 0, 0, 0, 3)])
+         [FlashAddress(0, 0, 0, 0, *offsets) for offsets in
+          ((1, 2), (0, 3), (0, 2), (1, 3), (1, 2))])
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,13 +294,15 @@ _CASE = (EventKind.ARRAY_SENSE, Geometry(1, 1, 1, 1, 2, 4, 4096, 128), 4096,
 # an infinite literal times zero is NaN, which the check names
 @example("1e400 * 0 + 1", "duration", _CASE)
 @example("25.0", "1e400 * 0 + 1", _CASE)
-# signed zeros: -0.0 passes the range check, so the energy keeps its sign
+# signed zeros: -0.0 passes the range check, so the energy keeps its sign,
+# also when a repeated key reads it from the memo
 @example("-0.0 * page", "max(-0.0, 0.0) * duration", _CASE)
 # an address read by one tree only still makes the kind priced per event
 @example("25.0 + block", "duration * 0.03", _CASE)
 @example("25.0", "duration * page / 1000.0", _CASE)
 # each failure, named after its binding: a division by zero, a negative
-# and an infinite result, and a latency finite in microseconds only
+# and an infinite result, and a latency finite in microseconds only; a
+# failing key raises again each time it repeats
 @example("page_size / (3.0 - page)", "duration", _CASE)
 @example("1.0", "duration / (page - 2.0)", _CASE)
 @example("10.0 - 4.0 * page", "duration", _CASE)
@@ -303,6 +317,37 @@ def test_pricing_kernel_is_python_float_arithmetic_bit_for_bit(latency, power, c
         power_exprs={kind: parse_power_expression(power)},
     )
     entry = models.pricer(geometry).entry(kind, byte_count)
+    read = models.latency_exprs[kind].variables | models.power_exprs[kind].variables
+    stored: dict[tuple[int, ...], tuple[int, float]] = {}
     for target in targets:
         expected = _reference(latency, power, kind, geometry, byte_count, target)
+        assert _outcome(entry, target) == expected, target
+        if type(expected[0]) is int:
+            # a key priced before gets the pair it was priced to
+            key = tuple(i for name, i in zip(ADDRESS, target) if name in read)
+            pair = entry(target)
+            assert stored.setdefault(key, pair) is pair, target
+
+
+def test_pricing_memo_is_emptied_at_its_cap_and_stays_exact():
+    kind, cap = EventKind.ARRAY_PROGRAM, _PRICES_KEPT
+    geometry = Geometry(1, 1, 1, 1, 1, 2 * cap + 3, 4096, 0)
+    latency, power = "25.0 + page / 7.0", "duration * 0.03 + page"
+    models = ModelSet(
+        latency_exprs={kind: parse_latency_expression(latency)},
+        power_exprs={kind: parse_power_expression(power)},
+    )
+    entry = models.pricer(geometry).entry(kind, 0)
+    targets = [FlashAddress(0, 0, 0, 0, 0, page) for page in range(2 * cap + 3)]
+    first = entry(targets[0])
+    for target in targets[1:cap]:
+        entry(target)
+    # the memo holds `cap` pairs: the first key's is still stored
+    assert entry(targets[0]) is first
+    # one key more empties it, so the first key is evaluated anew
+    entry(targets[cap])
+    again = entry(targets[0])
+    assert again == first and again is not first
+    for target in targets + targets[::-1]:
+        expected = _reference(latency, power, kind, geometry, 0, target)
         assert _outcome(entry, target) == expected, target

@@ -335,6 +335,19 @@ def test_endurance_warning_after_limit(geometry):
     assert state.erase_count(block) == 4
 
 
+def test_run_write_past_the_block_end_raises_and_writes_nothing(geometry):
+    # the first page outside the run's block is the one the error names
+    state = SubsystemState(geometry)
+    with pytest.raises(AddressRangeError) as excinfo:
+        state.write_page(A(block=1, page=6), 3)
+    assert str(excinfo.value) == (
+        "address 0.0.0.0.1.8 out of range for geometry (2, 2, 2, 2, 4, 8)"
+    )
+    assert state.page_state(A(block=1, page=6)) is PageState.ERASED
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        state.write_page(A(block=1), 0)
+
+
 def test_initially_written_preload(geometry):
     state = SubsystemState(geometry, initially_written=True)
     page = A(block=0, page=0)
@@ -401,10 +414,31 @@ def _state_scripts(draw):
             *(n if i == pair[1] else x for i, (x, n) in enumerate(zip(pair[0], counts)))
         )
     )
-    addresses = st.one_of(in_range, in_range, in_range, out_of_range)
-    ops = st.sampled_from(["write_page", "erase_block", "page_state", "erase_count"])
-    script = draw(st.lists(st.tuples(ops, addresses), max_size=80))
+    # most addresses fall in a few blocks, so that writes, runs and erases
+    # meet on them
+    blocks = draw(st.lists(in_range, min_size=1, max_size=3))
+    in_a_block = st.builds(
+        lambda addr, page: FlashAddress(*addr[:5], page),
+        st.sampled_from(blocks),
+        st.integers(0, counts[5] - 1),
+    )
+    addresses = st.one_of(in_a_block, in_a_block, in_a_block, in_range, out_of_range)
+    ops = st.sampled_from(
+        ["write_page", "write_run", "erase_block", "page_state", "erase_count"]
+    )
+    # a run write's length, up to one page more than a block holds
+    run_lengths = st.integers(1, g.pages_per_block + 1)
+    script = draw(
+        st.lists(st.tuples(ops, addresses, run_lengths), min_size=20, max_size=30)
+    )
     return g, draw(st.sampled_from([None, 0, 2])), draw(st.booleans()), script
+
+
+def _call(state, op: str, count: int):
+    """The state's method `op`; a "write_run" writes `count` pages."""
+    if op == "write_run":
+        return lambda addr: state.write_page(addr, count)
+    return getattr(state, op)
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,8 +447,10 @@ def test_state_matches_the_per_page_reference(case):
     g, endurance_limit, initially_written, script = case
     state = SubsystemState(g, endurance_limit, initially_written)
     reference = ReferenceState(g, endurance_limit, initially_written)
-    for op, addr in script:
-        assert _outcome(getattr(state, op), addr) == _outcome(getattr(reference, op), addr)
+    for op, addr, count in script:
+        assert _outcome(_call(state, op, count), addr) == _outcome(
+            _call(reference, op, count), addr
+        )
     for addr in enumerated_addresses(g):
         assert state.page_state(addr) is reference.page_state(addr)
         assert state.erase_count(addr) == reference.erase_count(addr)
