@@ -18,7 +18,8 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
 - ``sample/mixed.trace`` under edited copies of ``sample/ssd.ini``: die
   serialization with idle power (no benchmark workload has both), die
   serialization with the command overhead on the bus, energies of -0.0 on
-  channel 0 and 0.0 on channel 1 (equal floats that render apart), policy
+  channel 0 and 0.0 on channel 1 (equal floats that render apart), an idle
+  power of -0.0 on the planes (whose idle energies render as -0.0), policy
   flags spelled ``yes``, ``on`` and ``1``, an empty ``[DEFAULT]`` header,
   and configs that each fail with one of the config diagnostics
   ``tests/test_trace_io.py`` pins, so that their stderr is compared;
@@ -30,11 +31,14 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
 Each input runs through ``python -m flashsim`` from both trees with no flag,
 ``--events``, ``--format table``, ``--format table --events``, ``--check``
 and ``--check --strict``, and the exit code, stdout and stderr of the two
-runs are compared.
+runs are compared. Each benchmark workload also runs with its own argv,
+as ``perfbench/workloads.py`` builds it, ``--out`` included, and the bytes
+of the file each tree writes are compared as well.
 
 Prints one line per case. For a case that differs it prints each side's
-exit code and stdout and stderr sha256, and the script exits 1. Exits 0
-when every case matches. Stdlib only; the cases run one after another.
+exit code and stdout, stderr and ``--out`` file sha256, and the script
+exits 1. Exits 0 when every case matches. Stdlib only; the cases run one
+after another.
 """
 
 from __future__ import annotations
@@ -112,6 +116,7 @@ CONFIG_EDITS = (
     ),
     ("default-key", (("[geometry]", "[DEFAULT]\nt_sense = 30\n[geometry]"),)),
     ("empty-default", (("[geometry]", "[DEFAULT]\n[geometry]"),)),
+    ("signed-zero-idle", (("p_idle_plane = 0", "p_idle_plane = -0"),)),
     (
         "dies-overhead-on-bus",
         (
@@ -170,7 +175,11 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def simulate(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
+def simulate(
+    src: Path, argv: list[str], cwd: Path, out: Path | None = None
+) -> tuple[int, bytes, bytes, bytes | None]:
+    """Exit code, stdout and stderr of one run, and the bytes it wrote to
+    `out` (None when it wrote no file there), which is then removed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "flashsim", *argv],
@@ -179,15 +188,22 @@ def simulate(src: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
         env=env,
         timeout=CASE_TIMEOUT_S,
     )
-    return proc.returncode, proc.stdout, proc.stderr
+    written = None
+    if out is not None and out.exists():
+        written = out.read_bytes()
+        out.unlink()
+    return proc.returncode, proc.stdout, proc.stderr, written
 
 
-def digest(outcome: tuple[int, bytes, bytes]) -> str:
-    code, out, err = outcome
-    return (
+def digest(outcome: tuple[int, bytes, bytes, bytes | None]) -> str:
+    code, out, err, written = outcome
+    text = (
         f"exit {code}, stdout {hashlib.sha256(out).hexdigest()}, "
         f"stderr {hashlib.sha256(err).hexdigest()}"
     )
+    if written is not None:
+        text += f", --out {hashlib.sha256(written).hexdigest()}"
+    return text
 
 
 def spelled(rng: random.Random, value: int) -> str:
@@ -247,9 +263,9 @@ def shifted_trace(text: str, shift_us: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def input_sets(work: Path, seeds: list[int]) -> list[tuple[str, Path, Path]]:
-    """(label, config, trace) for every input; writes the generated ones
-    under `work`."""
+def workload_inputs(work: Path, seeds: list[int]) -> list[tuple[str, object, Path, Path]]:
+    """(label, workload, config, trace) for each benchmark workload and
+    seed; writes the config and trace under `work`."""
     out = []
     for name, workload in load_workloads().items():
         for seed in seeds:
@@ -258,7 +274,16 @@ def input_sets(work: Path, seeds: list[int]) -> list[tuple[str, Path, Path]]:
             config, trace = inputs / "config.ini", inputs / "workload.trace"
             config.write_text(workload.config)
             trace.write_text(workload.make_trace(seed, workload.commands))
-            out.append((f"{name} seed {seed}", config, trace))
+            out.append((f"{name} seed {seed}", workload, config, trace))
+    return out
+
+
+def input_sets(
+    work: Path, seeds: list[int], workloads: list[tuple[str, object, Path, Path]]
+) -> list[tuple[str, Path, Path]]:
+    """(label, config, trace) for every input: the `workloads`' and the
+    others, whose generated files are written under `work`."""
+    out = [(label, config, trace) for label, _, config, trace in workloads]
     configs = [path for folder in DATA_FOLDERS for path in sorted(folder.glob("*.ini"))]
     traces = [path for folder in DATA_FOLDERS for path in sorted(folder.glob("*.trace"))]
     for config in configs:
@@ -305,20 +330,31 @@ def main() -> int:
         work = Path(tmp)
         theirs = extract_src(args.rev, work / "rev")
         ours = ROOT / "src"
-        for name, config, trace in input_sets(work, args.seeds):
-            for flags in FLAG_SETS:
-                argv = ["--config", str(config), "--trace", str(trace), *flags]
-                label = f"{name} {' '.join(flags) or '(no flag)'}"
-                before = simulate(theirs, argv, work)
-                after = simulate(ours, argv, work)
-                total += 1
-                if before == after:
-                    print(f"same     {label}: {digest(after)}")
-                    continue
-                differing += 1
-                print(f"DIFFERS  {label}")
-                print(f"  {args.rev}: {digest(before)}")
-                print(f"  checkout: {digest(after)}")
+        workloads = workload_inputs(work, args.seeds)
+        out = work / "report.out"
+        cases = [
+            (
+                f"{name} {' '.join(flags) or '(no flag)'}",
+                ["--config", str(config), "--trace", str(trace), *flags],
+            )
+            for name, config, trace in input_sets(work, args.seeds, workloads)
+            for flags in FLAG_SETS
+        ]
+        cases += [
+            (f"{name} perfbench argv", workload.argv(str(config), str(trace), str(out)))
+            for name, workload, config, trace in workloads
+        ]
+        for label, argv in cases:
+            before = simulate(theirs, argv, work, out)
+            after = simulate(ours, argv, work, out)
+            total += 1
+            if before == after:
+                print(f"same     {label}: {digest(after)}")
+                continue
+            differing += 1
+            print(f"DIFFERS  {label}")
+            print(f"  {args.rev}: {digest(before)}")
+            print(f"  checkout: {digest(after)}")
     print(f"{differing} of {total} cases differ")
     return 1 if differing else 0
 

@@ -23,6 +23,7 @@ the run computed, which the report writes rows from, and which build a
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from itertools import islice
@@ -542,8 +543,16 @@ def idle_accounting(
 
     Covers every resource the geometry defines at the granularity the run
     scheduled (dies under die serialization, else planes), including ones
-    the trace never touched; all zeros when no idle power is configured.
+    the trace never touched. Empty when both idle powers are +0.0: every
+    entry would be 0.0, which `stats.build_report` reads for a resource
+    missing here, so the work stays bounded by the trace, not the geometry.
+    (An idle power of -0.0 makes its entries -0.0, which a report writes.)
     """
+    if all(
+        p == 0 and math.copysign(1.0, p) > 0
+        for p in (models.power.p_idle_bus, models.power.p_idle_plane)
+    ):
+        return {}
     makespan_us = run_result.makespan_ns / 1000
     busy = run_result.busy_ns
     out: dict[Resource, float] = {}

@@ -9,9 +9,11 @@ approximate, and is asserted on every build. Percentiles use the
 nearest-rank definition. All report content is emitted in a fixed,
 documented order so identical runs produce identical bytes. A report holds
 the run's event log exactly when the run kept one, and is written with it
-exactly then. The log's rows are written from its columns (`EventLog`):
-each step of a compiled shape, each resource and each priced pair is
-rendered once, a target once per command, and a start per event.
+exactly then. Rows are written to the stream as they are rendered, one
+command's event rows per write. The log's rows are written from its
+columns (`EventLog`): each step of a compiled shape, each resource and each
+priced pair is rendered once, a target once per command, and a start per
+event.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import io
 import json
 import math
 from collections import Counter
-from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -183,8 +184,9 @@ def _assert_conserved(report: Report) -> None:
 
 
 def write_report(report: Report, file: TextIO, format: str = "structured") -> None:
-    """Render a report into the text stream `file` as it goes, a batch of
-    rows per write; identical reports always write identical bytes.
+    """Render a report into the text stream `file` as it goes, one row per
+    write (one command's event rows per write) and the stream doing the
+    buffering; identical reports always write identical bytes.
 
     The run's event log is appended exactly when the report has one
     (`report.events` is not None); `report._replace(events=None)` renders a
@@ -204,43 +206,6 @@ def emit(report: Report, format: str = "structured") -> str:
     out = io.StringIO()
     write_report(report, out, format)
     return out.getvalue()
-
-
-# The arrays that grow with the trace are written this many rows at a time
-# (event rows a whole command at a time, from this many on), so that
-# rendering holds one batch of rows, not the whole document.
-_ROWS_PER_WRITE = 256
-
-
-def _batches(rows: Iterator[str]) -> Iterator[list[str]]:
-    """`rows` in lists of _ROWS_PER_WRITE."""
-    while batch := list(islice(rows, _ROWS_PER_WRITE)):
-        yield batch
-
-
-def _command_batches(commands: Iterator[tuple[int, list[str]]]) -> Iterator[list[str]]:
-    """The parts of each command's event rows, given with the number of
-    rows they make, in lists of whole commands of _ROWS_PER_WRITE rows or
-    more (the last list may have fewer)."""
-    batch: list[str] = []
-    rows = 0
-    for count, parts in commands:
-        batch += parts
-        rows += count
-        if rows >= _ROWS_PER_WRITE:
-            yield batch
-            batch, rows = [], 0
-    if batch:
-        yield batch
-
-
-def _write_batches(
-    write: Callable[[str], object], batches: Iterable[list[str]]
-) -> None:
-    """Write each batch of rows, given as the strings that make them up."""
-    join = "".join
-    for batch in batches:
-        write(join(batch))
 
 
 # Below 10**15 ns the exact decimal ns / 1000 has at most 15 significant
@@ -306,17 +271,15 @@ _EVENT_RESOURCE = ',\n      "start_us": '
 _EVENT_TAIL = ',\n      "duration_us": %s,\n      "energy_uj": %s\n    }'
 
 
-def _write_array(
-    write: Callable[[str], object], batches: Iterator[list[str]]
-) -> None:
-    """Write a top-level key's array of rows, each led by a comma, from
-    `batches` of the strings that make them up."""
-    first = next(batches, None)
+def _write_array(write: Callable[[str], object], rows: Iterator[str]) -> None:
+    """Write a top-level key's array of `rows`, each led by a comma."""
+    first = next(rows, None)
     if first is None:
         write("[]")
         return
-    first[0] = "[" + first[0][1:]  # the first row follows "[", not a comma
-    _write_batches(write, chain((first,), batches))
+    write("[" + first[1:])  # the first row follows "[", not a comma
+    for row in rows:
+        write(row)
     write("\n  ]")
 
 
@@ -335,11 +298,11 @@ def _events_of(report: Report) -> EventLog:
 _TAILS_KEPT = 1024
 
 
-def _event_rows(log: EventLog) -> Iterator[tuple[int, list[str]]]:
-    """The structured event rows of each command, from the log's columns,
-    as the number of rows and their parts. Each step of a compiled shape,
-    each resource and each priced pair is rendered once, and each target
-    once per command."""
+def _event_rows(log: EventLog) -> Iterator[str]:
+    """The structured event rows of each command, joined, from the log's
+    columns. Each step of a compiled shape, each resource and each priced
+    pair is rendered once, and each target once per command."""
+    join = "".join
     resources = [_quote(r.label) + _EVENT_RESOURCE for r in log.resources]
     resources.append("null" + _EVENT_RESOURCE)  # slot -1: no resource
     shapes: dict[int, list[tuple[str, int]]] = {}
@@ -372,7 +335,7 @@ def _event_rows(log: EventLog) -> Iterator[tuple[int, list[str]]]:
                      _NS_FRACTIONS[ns], tail))
             else:
                 add((head, step, texts[index], resources[slot], repr(start / 1000), tail))
-        yield len(shape), parts
+        yield join(parts)
 
 
 def _write_structured(report: Report, write: Callable[[str], object]) -> None:
@@ -429,7 +392,7 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     write(scalars[:-2] + ',\n  "commands": ')
     _write_array(
         write,
-        _batches(
+        (
             _COMMAND_ROW
             % (
                 c.sequence_id,
@@ -446,7 +409,7 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     write("," + summaries[1:-2] + ',\n  "warnings": ')
     _write_array(
         write,
-        _batches(
+        (
             _WARNING_ROW
             % (
                 _quote(w.rule._value_),
@@ -460,7 +423,7 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     )
     if report.events is not None:
         write(',\n  "events": ')
-        _write_array(write, _command_batches(_event_rows(_events_of(report))))
+        _write_array(write, _event_rows(_events_of(report)))
     write("\n}\n")
 
 
@@ -501,17 +464,20 @@ def _write_table(report: Report, write: Callable[[str], object]) -> None:
             lines.append(f"{rule.value:<24}{count:>6}")
     write("\n".join(lines) + "\n")
     if report.warning_counts:
-        _write_batches(write, _batches(_warning_lines(report.warnings)))
+        for line in _warning_lines(report.warnings):
+            write(line)
     if report.events is not None:
         write("\nevent log (start us, duration us, kind, target, resource, energy uJ)\n")
-        _write_batches(write, _command_batches(_event_lines(_events_of(report))))
+        for lines in _event_lines(_events_of(report)):
+            write(lines)
 
 
-def _event_lines(log: EventLog) -> Iterator[tuple[int, list[str]]]:
-    """The table's event lines of each command, from the log's columns, as
-    the number of lines and their fields, each padded to its column. Each
-    step of a compiled shape, each resource and each priced pair is
-    rendered once, and each target once per command."""
+def _event_lines(log: EventLog) -> Iterator[str]:
+    """The table's event lines of each command, joined, from the log's
+    columns, each field padded to its column. Each step of a compiled
+    shape, each resource and each priced pair is rendered once, and each
+    target once per command."""
+    join = "".join
     resources = [f"{r.label:<16}" for r in log.resources]
     resources.append(f"{'-':<16}")  # slot -1: no resource
     shapes: dict[int, list[tuple[str, int]]] = {}
@@ -537,7 +503,7 @@ def _event_lines(log: EventLog) -> Iterator[tuple[int, list[str]]]:
                 )
             add(("%12.3f" % (start / 1000), tail[0], step, texts[index], resources[slot],
                  tail[1]))
-        yield len(shape), parts
+        yield join(parts)
 
 
 def _warning_lines(warnings: Iterable[Violation]) -> Iterator[str]:

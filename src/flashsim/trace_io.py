@@ -357,7 +357,10 @@ def _parse_address(text: str, geometry: Geometry) -> FlashAddress:
 
 
 def emit_trace(commands: Iterable[Command]) -> str:
-    """Render commands back to trace text; reparsing yields equal commands."""
+    """Render commands back to trace text; reparsing yields equal commands
+    for arrivals below 2**51 ns (about 26 days). From there up, the written
+    arrival is exact, but `parse_trace` reads it as a double of
+    microseconds and may land 1 ns off."""
     out = [TRACE_HEADER]
     for cmd in commands:
         arrival_ns = cmd.arrival_ns

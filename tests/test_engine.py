@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -11,7 +12,6 @@ from flashsim import engine
 from flashsim.commands import Command, CommandKind, EventKind
 from flashsim.engine import (
     Policy,
-    all_resources,
     idle_accounting,
     replay,
     run,
@@ -133,8 +133,29 @@ class TestEnergy:
     def test_idle_zero_without_idle_power(self, geometry, models):
         result = run_checked([cmd(CommandKind.READ, A())], geometry)
         idle = idle_accounting(result, geometry, models)
-        assert set(idle) == set(all_resources(geometry))
-        assert all(v == 0.0 for v in idle.values())
+        # every entry would be 0.0, which the report reads for a missing one
+        assert idle == {}
+
+    def test_idle_accounting_without_idle_power_is_bounded_by_the_trace(self):
+        # 200 buses and 200,000 planes, of which one read touches two
+        g = Geometry(200, 1000, 1, 1, 4, 8, 4096)
+        result = run_checked([cmd(CommandKind.READ, A())], g)
+        tracemalloc.start()
+        try:
+            report = build_report(result, idle_accounting(result, g, ModelSet()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [u.resource.label for u in report.usage] == ["bus/0", "plane/0.0.0.0"]
+        assert report.idle_energy_uj == 0.0
+        assert peak < 1_000_000
+
+    def test_negative_zero_idle_power_keeps_its_sign(self, geometry):
+        models = ModelSet(power=PowerParams(p_idle_plane=-0.0))
+        result = run_checked([cmd(CommandKind.READ, A())], geometry, models=models)
+        report = build_report(result, idle_accounting(result, geometry, models))
+        plane = next(u for u in report.usage if u.resource.kind == "plane")
+        assert str(plane.idle_energy_uj) == "-0.0"
 
     def test_saturated_resource_has_zero_idle(self):
         g = Geometry(1, 1, 1, 1, 2, 4, 512, 0)
