@@ -15,6 +15,15 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
   non-ASCII digits, whitespace around them) and repeated, so that parsing reads each
   text more than once: one with only addresses in range, and one with bad
   and out-of-range addresses added;
+- for each seed, a trace of cache reads and writes on ``sample/ssd.ini``
+  whose extents rise to the block length and fall back to one page, in
+  rounds that each end with an erase and a read, so that shorter commands
+  run prefixes of a chain already compiled for a longer extent; the same
+  trace also runs under an edited ``sample/ssd.ini`` whose
+  ``bus_transfer_out`` latency reads ``page`` and whose ``[power]
+  block_erase = -duration`` always fails, so that events priced per event,
+  events whose price is folded into their step, and the error raised at
+  the first erase are compared;
 - ``sample/mixed.trace`` under edited copies of ``sample/ssd.ini``: die
   serialization with idle power (no benchmark workload has both), die
   serialization with the command overhead on the bus, energies of -0.0 on
@@ -54,6 +63,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAG_SETS = (
@@ -140,6 +150,16 @@ CONFIG_EDITS = (
         ),
     ),
 )
+# (old, new) texts replaced in sample/ssd.ini for the extent traces' second
+# config: one address-reading binding and one that fails at every erase
+MIXED_PRICING_EDITS = (
+    (
+        "#array_sense = 25 + 0.001 * block",
+        "bus_transfer_out = byte_count * 0.025 + 0.001 * page",
+    ),
+    ("#array_sense = 0.030 * duration", "block_erase = -duration"),
+)
+EXTENT_ROUNDS = 3
 # microseconds added to every arrival of EDITED_TRACE: starts from just
 # below 10^15 ns to above it, and starts above 2^63 ns
 ARRIVAL_SHIFTS_US = (10**12 - 1, 10**16)
@@ -252,6 +272,41 @@ def spelling_trace(counts: list[int], seed: int, bad: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def extent_trace(counts: list[int], seed: int) -> str:
+    """Rounds of cache reads and writes whose extents rise from one page to
+    the block length and fall back to one, each round ending with an erase
+    and a read, at random places and arrivals."""
+    rng = random.Random(seed)
+    pages = counts[5]
+    lines = ["flashsim-trace v1"]
+    arrival = 0
+
+    def add(kind: str, page: int, extent: str = "") -> None:
+        nonlocal arrival
+        indices = [rng.randrange(count) for count in counts[:5]] + [page]
+        lines.append(f"{arrival},{kind},{'.'.join(map(str, indices))}{extent}")
+        arrival += rng.randrange(30)
+
+    for _ in range(EXTENT_ROUNDS):
+        for n in [*range(1, pages + 1), *range(pages, 0, -1)]:
+            kind = rng.choice(("cache_read", "cache_write"))
+            add(kind, rng.randrange(pages - n + 1), f",{n}")
+        add("erase", 0)
+        add("read", rng.randrange(pages))
+    return "\n".join(lines) + "\n"
+
+
+def edited_config(edits: Iterable[tuple[str, str]], name: str) -> str:
+    """`SPELLING_CONFIG`'s text with each (old, new) edit made; exits when
+    an old text is not there exactly once."""
+    text = SPELLING_CONFIG.read_text(encoding="utf-8")
+    for old, new in edits:
+        if text.count(old) != 1:
+            raise SystemExit(f"{SPELLING_CONFIG}: no single '{old}' for {name}")
+        text = text.replace(old, new)
+    return text
+
+
 def shifted_trace(text: str, shift_us: int) -> str:
     """`text` with `shift_us` added to each command's whole-microsecond
     arrival."""
@@ -303,14 +358,18 @@ def input_sets(
             trace = work / f"spellings-{'bad' if bad else 'good'}-{seed}.trace"
             trace.write_text(spelling_trace(counts, seed, bad), encoding="utf-8")
             out.append((f"{SPELLING_CONFIG.name} {trace.name}", SPELLING_CONFIG, trace))
+    mixed_pricing = work / "ssd-mixed-pricing.ini"
+    mixed_pricing.write_text(
+        edited_config(MIXED_PRICING_EDITS, "mixed-pricing"), encoding="utf-8"
+    )
+    for seed in seeds:
+        trace = work / f"extents-{seed}.trace"
+        trace.write_text(extent_trace(counts, seed), encoding="utf-8")
+        for config in (SPELLING_CONFIG, mixed_pricing):
+            out.append((f"{config.name} {trace.name}", config, trace))
     for name, edits in CONFIG_EDITS:
-        text = SPELLING_CONFIG.read_text(encoding="utf-8")
-        for old, new in edits:
-            if text.count(old) != 1:
-                raise SystemExit(f"{SPELLING_CONFIG}: no single '{old}' for {name}")
-            text = text.replace(old, new)
         config = work / f"ssd-{name}.ini"
-        config.write_text(text, encoding="utf-8")
+        config.write_text(edited_config(edits, name), encoding="utf-8")
         out.append((f"{config.name} {EDITED_TRACE.name}", config, EDITED_TRACE))
     for shift in ARRIVAL_SHIFTS_US:
         trace = work / f"mixed-later-by-{shift}.trace"

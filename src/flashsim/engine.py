@@ -27,6 +27,7 @@ import math
 from array import array
 from bisect import bisect_right
 from itertools import islice
+from operator import sub
 from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Sequence
 
 from .commands import (
@@ -102,6 +103,10 @@ class EventLog:
     Per command: its sequence id, its compiled steps (a step's event kind
     at index 0 and the index of its target at 1; an event's id is its
     step's position), its targets and the position of its first event.
+    A command's events are its first steps, as many as there are events
+    up to the next command's first (see `counts`): a cache command of n
+    pages keeps its kind's whole chain, which may be longer than its
+    2n + 1 events.
     Per event: its start, the (duration_ns, energy_uj) pair its pricing
     returned and its resource's slot in `resources`, -1 for none. Starts
     are kept as 64-bit integers until one does not fit (arrivals and
@@ -187,10 +192,17 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.starts)
 
+    def counts(self) -> Iterator[int]:
+        """Each command's number of events, in command order."""
+        firsts = self.firsts
+        yield from map(sub, islice(firsts, 1, None), firsts)
+        if firsts:
+            yield len(self.starts) - firsts[-1]
+
     def __iter__(self) -> Iterator[ScheduledEvent]:
         i = 0
-        for command, steps in enumerate(self.steps):
-            for event_id in range(len(steps)):
+        for command, count in enumerate(self.counts()):
+            for event_id in range(count):
                 yield self._event(command, event_id, i)
                 i += 1
 
@@ -345,16 +357,23 @@ def run(
     chips, dies = geometry.chips_per_channel, geometry.dies_per_chip
     planes = geometry.planes_per_die
 
-    # Each (command kind value, operand count, page count) shape, compiled
-    # once per run: its steps, each with its pricing entry, kind slot and the
-    # position of its (role, operand) in the shape's list of distinct ones.
+    # Each (command kind value, operand count) shape, compiled once per run:
+    # its steps, each with its kind slot, the position of its (role, operand)
+    # in the shape's list of distinct ones, its pricing entry and its folded
+    # price (see `_compile`), the pair the event loop takes without a call.
     # A step's operand is the index of its target, except in a cache command,
     # whose extent pages share its operand's plane and bus, so every step's
-    # operand is 0. A kind's slot indexes its energy total, which starts at
-    # 0.0 when a compiled shape first has the kind and stays None otherwise.
-    # Every compiled shape's events are all placed unless the run aborts, so
-    # the kinds with a total are exactly the kinds some event had.
-    compiled: dict[tuple[str, int, int], tuple[tuple, tuple]] = {}
+    # operand is 0. A cache kind has one chain per run, kept with the page
+    # count it was built for: `shape` builds cache steps page by page, so a
+    # command of n pages runs the first 2n + 1 steps of the chain of any
+    # longer extent, and the chain is compiled again only when a longer
+    # extent arrives. Its first three steps, which every cache command runs,
+    # have every kind and every (role, operand) of the chain. A kind's slot
+    # indexes its energy total, which starts at 0.0 when a compiled shape
+    # first has the kind and stays None otherwise. Every kind of a compiled
+    # shape is placed unless the run aborts, so the kinds with a total are
+    # exactly the kinds some event had.
+    compiled: dict[tuple[str, int], tuple[tuple, tuple, int]] = {}
     kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
     # Resources are interned to dense slots in the order the events occupy
     # them, so memory follows the trace, not the geometry: each command
@@ -381,19 +400,22 @@ def run(
 
         operands = cmd.operands
         n_operands, page_count = len(operands), cmd.page_count
-        key = (cmd.kind._value_, n_operands, page_count)
+        key = (cmd.kind._value_, n_operands)
         found = compiled.get(key)
-        if found is None:
-            found = compiled[key] = _compile(
+        if found is None or found[2] < page_count:
+            chain, uses = _compile(
                 shape(cmd.kind, n_operands, page_count, overhead_on_bus),
                 LAYOUT[key[0]] == EXTENT,
                 price,
                 geometry,
             )
-            for step in found[0]:
-                if kind_energy[step[5]] is None:
-                    kind_energy[step[5]] = 0.0
-        steps, uses = found
+            found = compiled[key] = (chain, uses, page_count)
+            for step in chain:
+                if kind_energy[step[6]] is None:
+                    kind_energy[step[6]] = 0.0
+        chain, uses, chain_pages = found
+        # only a cache kind's chain can be longer than its command
+        steps = chain if chain_pages == page_count else chain[: 2 * page_count + 1]
         cmd_slots: list[int] = []
         for role, operand in uses:
             if role == ROLE_NONE:
@@ -418,22 +440,24 @@ def run(
         arrival = cmd.arrival_ns
         sequence_id = cmd.sequence_id
         if event_log:
-            schedule.add_command(sequence_id, steps, targets)
+            schedule.add_command(sequence_id, chain, targets)
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0
-        for kind, index, deps, use, priced, kind_slot in steps:
+        for kind, index, deps, use, pair, priced, kind_slot in steps:
             ready = arrival
             for dep in deps:
                 if ends[dep] > ready:
                     ready = ends[dep]
-            try:
-                duration, energy = pair = priced(targets[index])
-            except ModelEvaluationError as exc:
-                raise exc.located(
-                    cmd.line,
-                    f"the {kind.value} event of {cmd.kind.value} command {sequence_id}",
-                ) from exc
+            if pair is None:
+                try:
+                    pair = priced(targets[index])
+                except ModelEvaluationError as exc:
+                    raise exc.located(
+                        cmd.line,
+                        f"the {kind.value} event of {cmd.kind.value} command {sequence_id}",
+                    ) from exc
+            duration, energy = pair
             slot = cmd_slots[use]
             if slot < 0:
                 start = ready
@@ -492,21 +516,27 @@ def _compile(
     steps: Sequence[Step], extent: bool, price: Pricer, geometry: Geometry
 ) -> tuple[tuple, tuple[tuple[int, int], ...]]:
     """A shape's steps as the run places them, (kind, target index, deps,
-    position of its (role, operand) in uses, pricing entry, kind slot), and
-    those distinct uses in first-step order; see `run`."""
+    position of its (role, operand) in uses, folded price, pricing entry,
+    kind slot), and those distinct uses in first-step order; see `run`.
+    The folded price is `Pricer.fixed` of the step's kind and byte count:
+    the pair every event of the step costs, or None when the entry prices
+    each one."""
     uses: dict[tuple[int, int], int] = {}
-    compiled = tuple(
-        (
-            kind,
-            index,
-            deps,
-            uses.setdefault((role, 0 if extent else index), len(uses)),
-            price.entry(kind, event_bytes(kind, geometry)),
-            _KIND_SLOTS[kind],
+    compiled = []
+    for kind, index, deps, role in steps:
+        byte_count = event_bytes(kind, geometry)
+        compiled.append(
+            (
+                kind,
+                index,
+                deps,
+                uses.setdefault((role, 0 if extent else index), len(uses)),
+                price.fixed(kind, byte_count),
+                price.entry(kind, byte_count),
+                _KIND_SLOTS[kind],
+            )
         )
-        for kind, index, deps, role in steps
-    )
-    return compiled, tuple(uses)
+    return tuple(compiled), tuple(uses)
 
 
 def _resource(role: int, target: FlashAddress, serialize_dies: bool) -> Resource:

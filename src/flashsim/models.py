@@ -28,7 +28,9 @@ trees and compiled once per (event kind, byte_count), the first time a run
 needs it (see `Pricer`). That function remembers its results by the address
 indices the two trees read, so an input already priced is not evaluated
 again: every built-in, and every expression that reads no address
-variable, is evaluated once per (event kind, byte_count).
+variable, is evaluated once per (event kind, byte_count), when the function
+is compiled, and the engine places that kind's events without calling it
+(`Pricer.fixed`).
 """
 
 from __future__ import annotations
@@ -280,6 +282,13 @@ class Pricer:
     raises at the first event that evaluates its key, and again at every
     later one, as it would if each event were evaluated on its own. The
     memo is emptied when it holds `_PRICES_KEPT` pairs.
+
+    `fixed(kind, byte_count)` is the pair every event of a kind whose two
+    trees read no address is priced at. The entry computes it once, when
+    it is compiled, so a caller that holds the pair need not call the
+    entry per event. It is None for a kind that reads an address, and for
+    one whose evaluation fails; the entry raises that failure again at the
+    first event that calls it.
     """
 
     def __init__(self, models: ModelSet, geometry: Geometry):
@@ -287,7 +296,8 @@ class Pricer:
         self._page_size = float(geometry.page_size)
         self._oob_size = float(geometry.oob_size)
         self._entries: dict[
-            tuple[EventKind, int], Callable[[FlashAddress], tuple[int, float]]
+            tuple[EventKind, int],
+            tuple[Callable[[FlashAddress], tuple[int, float]], tuple[int, float] | None],
         ] = {}
 
     def entry(
@@ -295,6 +305,17 @@ class Pricer:
     ) -> Callable[[FlashAddress], tuple[int, float]]:
         """The function that prices every `kind` event of `byte_count` bytes,
         given its target; callers resolve it once and call it per event."""
+        return self._entry(kind, byte_count)[0]
+
+    def fixed(self, kind: EventKind, byte_count: int) -> tuple[int, float] | None:
+        """The pair every `kind` event of `byte_count` bytes is priced at,
+        when its bindings read no address and evaluate without error; else
+        None, and each event is priced by its `entry`."""
+        return self._entry(kind, byte_count)[1]
+
+    def _entry(
+        self, kind: EventKind, byte_count: int
+    ) -> tuple[Callable[[FlashAddress], tuple[int, float]], tuple[int, float] | None]:
         key = (kind, byte_count)
         found = self._entries.get(key)
         if found is None:
@@ -303,9 +324,9 @@ class Pricer:
 
     def _kernel(
         self, kind: EventKind, byte_count: int
-    ) -> Callable[[FlashAddress], tuple[int, float]]:
+    ) -> tuple[Callable[[FlashAddress], tuple[int, float]], tuple[int, float] | None]:
         """Generate and compile the function that prices one event, with
-        its memo."""
+        its memo, and its fixed pair."""
         (latency, latency_key), (energy, energy_key) = self._latency[kind], self._energy[kind]
         emitter = Emitter()
         names = {
@@ -342,7 +363,13 @@ class Pricer:
             f"{emitter.bind(memo.clear)}()"
         )
         emitter.lines.append(f"{emitter.bind(memo)}[{key}] = {pair}")
-        return emitter.function(["target"], pair)
+        function = emitter.function(["target"], pair)
+        if indices:
+            return function, None
+        try:
+            return function, function(None)  # reads no target
+        except ModelEvaluationError:
+            return function, None
 
 
 def _values(ctx: EventContext) -> tuple[float, ...]:

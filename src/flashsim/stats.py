@@ -22,6 +22,7 @@ import io
 import json
 import math
 from collections import Counter
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
@@ -308,7 +309,9 @@ def _event_rows(log: EventLog) -> Iterator[str]:
     shapes: dict[int, list[tuple[str, int]]] = {}
     tails: dict[int, str] = {}
     events = zip(log.starts, log.prices, log.slots)
-    for sequence_id, steps, targets in zip(log.sequence_ids, log.steps, log.targets):
+    for sequence_id, steps, targets, count in zip(
+        log.sequence_ids, log.steps, log.targets, log.counts()
+    ):
         head = _EVENT_HEAD % sequence_id
         shape = shapes.get(id(steps))
         if shape is None:
@@ -319,9 +322,9 @@ def _event_rows(log: EventLog) -> Iterator[str]:
         texts = [_EVENT_TARGET % target for target in targets]
         parts: list[str] = []
         add = parts.extend
-        # zip reads a step before an event, so it leaves the next
-        # command's events unread
-        for (step, index), (start, pair, slot) in zip(shape, events):
+        # a command's events are its first `count` steps; zip reads a step
+        # before an event, so it leaves the next command's events unread
+        for (step, index), (start, pair, slot) in zip(islice(shape, count), events):
             tail = tails.get(id(pair))
             if tail is None:
                 if len(tails) == _TAILS_KEPT:
@@ -483,7 +486,7 @@ def _event_lines(log: EventLog) -> Iterator[str]:
     shapes: dict[int, list[tuple[str, int]]] = {}
     tails: dict[int, tuple[str, str]] = {}
     events = zip(log.starts, log.prices, log.slots)
-    for steps, targets in zip(log.steps, log.targets):
+    for steps, targets, count in zip(log.steps, log.targets, log.counts()):
         shape = shapes.get(id(steps))
         if shape is None:
             shape = shapes[id(steps)] = [
@@ -492,7 +495,7 @@ def _event_lines(log: EventLog) -> Iterator[str]:
         texts = [f"{ADDRESS_FORMAT % target:<16}" for target in targets]
         parts: list[str] = []
         add = parts.extend
-        for (step, index), (start, pair, slot) in zip(shape, events):
+        for (step, index), (start, pair, slot) in zip(islice(shape, count), events):
             tail = tails.get(id(pair))
             if tail is None:
                 if len(tails) == _TAILS_KEPT:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -21,13 +22,13 @@ from hypothesis import strategies as st
 from flashsim.commands import Command, CommandKind, validate
 from flashsim.engine import Policy, idle_accounting, run
 from flashsim.errors import Rule
-from flashsim.models import EventContext, EventKind, ModelSet, TimingParams
+from flashsim.models import EventContext, EventKind, ModelSet, PowerParams, TimingParams
 from flashsim.stats import build_report
 from flashsim.topology import Geometry, encode, decode
 from flashsim.trace_io import parse_config
 
 from checks import assert_schedule_legal
-from closed_form import LATENCY_NS, Timing
+from closed_form import ENERGY_UJ, LATENCY_NS, Power, Timing
 from conftest import ALL_KINDS, A
 from gen import random_trace
 from oracle import enumerated_addresses, oracle_schedule
@@ -172,19 +173,33 @@ CLOSED_FORM_GEOMETRY = Geometry(1, 1, 4, 4, 2, 16, 2048, 64)
     params_ns=st.tuples(
         *[st.integers(0, 2_000_000)] * 4, st.integers(0, 50), st.integers(0, 2_000_000)
     ),
+    # PowerParams p_cmd to p_buf, in milliwatts
+    power_mw=st.tuples(*[st.integers(0, 100)] * 6),
     n=st.integers(1, CLOSED_FORM_GEOMETRY.pages_per_block),
     k=st.integers(1, CLOSED_FORM_GEOMETRY.planes_per_die),
 )
 # the built-in parameters
-@example(params_ns=(0, 25_000, 200_000, 1_500_000, 25, 0), n=3, k=2)
-def closed_forms_hold(params_ns, n, k):
-    """Each command alone on an idle device takes the latency
-    `closed_form.py` gives, a derivation that shares no code with
+@example(
+    params_ns=(0, 25_000, 200_000, 1_500_000, 25, 0), power_mw=(0, 30, 40, 50, 20, 0),
+    n=3, k=2,
+)
+# a sense and a transfer as long as each other, at different powers
+@example(
+    params_ns=(1_000, 51_200, 200_000, 1_500_000, 25, 3_000), power_mw=(5, 30, 40, 50, 20, 7),
+    n=4, k=3,
+)
+def closed_forms_hold(params_ns, power_mw, n, k):
+    """Each command alone on an idle device takes the latency and the
+    energy `closed_form.py` gives, a derivation that shares no code with
     `commands.shape`."""
     g = CLOSED_FORM_GEOMETRY
-    models = ModelSet(TimingParams(*(ns / 1000 for ns in params_ns)))
+    models = ModelSet(
+        TimingParams(*(ns / 1000 for ns in params_ns)), PowerParams(*power_mw)
+    )
     t_cmd, t_sense, t_prog, t_erase, ns_per_byte, t_buf = params_ns
     timing = Timing(t_cmd, t_sense, t_prog, t_erase, t_buf, g.page_size * ns_per_byte)
+    p_cmd, p_sense, p_prog, p_erase, p_bus, p_buf = power_mw
+    power = Power(p_cmd, p_sense, p_prog, p_erase, p_buf, p_bus)
     planes = tuple(A(plane=i) for i in range(k))
     dies = tuple(A(die=i) for i in range(k))
     pairs = tuple(a for i in range(k) for a in (A(plane=i), A(plane=i, block=1)))
@@ -205,9 +220,13 @@ def closed_forms_hold(params_ns, n, k):
         (CommandKind.MULTI_PLANE_COPY_BACK, pairs, 1, k),
     )
     assert [row[0] for row in table] == list(LATENCY_NS) == list(CommandKind)
+    assert list(ENERGY_UJ) == list(CommandKind)
     for kind, operands, page_count, count in table:
         result = checked_run([Command(0, kind, operands, page_count)], g, models)
         assert result.results[0].latency_ns == LATENCY_NS[kind](timing, count), kind
+        assert math.isclose(
+            result.results[0].energy_uj, ENERGY_UJ[kind](timing, power, count), rel_tol=1e-9
+        ), kind
 
 
 @criterion(4, "des-oracle-equivalence")

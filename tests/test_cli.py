@@ -458,6 +458,30 @@ def test_address_free_failing_binding_fails_at_its_first_event(
     )
 
 
+def test_an_address_reading_binding_fails_before_a_later_address_free_one(
+    fixture_paths, capsys, tmp_path
+):
+    # the read's transfer prices at -duration for every target, and its
+    # sense divides by zero at block 2; the sense comes first, so its
+    # binding is the one named, although the transfer's is evaluated when
+    # the read's shape is compiled
+    config, _ = fixture_paths
+    config.write_text(
+        config.read_text()
+        + "[performance]\narray_sense = 25 / (2 - block)\n"
+        + "[power]\nbus_transfer_out = -duration\n"
+    )
+    trace = tmp_path / "one.trace"
+    trace.write_text(f"{TRACE_HEADER}\n0,read,0.0.0.0.2.0\n")
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"{trace}:2: error: [performance] array_sense: division by zero in expression "
+        "for the array_sense event of read command 0\n"
+    )
+
+
 def test_expression_past_the_depth_limit_exits_2_without_a_traceback(
     fixture_paths, capsys
 ):

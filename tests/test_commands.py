@@ -12,6 +12,7 @@ from flashsim.commands import (
     EventKind,
     decompose,
     erased_blocks,
+    shape,
     validate,
     written_pages,
 )
@@ -401,6 +402,16 @@ class TestDecompose:
             )
             assert sum(1 for e in events if e.kind is EventKind.ARRAY_SENSE) == n
             assert sum(1 for e in events if e.kind is EventKind.BUS_TRANSFER_OUT) == n
+
+    @pytest.mark.parametrize("kind", [CommandKind.CACHE_READ, CommandKind.CACHE_WRITE])
+    @pytest.mark.parametrize("cmd_overhead_on_bus", [False, True])
+    def test_a_cache_shape_is_a_prefix_of_every_longer_one(self, kind, cmd_overhead_on_bus):
+        # the engine compiles one chain per cache kind and runs its first
+        # 2n + 1 steps for a command of n pages
+        for longest in range(1, 17):
+            chain = shape(kind, 1, longest, cmd_overhead_on_bus)
+            for n in range(1, longest + 1):
+                assert shape(kind, 1, n, cmd_overhead_on_bus) == chain[: 2 * n + 1]
 
     def test_multi_plane_copy_back_per_plane_chains(self, geometry):
         events = decompose(

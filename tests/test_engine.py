@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 import tracemalloc
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashsim import engine
+from flashsim import models as models_module
 from flashsim.commands import Command, CommandKind, EventKind
 from flashsim.engine import (
     Policy,
@@ -30,7 +32,7 @@ from flashsim.models import (
     parse_latency_expression,
     parse_power_expression,
 )
-from flashsim.stats import build_report
+from flashsim.stats import build_report, write_report
 from flashsim.topology import FlashAddress, Geometry, Resource
 
 from checks import ReferenceState, assert_schedule_legal
@@ -907,3 +909,93 @@ class TestEventLog:
         ]
         with pytest.raises(ValueError, match="does not follow"):
             engine.EventLog.of(events)
+
+
+class TestCacheChain:
+    """A cache kind is compiled as one chain per run, and a cache command of
+    n pages runs its first 2n + 1 steps."""
+
+    GEOMETRY = Geometry(2, 1, 2, 2, 2, 16, 512, 16)
+    # rise, fall and repeat, so that shorter commands run prefixes of a
+    # chain that has already grown
+    EXTENTS = (8, 3, 8, 12, 5, 12, 1)
+
+    def chain_trace(self):
+        trace = []
+        for i, n in enumerate(self.EXTENTS):
+            for j, kind in enumerate((CommandKind.CACHE_READ, CommandKind.CACHE_WRITE)):
+                # a first page that keeps the extent inside its 16-page block
+                start = A(channel=i % 2, die=j, plane=i % 2, block=j, page=i % (17 - n))
+                trace.append(
+                    Command(i * 40_000, kind, (start,), n, sequence_id=len(trace))
+                )
+        return trace
+
+    @pytest.mark.parametrize("policy", TestOracleEquivalence.POLICIES)
+    @pytest.mark.parametrize("models", sorted(TestOracleEquivalence.MODEL_SETS))
+    def test_rising_and_falling_extents_match_the_oracle(self, models, policy):
+        g, trace = self.GEOMETRY, self.chain_trace()
+        models = TestOracleEquivalence.MODEL_SETS[models]
+        result = run_checked(trace, g, models=models, policy=policy)
+        assert engine_events(result) == oracle_events(trace, g, models, policy)
+        log = result.schedule
+        assert list(log.counts()) == [2 * n + 1 for n in self.EXTENTS for _ in range(2)]
+        # the first three cache reads keep the 8-page chain, the later ones
+        # the 12-page chain
+        assert log.steps[0] is log.steps[2] is log.steps[4]
+        assert len(log.steps[0]) == 17 and len(log.steps[-2]) == 25
+        assert log.steps[6] is log.steps[-2]
+        listed = engine.EventLog.of(list(log))
+        assert listed == log
+        report = build_report(result)
+        for fmt in ("structured", "table"):
+            written, expected = io.StringIO(), io.StringIO()
+            write_report(report, written, fmt)
+            write_report(report._replace(events=listed), expected, fmt)
+            assert written.getvalue() == expected.getvalue(), fmt
+
+    @pytest.mark.parametrize("cmd_overhead_on_bus", [False, True])
+    def test_each_shape_is_built_once_and_each_chain_once_per_longer_extent(
+        self, cmd_overhead_on_bus
+    ):
+        g = self.GEOMETRY
+        trace = self.chain_trace()[:4] + random_trace(random.Random(5), g, 200)[4:]
+        trace = [c._replace(arrival_ns=i, sequence_id=i) for i, c in enumerate(trace)]
+        expected = []
+        built: dict[tuple, int] = {}
+        for c in trace:
+            key = (c.kind, len(c.operands))
+            if built.get(key, 0) < c.page_count:
+                built[key] = c.page_count
+                expected.append(
+                    mock.call(c.kind, len(c.operands), c.page_count, cmd_overhead_on_bus)
+                )
+        policy = Policy(cmd_overhead_on_bus=cmd_overhead_on_bus)
+        with mock.patch.object(engine, "shape", wraps=engine.shape) as spy:
+            run(trace, g, ALL_KINDS, ModelSet(), policy)
+        assert spy.call_args_list == expected
+        assert len(expected) < len(trace)
+
+
+class TestFoldedPrices:
+    def test_built_in_pricing_runs_once_per_kind_and_byte_count(self, geometry, monkeypatch):
+        # every built-in binding reads no address, so each generated
+        # function is called once, when its shape is compiled
+        calls: list[int] = []
+
+        class CountingEmitter(models_module.Emitter):
+            def function(self, params, result):
+                function = super().function(params, result)
+
+                def counted(*args):
+                    calls.append(1)
+                    return function(*args)
+
+                return counted
+
+        monkeypatch.setattr(models_module, "Emitter", CountingEmitter)
+        trace = random_trace(random.Random(3), geometry, 300)
+        result = run(trace, geometry, ALL_KINDS, ModelSet())
+        # a built-in kind has one byte count: a page for a bus transfer, else 0
+        assert len(result.schedule) > 600
+        assert len(calls) == len({e.kind for e in result.schedule}) == len(EventKind)
