@@ -128,22 +128,19 @@ def _pipeline(args: argparse.Namespace, config, trace_text: str, err) -> int:
         print(f"{args.trace}: {exc}", file=err)
         return 2
 
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as out:
                 write_report(report, out, args.format)
-        except OSError as exc:
-            print(f"{args.out}: cannot write report: {exc.strerror}", file=err)
-            return 2
-    else:
-        try:
+        else:
             write_report(report, sys.stdout, args.format)
             sys.stdout.flush()
-        except OSError as exc:
-            print(f"<stdout>: cannot write report: {exc.strerror}", file=err)
+    except OSError as exc:
+        print(f"{args.out or '<stdout>'}: cannot write report: {exc.strerror}", file=err)
+        if not args.out:
             # what stays buffered would fail again, loudly, when Python exits
             sys.stdout = open(os.devnull, "w")
-            return 2
+        return 2
     return 0
 
 

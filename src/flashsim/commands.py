@@ -13,14 +13,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Rule, Severity, Violation
-from .topology import (
-    FlashAddress,
-    Geometry,
-    Resource,
-    bus_resource,
-    new_address,
-    plane_resource,
-)
+from .topology import FlashAddress, Geometry, Resource, new_address
 
 
 class CommandKind(Enum):
@@ -306,9 +299,8 @@ def _copy_back_rules(operands: Sequence[FlashAddress]) -> list[Violation]:
     return out
 
 
-# The shape rules key addresses by slices: `a[:4]` is `a.plane_key()`,
-# `a[:3]` is `a.die_key()` and `a[:2]` names the chip, without a method call
-# per operand.
+# The shape rules key addresses by slices: `a[:4]` names the plane, `a[:3]`
+# the die and `a[:2]` the chip.
 
 
 def _multi_plane_rules(
@@ -497,7 +489,12 @@ def decompose(
     This instantiates the command's `shape`, which the engine reads directly.
     """
     targets = event_targets(cmd)
-    resource_of = (lambda a: None, plane_resource, bus_resource)
+    # by role: none, the target's plane, its channel bus
+    resource_of = (
+        lambda a: None,
+        lambda a: Resource("plane", a[:4]),
+        lambda a: Resource("bus", a[:1]),
+    )
     return [
         FlashEvent(
             kind,

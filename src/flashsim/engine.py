@@ -35,6 +35,7 @@ from .commands import (
     LAYOUT,
     ROLE_BUS,
     ROLE_NONE,
+    ROLE_PLANE,
     Command,
     CommandKind,
     EventKind,
@@ -55,15 +56,7 @@ from .errors import (
     Violation,
 )
 from .models import ModelSet, Pricer
-from .topology import (
-    FlashAddress,
-    Geometry,
-    Resource,
-    SubsystemState,
-    bus_resource,
-    plane_resource,
-    validate_geometry,
-)
+from .topology import FlashAddress, Geometry, Resource, SubsystemState, validate_geometry
 
 
 class Policy(NamedTuple):
@@ -354,34 +347,35 @@ def run(
     price = models.pricer(geometry)
     overhead_on_bus = policy.cmd_overhead_on_bus
     serialize_dies = policy.die_serialization
-    chips, dies = geometry.chips_per_channel, geometry.dies_per_chip
-    planes = geometry.planes_per_die
 
     # Each (command kind value, operand count) shape, compiled once per run:
-    # its steps, each with its kind slot, the position of its (role, operand)
-    # in the shape's list of distinct ones, its pricing entry and its folded
+    # its steps, each with its kind slot, the position of its use in the
+    # shape's list of distinct ones, its pricing function and its folded
     # price (see `_compile`), the pair the event loop takes without a call.
-    # A step's operand is the index of its target, except in a cache command,
-    # whose extent pages share its operand's plane and bus, so every step's
-    # operand is 0. A cache kind has one chain per run, kept with the page
-    # count it was built for: `shape` builds cache steps page by page, so a
-    # command of n pages runs the first 2n + 1 steps of the chain of any
-    # longer extent, and the chain is compiled again only when a longer
-    # extent arrives. Its first three steps, which every cache command runs,
-    # have every kind and every (role, operand) of the chain. A kind's slot
-    # indexes its energy total, which starts at 0.0 when a compiled shape
-    # first has the kind and stays None otherwise. Every kind of a compiled
-    # shape is placed unless the run aborts, so the kinds with a total are
-    # exactly the kinds some event had.
+    # A use is the (resource kind, key length, operand) a step occupies: its
+    # resource is keyed by the first `length` indices of the command's
+    # operand, and a step that occupies none has length 0. A step's operand
+    # is the index of its target, except in a cache command, whose extent
+    # pages share its operand's plane and bus, so every step's operand is 0.
+    # A cache kind has one chain per run, kept with the page count it was
+    # built for: `shape` builds cache steps page by page, so a command of n
+    # pages runs the first 2n + 1 steps of the chain of any longer extent,
+    # and the chain is compiled again only when a longer extent arrives. Its
+    # first three steps, which every cache command runs, have every kind and
+    # every use of the chain. A kind's slot indexes its energy total, which
+    # starts at 0.0 when a compiled shape first has the kind and stays None
+    # otherwise. Every kind of a compiled shape is placed unless the run
+    # aborts, so the kinds with a total are exactly the kinds some event had.
     compiled: dict[tuple[str, int], tuple[tuple, tuple, int]] = {}
     kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
     # Resources are interned to dense slots in the order the events occupy
     # them, so memory follows the trace, not the geometry: each command
-    # resolves its shape's (role, operand) list to slots before its events
-    # are placed, and that list is in step order. A plane (or, under die
-    # serialization, a die) is keyed by its mixed-radix index, a channel bus
-    # by the bitwise complement of its channel.
-    slot_of: dict[int, int] = {}
+    # resolves its shape's uses to slots before its events are placed, and
+    # that list is in step order. A slot is keyed by the address prefix that
+    # names its resource: (channel,) for a bus, the first three indices for
+    # a die and the first four for a plane. The three lengths differ, so no
+    # two kinds share a key.
+    slot_of: dict[tuple[int, ...], int] = {}
     resources: list[Resource] = []
     busy_until: list[int] = []
     busy: list[int] = []
@@ -408,6 +402,7 @@ def run(
                 LAYOUT[key[0]] == EXTENT,
                 price,
                 geometry,
+                serialize_dies,
             )
             found = compiled[key] = (chain, uses, page_count)
             for step in chain:
@@ -417,22 +412,15 @@ def run(
         # only a cache kind's chain can be longer than its command
         steps = chain if chain_pages == page_count else chain[: 2 * page_count + 1]
         cmd_slots: list[int] = []
-        for role, operand in uses:
-            if role == ROLE_NONE:
+        for resource_kind, length, operand in uses:
+            if not length:
                 cmd_slots.append(-1)
                 continue
-            target = operands[operand]
-            if role == ROLE_BUS:
-                resource_key = ~target[0]
-            else:
-                channel, chip, die, plane, _, _ = target
-                resource_key = (channel * chips + chip) * dies + die
-                if not serialize_dies:
-                    resource_key = resource_key * planes + plane
+            resource_key = operands[operand][:length]
             slot = slot_of.get(resource_key)
             if slot is None:
                 slot = slot_of[resource_key] = len(resources)
-                resources.append(_resource(role, target, serialize_dies))
+                resources.append(Resource(resource_kind, resource_key))
                 busy_until.append(0)
                 busy.append(0)
             cmd_slots.append(slot)
@@ -513,40 +501,33 @@ def run(
 
 
 def _compile(
-    steps: Sequence[Step], extent: bool, price: Pricer, geometry: Geometry
-) -> tuple[tuple, tuple[tuple[int, int], ...]]:
+    steps: Sequence[Step],
+    extent: bool,
+    price: Pricer,
+    geometry: Geometry,
+    serialize_dies: bool,
+) -> tuple[tuple, tuple[tuple[str | None, int, int], ...]]:
     """A shape's steps as the run places them, (kind, target index, deps,
-    position of its (role, operand) in uses, folded price, pricing entry,
-    kind slot), and those distinct uses in first-step order; see `run`.
-    The folded price is `Pricer.fixed` of the step's kind and byte count:
-    the pair every event of the step costs, or None when the entry prices
-    each one."""
-    uses: dict[tuple[int, int], int] = {}
+    position of its use in uses, folded price, pricing function, kind
+    slot), and those distinct uses, (resource kind, key length, operand),
+    in first-step order; see `run`. Die serialization coarsens every plane
+    to its die. The pricing function and folded price are the step's
+    `Pricer.entry`: the folded price is the pair every event of the step
+    costs, or None when the function prices each one."""
+    occupies = {
+        ROLE_NONE: (None, 0),
+        ROLE_PLANE: ("die", 3) if serialize_dies else ("plane", 4),
+        ROLE_BUS: ("bus", 1),
+    }
+    uses: dict[tuple[str | None, int, int], int] = {}
     compiled = []
     for kind, index, deps, role in steps:
-        byte_count = event_bytes(kind, geometry)
+        pricing, pair = price.entry(kind, event_bytes(kind, geometry))
+        use = (*occupies[role], 0 if extent else index)
         compiled.append(
-            (
-                kind,
-                index,
-                deps,
-                uses.setdefault((role, 0 if extent else index), len(uses)),
-                price.fixed(kind, byte_count),
-                price.entry(kind, byte_count),
-                _KIND_SLOTS[kind],
-            )
+            (kind, index, deps, uses.setdefault(use, len(uses)), pair, pricing, _KIND_SLOTS[kind])
         )
     return tuple(compiled), tuple(uses)
-
-
-def _resource(role: int, target: FlashAddress, serialize_dies: bool) -> Resource:
-    """The resource a step of `role` occupies at `target`; die serialization
-    coarsens every plane to its die."""
-    if role == ROLE_BUS:
-        return bus_resource(target)
-    if serialize_dies:
-        return Resource("die", target.die_key())
-    return plane_resource(target)
 
 
 def all_resources(geometry: Geometry, die_serialization: bool = False) -> list[Resource]:

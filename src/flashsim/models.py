@@ -29,8 +29,8 @@ needs it (see `Pricer`). That function remembers its results by the address
 indices the two trees read, so an input already priced is not evaluated
 again: every built-in, and every expression that reads no address
 variable, is evaluated once per (event kind, byte_count), when the function
-is compiled, and the engine places that kind's events without calling it
-(`Pricer.fixed`).
+is compiled, and `Pricer.entry` returns that pair with the function, so
+the engine places that kind's events without calling it.
 """
 
 from __future__ import annotations
@@ -266,15 +266,15 @@ class ModelSet:
 class Pricer:
     """Prices events on one geometry.
 
-    `entry(kind, byte_count)` is the function that maps an event's target
-    to (duration_ns, energy_uj): the latency binding gives the duration,
-    rounded to whole nanoseconds, and the power binding sees that rounded
-    duration. It raises ModelEvaluationError, naming the binding, when
+    `entry(kind, byte_count)` is the pair (pricing function, fixed pair).
+    The pricing function maps an event's target to (duration_ns,
+    energy_uj): the latency binding gives the duration, rounded to whole
+    nanoseconds, and the power binding sees that rounded duration. It raises ModelEvaluationError, naming the binding, when
     either one divides by zero or yields a negative, NaN or infinite result,
     or when the latency is too large to count in nanoseconds.
 
-    Each entry is one function generated from the kind's two trees and
-    compiled when the entry is first asked for. It keeps a memo for as long
+    Each pricing function is generated from the kind's two trees and
+    compiled when its entry is first asked for. It keeps a memo for as long
     as its pricer lives, keyed by the tuple of the target indices the two
     trees read (the empty tuple for a kind that reads none): a target whose
     key is stored gets the stored pair itself, and any other is evaluated
@@ -283,12 +283,12 @@ class Pricer:
     later one, as it would if each event were evaluated on its own. The
     memo is emptied when it holds `_PRICES_KEPT` pairs.
 
-    `fixed(kind, byte_count)` is the pair every event of a kind whose two
-    trees read no address is priced at. The entry computes it once, when
-    it is compiled, so a caller that holds the pair need not call the
-    entry per event. It is None for a kind that reads an address, and for
-    one whose evaluation fails; the entry raises that failure again at the
-    first event that calls it.
+    The fixed pair is the price of every event of a kind whose two trees
+    read no address. The function computes it once, when it is compiled,
+    so a caller that holds the pair need not call the function per event.
+    It is None for a kind that reads an address, and for one whose
+    evaluation fails; the function raises that failure again at the first
+    event that calls it.
     """
 
     def __init__(self, models: ModelSet, geometry: Geometry):
@@ -302,20 +302,11 @@ class Pricer:
 
     def entry(
         self, kind: EventKind, byte_count: int
-    ) -> Callable[[FlashAddress], tuple[int, float]]:
-        """The function that prices every `kind` event of `byte_count` bytes,
-        given its target; callers resolve it once and call it per event."""
-        return self._entry(kind, byte_count)[0]
-
-    def fixed(self, kind: EventKind, byte_count: int) -> tuple[int, float] | None:
-        """The pair every `kind` event of `byte_count` bytes is priced at,
-        when its bindings read no address and evaluate without error; else
-        None, and each event is priced by its `entry`."""
-        return self._entry(kind, byte_count)[1]
-
-    def _entry(
-        self, kind: EventKind, byte_count: int
     ) -> tuple[Callable[[FlashAddress], tuple[int, float]], tuple[int, float] | None]:
+        """The function that prices every `kind` event of `byte_count` bytes,
+        given its target, and the pair it prices each one at when its
+        bindings read no address and evaluate without error, else None.
+        Callers resolve the entry once and call the function per event."""
         key = (kind, byte_count)
         found = self._entries.get(key)
         if found is None:

@@ -86,12 +86,6 @@ class FlashAddress(NamedTuple):
     block: int
     page: int
 
-    def plane_key(self) -> tuple[int, int, int, int]:
-        return self[:4]
-
-    def die_key(self) -> tuple[int, int, int]:
-        return self[:3]
-
     def __str__(self) -> str:
         return ADDRESS_FORMAT % self
 
@@ -113,7 +107,9 @@ class Resource(NamedTuple):
     Planes serialize array operations; the channel bus serializes data
     transfers between every chip on the channel and the controller. With
     die serialization enabled the engine coarsens plane resources to whole
-    dies ("die" kind). Resources order by (kind, key).
+    dies ("die" kind). A resource's key is the address prefix that names
+    it: (channel,) for a bus, the first three indices for a die and the
+    first four for a plane. Resources order by (kind, key).
     """
 
     kind: str  # "plane" | "bus" | "die"
@@ -122,14 +118,6 @@ class Resource(NamedTuple):
     @property
     def label(self) -> str:
         return f"{self.kind}/" + ".".join(str(i) for i in self.key)
-
-
-def plane_resource(addr: FlashAddress) -> Resource:
-    return Resource("plane", addr.plane_key())
-
-
-def bus_resource(addr: FlashAddress) -> Resource:
-    return Resource("bus", (addr.channel,))
 
 
 def validate_geometry(geometry: Geometry) -> None:

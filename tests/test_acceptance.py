@@ -27,6 +27,7 @@ from flashsim.stats import build_report
 from flashsim.topology import Geometry, encode, decode
 from flashsim.trace_io import parse_config
 
+import closed_form
 from checks import assert_schedule_legal
 from closed_form import ENERGY_UJ, LATENCY_NS, Power, Timing
 from conftest import ALL_KINDS, A
@@ -227,6 +228,30 @@ def closed_forms_hold(params_ns, power_mw, n, k):
         assert math.isclose(
             result.results[0].energy_uj, ENERGY_UJ[kind](timing, power, count), rel_tol=1e-9
         ), kind
+
+
+def latency_rows(text: str) -> list[tuple[str, str]]:
+    """The (command, latency) rows of the first table in `text` headed
+    `| command | latency |`, each cell stripped of spaces and backticks."""
+    rows = []
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.replace(" ", "") == "|command|latency|":
+            break
+    next(lines)  # the header's separator row
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        command, latency = (cell.strip(" `") for cell in line.strip("|").split("|"))
+        rows.append((" ".join(command.split()), latency))
+    return rows
+
+
+def test_readme_latency_table_is_the_closed_form_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    derived = latency_rows(closed_form.__doc__)
+    assert len(derived) == len(CommandKind)
+    assert latency_rows(readme) == derived
 
 
 @criterion(4, "des-oracle-equivalence")

@@ -186,7 +186,7 @@ def test_a_tree_at_the_depth_limit_parses_and_prices(shape):
     assert expr.evaluate({**ENV, "page": 1.0}) == value(MAX_DEPTH)
     models = ModelSet(latency_exprs={EventKind.ARRAY_SENSE: expr})
     price = models.pricer(Geometry(1, 1, 1, 1, 1, 2, 4096, 128))
-    duration_ns, _ = price.entry(EventKind.ARRAY_SENSE, 0)(FlashAddress(0, 0, 0, 0, 0, 1))
+    duration_ns, _ = price.entry(EventKind.ARRAY_SENSE, 0)[0](FlashAddress(0, 0, 0, 0, 0, 1))
     assert duration_ns == round(value(MAX_DEPTH) * 1000)
 
 

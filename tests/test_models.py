@@ -209,8 +209,58 @@ def test_pricer_prices_each_byte_count_on_its_own(models):
                 EventKind.BUS_TRANSFER_OUT, target, byte_count, g, duration_ns / 1000
             )
         )
-        got = price.entry(EventKind.BUS_TRANSFER_OUT, byte_count)(target)
+        got = price.entry(EventKind.BUS_TRANSFER_OUT, byte_count)[0](target)
         assert got == (duration_ns, energy), byte_count
+
+
+# two targets that differ in every address index
+ENTRY_GEOMETRY = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)
+ENTRY_TARGETS = (FlashAddress(0, 0, 0, 0, 1, 2), FlashAddress(1, 1, 1, 1, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "latency_exprs, power_exprs, kind, byte_count",
+    [
+        ({}, {}, EventKind.BUS_TRANSFER_IN, 4096),
+        ({}, {}, EventKind.ARRAY_PROGRAM, 0),
+        (
+            {EventKind.ARRAY_SENSE: "25 + byte_count / page_size + oob_size"},
+            {EventKind.ARRAY_SENSE: "duration * 0.03"},
+            EventKind.ARRAY_SENSE,
+            512,
+        ),
+    ],
+    ids=["builtin_bus", "builtin_array", "address_free_expression"],
+)
+def test_pricer_entry_folds_the_price_of_a_kind_that_reads_no_address(
+    latency_exprs, power_exprs, kind, byte_count
+):
+    models = ModelSet(
+        latency_exprs={k: parse_latency_expression(t) for k, t in latency_exprs.items()},
+        power_exprs={k: parse_power_expression(t) for k, t in power_exprs.items()},
+    )
+    function, pair = models.pricer(ENTRY_GEOMETRY).entry(kind, byte_count)
+    assert pair is not None
+    assert [function(target) for target in ENTRY_TARGETS] == [pair, pair]
+
+
+def test_pricer_entry_folds_no_price_for_a_binding_that_reads_an_address():
+    kind = EventKind.ARRAY_SENSE
+    models = ModelSet(latency_exprs={kind: parse_latency_expression("25 + page")})
+    function, pair = models.pricer(ENTRY_GEOMETRY).entry(kind, 0)
+    assert pair is None
+    assert [function(target)[0] for target in ENTRY_TARGETS] == [27_000, 30_000]
+
+
+def test_pricer_entry_folds_no_price_for_a_failing_binding_and_raises_per_call():
+    kind = EventKind.BLOCK_ERASE
+    models = ModelSet(power_exprs={kind: parse_power_expression("-duration")})
+    function, pair = models.pricer(ENTRY_GEOMETRY).entry(kind, 0)
+    assert pair is None
+    for target in ENTRY_TARGETS + ENTRY_TARGETS:
+        with pytest.raises(ModelEvaluationError) as raised:
+            function(target)
+        assert raised.value.key == "[power] block_erase"
 
 
 ADDRESS = ("channel", "chip", "die", "plane", "block", "page")
@@ -316,7 +366,7 @@ def test_pricing_kernel_is_python_float_arithmetic_bit_for_bit(latency, power, c
         latency_exprs={kind: parse_latency_expression(latency)},
         power_exprs={kind: parse_power_expression(power)},
     )
-    entry = models.pricer(geometry).entry(kind, byte_count)
+    entry, _ = models.pricer(geometry).entry(kind, byte_count)
     read = models.latency_exprs[kind].variables | models.power_exprs[kind].variables
     stored: dict[tuple[int, ...], tuple[int, float]] = {}
     for target in targets:
@@ -337,7 +387,7 @@ def test_pricing_memo_is_emptied_at_its_cap_and_stays_exact():
         latency_exprs={kind: parse_latency_expression(latency)},
         power_exprs={kind: parse_power_expression(power)},
     )
-    entry = models.pricer(geometry).entry(kind, 0)
+    entry, _ = models.pricer(geometry).entry(kind, 0)
     targets = [FlashAddress(0, 0, 0, 0, 0, page) for page in range(2 * cap + 3)]
     first = entry(targets[0])
     for target in targets[1:cap]:

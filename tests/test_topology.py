@@ -38,7 +38,7 @@ def test_address_renders_dotted_and_is_a_tuple_of_its_indices():
     assert addr == (1, 0, 3, 2, 1023, 2**40)
     assert addr[4] == addr.block == 1023
     assert tuple(addr) == (1, 0, 3, 2, 1023, 2**40)
-    assert addr.plane_key() == (1, 0, 3, 2)
+    assert addr[:4] == (1, 0, 3, 2)
     assert hash(addr) == hash(FlashAddress(1, 0, 3, 2, 1023, 2**40))
 
 
