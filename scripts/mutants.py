@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
 """Plant each listed mutant in a copy of the repository and run the tests on it.
 
-    python3 scripts/mutants.py [--check] [NAME ...]
+    python3 scripts/mutants.py
 
 Run from anywhere inside the repository. The mutants are listed in
 ``scripts/mutants.json``: each entry names the mutant (``name``), the file it
 edits (``file``, relative to the repository root), the exact source text it
 replaces (``find``, which must occur exactly once in that file), the text
-put in its place (``replace``) and why it is on the list (``reason``). An
-entry with ``"equivalent": true`` is a mutant no test can tell from the
-program; it stays on the list with its reason and is expected to survive.
+put in its place (``replace``) and why it is on the list (``reason``).
 
 The working tree, without ``.git`` and caches, is copied once to a
 temporary directory. Each mutant is then planted there on its own and
 ``python -m pytest -x -q -p no:cacheprovider tests`` runs against the
 copy's ``src``. A mutant is killed when the run fails, and the first test
 that failed is named; it survived when the run passes. Prints one row per
-mutant, its name and what became of it, and exits 1 when a mutant not
-marked equivalent survives, or when an entry's text does not occur exactly
-once. ``--check`` only checks that every entry applies, and runs no test.
-NAMEs pick the mutants to run. The copy goes where ``tempfile`` puts
-temporary directories (``TMPDIR``) and is removed at the end.
+mutant, its name and what became of it, and exits 1 when a mutant
+survives. Before any test runs, every entry is checked: when an entry's
+file is missing or its text does not occur exactly once, the script names
+the entry and exits 1. The copy goes where ``tempfile`` puts temporary
+directories (``TMPDIR``) and is removed at the end.
 
 Stdlib only. The mutants run one after another; a run that passes costs a
 whole test-suite run (about 40 s), so the script is not part of the tests.
@@ -28,7 +26,6 @@ whole test-suite run (about 40 s), so the script is not part of the tests.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -47,15 +44,6 @@ IGNORED = shutil.ignore_patterns(
 )
 # pytest's summary line for the test that failed first
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
-
-
-def load(names: list[str]) -> list[dict]:
-    mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
-    known = {m["name"] for m in mutants}
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        sys.exit(f"{MUTANTS.name}: no mutant named {', '.join(unknown)}")
-    return [m for m in mutants if not names or m["name"] in names]
 
 
 def problem(root: Path, mutant: dict) -> str | None:
@@ -94,33 +82,25 @@ def verdict(copy: Path, mutant: dict) -> str:
     return f"killed by {first.group(1) if first else f'pytest exit {proc.returncode}'}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run")
-    parser.add_argument(
-        "--check", action="store_true", help="check that every entry applies; run no test"
-    )
-    args = parser.parse_args(argv)
-    mutants = load(args.names)
+def main() -> int:
+    mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
     problems = [(m["name"], problem(ROOT, m)) for m in mutants]
     problems = [(name, why) for name, why in problems if why]
     for name, why in problems:
         print(f"problem  {name}: {why}")
-    if problems or args.check:
+    if problems:
         print(f"{len(mutants)} mutants, {len(problems)} problems")
-        return 1 if problems else 0
-    failed = 0
+        return 1
+    survived = 0
     with tempfile.TemporaryDirectory(prefix="flashsim-mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         for mutant in mutants:
             result = verdict(copy, mutant)
-            expected = "survived" if mutant.get("equivalent") else "killed"
-            if not result.startswith(expected):
-                failed += 1
+            survived += result == "survived"
             print(f"{mutant['name']:<28} {result}", flush=True)
-    print(f"{len(mutants)} mutants, {failed} not as expected")
-    return 1 if failed else 0
+    print(f"{len(mutants)} mutants, {survived} survived")
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":

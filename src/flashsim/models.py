@@ -269,9 +269,10 @@ class Pricer:
     `entry(kind, byte_count)` is the pair (pricing function, fixed pair).
     The pricing function maps an event's target to (duration_ns,
     energy_uj): the latency binding gives the duration, rounded to whole
-    nanoseconds, and the power binding sees that rounded duration. It raises ModelEvaluationError, naming the binding, when
-    either one divides by zero or yields a negative, NaN or infinite result,
-    or when the latency is too large to count in nanoseconds.
+    nanoseconds, and the power binding sees that rounded duration. It
+    raises ModelEvaluationError, naming the binding, when either one
+    divides by zero or yields a negative, NaN or infinite result, or when
+    the latency is too large to count in nanoseconds.
 
     Each pricing function is generated from the kind's two trees and
     compiled when its entry is first asked for. It keeps a memo for as long

@@ -27,9 +27,8 @@ from flashsim.stats import build_report
 from flashsim.topology import Geometry, encode, decode
 from flashsim.trace_io import parse_config
 
-import closed_form
 from checks import assert_schedule_legal
-from closed_form import ENERGY_UJ, LATENCY_NS, Power, Timing
+from closed_form import __doc__ as CLOSED_FORM_DOC, ENERGY_UJ, LATENCY_NS, Power, Timing
 from conftest import ALL_KINDS, A
 from gen import random_trace
 from oracle import enumerated_addresses, oracle_schedule
@@ -249,7 +248,7 @@ def latency_rows(text: str) -> list[tuple[str, str]]:
 
 def test_readme_latency_table_is_the_closed_form_table():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    derived = latency_rows(closed_form.__doc__)
+    derived = latency_rows(CLOSED_FORM_DOC)
     assert len(derived) == len(CommandKind)
     assert latency_rows(readme) == derived
 
