@@ -100,8 +100,6 @@ ALLOWED = {
     "engine.EventLog.__getitem__": API,
     "engine.EventLog.__eq__": API + "; also RunResult.__eq__",
     "engine.EventLog._event": API + "; helper of __iter__/__getitem__",
-    "engine.EventLog.widen": "a start past 2**63 - 1 ns, which no data trace has; "
-    "the tests and scripts/same_bytes.py have them",
     "engine.EventLog.of": API + "; write_report's reader of a Report built by hand "
     "with a list of ScheduledEvents",
     "trace_io.emit_trace": API,

@@ -34,8 +34,8 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
   ``tests/test_trace_io.py`` pins, so that their stderr is compared;
 - ``sample/mixed.trace`` with every arrival moved later, on
   ``sample/ssd.ini``: so that event starts cross 10^15 ns, where a start
-  in microseconds may need more than 15 digits, and so that they pass
-  2^63 ns.
+  in microseconds may need more than 15 digits, and so that arrivals pass
+  2^63 ns, which the trace reader rejects.
 
 Each input runs through ``python -m flashsim`` from both trees with no flag,
 ``--events``, ``--format table``, ``--format table --events``, ``--check``
@@ -161,7 +161,8 @@ MIXED_PRICING_EDITS = (
 )
 EXTENT_ROUNDS = 3
 # microseconds added to every arrival of EDITED_TRACE: starts from just
-# below 10^15 ns to above it, and starts above 2^63 ns
+# below 10^15 ns to above it, and arrivals past 2^63 ns, which the trace
+# reader rejects (exit 2 and no report), pinning that rejection
 ARRIVAL_SHIFTS_US = (10**12 - 1, 10**16)
 # digit sets `int` reads: ASCII, Arabic-Indic and fullwidth
 DIGITS = (

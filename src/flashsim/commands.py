@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Rule, Severity, Violation
 from .topology import FlashAddress, Geometry, Resource, new_address
+from .units import TIME_LIMIT_NS
 
 
 class CommandKind(Enum):
@@ -119,7 +120,7 @@ class Command(_CommandFields):
     (source, destination) pair for copy_back, alternating source/destination
     pairs for multi_plane_copy_back, and one address per plane (or die) for
     the multi-plane and interleaved families. `arrival_ns` is on the
-    engine's integer-nanosecond timebase.
+    engine's integer-nanosecond timebase, in [0, 2**63).
 
     A named tuple whose constructor checks the operand layout; `_make` and
     `_replace` go through the same checks. Equality and hash ignore `line`,
@@ -139,6 +140,8 @@ class Command(_CommandFields):
     ) -> Command:
         if arrival_ns < 0:
             raise ValueError("arrival time must be >= 0")
+        if arrival_ns >= TIME_LIMIT_NS:
+            raise ValueError("arrival time must be below 2**63 ns")
         n = len(operands)
         layout = LAYOUT[kind._value_]
         if layout == ONE_ADDRESS or layout == EXTENT:

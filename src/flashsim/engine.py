@@ -9,7 +9,7 @@ ones serialize. Events ready at the same instant therefore start in
 (sequence_id, event id) order, a documented total order that makes two runs
 on identical inputs byte-identical.
 
-Time is integer nanoseconds internally (trace microseconds scaled by 1000)
+Time is whole nanoseconds below 2**63 (trace microseconds scaled by 1000),
 so schedules never diverge through float accumulation; energy is carried
 as double-precision microjoules.
 
@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_right
 from itertools import islice
 from operator import sub
-from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Sequence
+from typing import Iterable, Iterator, MutableSequence, NamedTuple, Sequence
 
 from .commands import (
     EXTENT,
@@ -57,6 +57,7 @@ from .errors import (
 )
 from .models import ModelSet, Pricer
 from .topology import FlashAddress, Geometry, Resource, SubsystemState, validate_geometry
+from .units import TIME_LIMIT_NS
 
 
 class Policy(NamedTuple):
@@ -102,8 +103,7 @@ class EventLog:
     2n + 1 events.
     Per event: its start, the (duration_ns, energy_uj) pair its pricing
     returned and its resource's slot in `resources`, -1 for none. Starts
-    are kept as 64-bit integers until one does not fit (arrivals and
-    durations have no upper bound), and as Python ints from then on.
+    are 64-bit integers: every time is below 2**63 ns.
 
     Read as a sequence, the log builds a `ScheduledEvent` for each event
     on access, in placement order. It supports `len`, iteration, indexing
@@ -130,11 +130,14 @@ class EventLog:
     def of(cls, events: Iterable[ScheduledEvent]) -> EventLog:
         """The log of `events`, which are numbered as a run numbers them:
         each command's events together, with ids 0, 1, 2, ... in order.
-        Raises ValueError for an event that breaks that numbering."""
+        Raises ValueError for an event that breaks that numbering, or that
+        does not start and end within [0, 2**63) ns."""
         slot_of: dict[Resource, int] = {}
         log = cls([])
-        log.widen()  # a record's start may be any int
         for e in events:
+            if not 0 <= e.start_ns <= e.end_ns < TIME_LIMIT_NS:
+                raise ValueError(f"event {e.event_id} of command {e.sequence_id} "
+                                 "does not start and end within [0, 2**63) ns")
             if e.event_id == 0:
                 log.add_command(e.sequence_id, [], [])
             elif not log.steps or (e.sequence_id, e.event_id) != (
@@ -153,12 +156,6 @@ class EventLog:
             )
         log.resources = list(slot_of)
         return log
-
-    def widen(self) -> Callable[[int], None]:
-        """Keep the starts as Python ints, for a start past 2**63 - 1 ns;
-        returns the method that appends one."""
-        self.starts = list(self.starts)
-        return self.starts.append
 
     def add_command(
         self, sequence_id: int, steps: Sequence[tuple], targets: Sequence[FlashAddress]
@@ -334,8 +331,9 @@ def run(
     Commands are checked by `replay` in trace order and each one's event DAG
     is placed on the timeline per the module's scheduling discipline.
     Structural validation errors abort the run; warnings abort only under a
-    strict policy. A model binding that fails on an event aborts the run
-    with a ModelEvaluationError located at its command's trace line.
+    strict policy. A model binding that fails on an event, or an event that
+    would end at 2**63 ns or later, aborts the run with a
+    ModelEvaluationError located at its command's trace line.
 
     Every event's energy is added to its kind's total as it is placed. The
     result's `schedule` holds each event's start, price and resource slot
@@ -432,43 +430,42 @@ def run(
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0
-        for kind, index, deps, use, pair, priced, kind_slot in steps:
-            ready = arrival
-            for dep in deps:
-                if ends[dep] > ready:
-                    ready = ends[dep]
-            if pair is None:
-                try:
+        try:
+            for kind, index, deps, use, pair, priced, kind_slot in steps:
+                ready = arrival
+                for dep in deps:
+                    if ends[dep] > ready:
+                        ready = ends[dep]
+                if pair is None:
                     pair = priced(targets[index])
-                except ModelEvaluationError as exc:
-                    raise exc.located(
-                        cmd.line,
-                        f"the {kind.value} event of {cmd.kind.value} command {sequence_id}",
-                    ) from exc
-            duration, energy = pair
-            slot = cmd_slots[use]
-            if slot < 0:
-                start = ready
-            else:
-                start = busy_until[slot]
-                if start < ready:
+                duration, energy = pair
+                slot = cmd_slots[use]
+                if slot < 0:
                     start = ready
-                busy_until[slot] = start + duration
-                busy[slot] += duration
-            end = start + duration
-            ends.append(end)
-            if end > completion:
-                completion = end
-            energy_total += energy
-            kind_energy[kind_slot] += energy
-            if event_log:
-                try:
+                else:
+                    start = busy_until[slot]
+                    if start < ready:
+                        start = ready
+                    busy_until[slot] = start + duration
+                    busy[slot] += duration
+                end = start + duration
+                ends.append(end)
+                # every start is an arrival or an earlier end, so this bounds them
+                if end > completion:
+                    if end >= TIME_LIMIT_NS:
+                        detail = f"ends at {end} ns, which is 2**63 ns or later"
+                        raise ModelEvaluationError(models.latency_keys[kind], detail)
+                    completion = end
+                energy_total += energy
+                kind_energy[kind_slot] += energy
+                if event_log:
                     log_start(start)
-                except OverflowError:
-                    log_start = schedule.widen()
-                    log_start(start)
-                log_price(pair)
-                log_slot(slot)
+                    log_price(pair)
+                    log_slot(slot)
+        except ModelEvaluationError as exc:
+            raise exc.located(
+                cmd.line, f"the {kind.value} event of {cmd.kind.value} command {sequence_id}"
+            ) from exc
         if completion > last_end:
             last_end = completion
         results.append(

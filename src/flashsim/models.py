@@ -53,7 +53,7 @@ from .expr import (
     variables_of,
 )
 from .topology import FlashAddress, Geometry
-from .units import NS_PER_US
+from .units import NS_PER_US, TIME_LIMIT_NS
 
 # The variables a binding reads, in the order latency_us and energy_uj pass
 # them. Every expression may reference the first nine; power expressions
@@ -206,6 +206,8 @@ class ModelSet:
         self.power_exprs = dict(power_exprs or {})
         self._latency = {kind: self._latency_binding(kind) for kind in EventKind}
         self._energy = {kind: self._energy_binding(kind) for kind in EventKind}
+        # the `[section] key` that names each kind's latency binding
+        self.latency_keys = {kind: key for kind, (_, key) in self._latency.items()}
         # the single bindings behind latency_us and energy_uj, compiled on
         # first use and keyed by (kind, whether it is the power binding)
         self._functions: dict[tuple[EventKind, bool], Callable[..., float]] = {}
@@ -272,7 +274,7 @@ class Pricer:
     nanoseconds, and the power binding sees that rounded duration. It
     raises ModelEvaluationError, naming the binding, when either one
     divides by zero or yields a negative, NaN or infinite result, or when
-    the latency is too large to count in nanoseconds.
+    the latency reaches 2**63 ns.
 
     Each pricing function is generated from the kind's two trees and
     compiled when its entry is first asked for. It keeps a memo for as long
@@ -338,11 +340,11 @@ class Pricer:
             names[_ADDRESS_VARIABLES[i]] = emitter.assign(f"{to_float}(target[{i}])")
         duration_us = emitter.emit(latency, names, _division_by_zero(latency_key))
         _check_range(emitter, duration_us, latency_key)
-        # units.us_to_ns, with its overflow named after the binding
+        # whole nanoseconds below 2**63, or an overflow named after the binding
         ns_per_us = emitter.bind(NS_PER_US)
         scaled = emitter.assign(f"{duration_us} * {ns_per_us}")
         emitter.lines.append(
-            f"if {scaled} == {emitter.bind(math.inf)}: "
+            f"if not {scaled} < {emitter.bind(float(TIME_LIMIT_NS))}: "
             f"raise {emitter.bind(partial(_overflow, latency_key))}({duration_us})"
         )
         duration_ns = emitter.assign(f"{emitter.bind(round)}({scaled})")

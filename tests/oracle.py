@@ -24,7 +24,6 @@ from flashsim.commands import Command, EventKind, decompose
 from flashsim.engine import Policy, RunResult
 from flashsim.models import EventContext, ModelSet
 from flashsim.topology import FlashAddress, Geometry, Resource
-from flashsim.units import us_to_ns
 
 
 def enumerated_addresses(geometry: Geometry) -> list[FlashAddress]:
@@ -108,7 +107,7 @@ def oracle_events(
         command_events = []
         for event_id, ev in enumerate(decomposed):
             ctx = EventContext.for_event(ev.kind, ev.target, ev.byte_count, geometry)
-            duration = us_to_ns(models.latency_us(ctx))
+            duration = round(models.latency_us(ctx) * 1000)
             energy = models.energy_uj(
                 EventContext.for_event(
                     ev.kind, ev.target, ev.byte_count, geometry, duration / 1000

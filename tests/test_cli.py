@@ -524,7 +524,8 @@ def test_expression_models_table_matches_golden(capsys, tmp_path):
 
 
 ERASE_OVERFLOW = "[power]\nblock_erase = 1.7e308\n"
-IDLE_OVERFLOW = "[power]\np_idle_bus = 1e10\n"
+# 1e300 mW idle over 10^12 us, a makespan well inside the time domain
+IDLE_OVERFLOW = "[power]\np_idle_bus = 1e300\n"
 
 
 @pytest.mark.parametrize(
@@ -542,7 +543,7 @@ IDLE_OVERFLOW = "[power]\np_idle_bus = 1e10\n"
         ),
         (
             IDLE_OVERFLOW,
-            "0,read,0.0.0.0.0.0\n1e305,read,0.0.0.0.0.0\n",
+            "0,read,0.0.0.0.0.0\n1000000000000,read,0.0.0.0.0.0\n",
             "[power] idle energy of bus/0: overflows to inf",
         ),
     ],
@@ -565,6 +566,49 @@ def test_energy_overflow_exits_2_without_a_report(
         capsys, "--config", config, "--trace", trace, "--format", fmt,
         "--out", out_file,
     )
+    assert code == 2 and not out_file.exists()
+
+
+# Every time is a whole number of nanoseconds below 2**63: an arrival, a
+# latency and an event's end at the limit each stop the run with exit 2 and
+# one diagnostic, the same in both formats and with or without the log.
+@pytest.mark.parametrize(
+    "tail,records,diagnostic",
+    [
+        (
+            "",
+            "9223372036854775.807,read,0.0.0.0.0.0\n9223372036854775.808,read,0.0.0.0.0.0\n",
+            ":3: arrival time 9223372036854775.808 is 2**63 ns or later",
+        ),
+        (
+            "[performance]\narray_sense = 1e16\n",
+            "0,read,0.0.0.0.0.0\n",
+            ":2: error: [performance] array_sense: evaluated to 1e+16 us, which "
+            "overflows in nanoseconds for the array_sense event of read command 0",
+        ),
+        (
+            "",
+            "9223372036854774.808,erase,0.0.0.0.0.0\n",
+            ":2: error: [performance] t_erase: ends at 9223372036856274808 ns, which "
+            "is 2**63 ns or later for the block_erase event of erase command 0",
+        ),
+    ],
+    ids=["arrival", "latency", "end"],
+)
+@pytest.mark.parametrize("flags", [[], ["--events"]], ids=["bare", "events"])
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_a_time_at_2_to_the_63_ns_exits_2_without_a_report(
+    fixture_paths, capsys, tmp_path, tail, records, diagnostic, flags, fmt
+):
+    config, _ = fixture_paths
+    config.write_text(config.read_text() + tail)
+    trace = tmp_path / "late.trace"
+    trace.write_text(f"{TRACE_HEADER}\n{records}")
+    args = ["--config", config, "--trace", trace, "--format", fmt, *flags]
+    code, out, err = invoke(capsys, *args)
+    assert (code, out, err) == (2, "", f"{trace}{diagnostic}\n")
+    out_file = tmp_path / "report"
+    code, _, _ = invoke(capsys, *args, "--out", out_file)
     assert code == 2 and not out_file.exists()
 
 
@@ -747,7 +791,7 @@ def test_cyclic_garbage_does_not_grow_with_the_trace(fixture_paths, tmp_path, fl
 
 # closed input domain: traces from a small grammar of good and bad fields
 _ARRIVALS = st.one_of(
-    st.sampled_from(["0", "1.5", "-1", "nan", "1e305", ""]),
+    st.sampled_from(["0", "1.5", "-1", "nan", "1e305", "1000000000000", ""]),
     st.integers(0, 50).map(str),
 )
 _KINDS = st.sampled_from([kind.value for kind in CommandKind] + ["defragment"])
@@ -809,7 +853,7 @@ def _reject_constant(name):
     flags=[],
 )
 @example(
-    records=["0,read,0.0.0.0.0.0", "1e305,read,0.0.0.0.0.0"], tail=IDLE_OVERFLOW,
+    records=["0,read,0.0.0.0.0.0", "1000000000000,read,0.0.0.0.0.0"], tail=IDLE_OVERFLOW,
     flags=["--events", "--format", "table"],
 )
 def test_any_input_exits_0_1_or_2_with_a_finite_report(records, tail, flags):

@@ -183,6 +183,9 @@ class TestCommandArity:
             cmd(CommandKind.READ, A(), page_count=2)
         with pytest.raises(ValueError, match="^arrival time must be >= 0$"):
             Command(-1, CommandKind.READ, (A(),))
+        assert Command(2**63 - 1, CommandKind.READ, (A(),)).arrival_ns == 2**63 - 1
+        with pytest.raises(ValueError, match=r"^arrival time must be below 2\*\*63 ns$"):
+            Command(2**63, CommandKind.READ, (A(),))
 
     def test_replace_and_make_run_the_same_checks(self):
         read = cmd(CommandKind.READ, A())
@@ -191,6 +194,8 @@ class TestCommandArity:
             read._replace(page_count=3)
         with pytest.raises(ValueError, match="^arrival time must be >= 0$"):
             Command._make((-1, CommandKind.READ, (A(),), 1, 0, None))
+        with pytest.raises(ValueError, match=r"^arrival time must be below 2\*\*63 ns$"):
+            read._replace(arrival_ns=2**63)
 
 
 class TestCommandRecord:

@@ -910,6 +910,18 @@ class TestEventLog:
         with pytest.raises(ValueError, match="does not follow"):
             engine.EventLog.of(events)
 
+    # a start below 0, an end at 2**63 ns and a start there
+    @pytest.mark.parametrize("start,duration", [(-1, 1), (2**63 - 1, 1), (2**63, 0)])
+    def test_records_outside_the_time_domain_are_refused(self, start, duration):
+        inside = engine.ScheduledEvent(0, 0, EventKind.CMD_OVERHEAD, A(), None, 0, 0, 0.0)
+        last = engine.ScheduledEvent(0, 1, EventKind.CMD_OVERHEAD, A(), None, start,
+                                     duration, 0.0)
+        assert len(engine.EventLog.of([inside, last._replace(start_ns=2**63 - 2)])) == 2
+        with pytest.raises(
+            ValueError, match=r"^event 1 of command 0 does not start and end within "
+        ):
+            engine.EventLog.of([inside, last])
+
 
 class TestCacheChain:
     """A cache kind is compiled as one chain per run, and a cache command of

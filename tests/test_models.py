@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flashsim.commands import EventKind
 from flashsim.topology import FlashAddress, Geometry
-from flashsim.units import us_to_ns
 from flashsim.errors import ModelEvaluationError, NegativeResultError
 from flashsim.models import (
     _PRICES_KEPT,
@@ -203,7 +202,7 @@ def test_pricer_prices_each_byte_count_on_its_own(models):
         context = EventContext.for_event(
             EventKind.BUS_TRANSFER_OUT, target, byte_count, g
         )
-        duration_ns = us_to_ns(models.latency_us(context))
+        duration_ns = round(models.latency_us(context) * 1000)
         energy = models.energy_uj(
             EventContext.for_event(
                 EventKind.BUS_TRANSFER_OUT, target, byte_count, g, duration_ns / 1000
@@ -308,7 +307,7 @@ def _reference(latency, power, kind, geometry, byte_count, target):
         return ModelEvaluationError, f"{latency_key}: division by zero in expression"
     if not 0 <= duration_us < math.inf:
         return NegativeResultError, f"{latency_key}: evaluated to {duration_us}"
-    if duration_us * 1000 == math.inf:
+    if not duration_us * 1000 < 2**63:
         return ModelEvaluationError, (
             f"{latency_key}: evaluated to {duration_us} us, which overflows in nanoseconds"
         )
@@ -351,8 +350,8 @@ _CASE = (EventKind.ARRAY_SENSE, Geometry(1, 1, 1, 1, 2, 4, 4096, 128), 4096,
 @example("25.0 + block", "duration * 0.03", _CASE)
 @example("25.0", "duration * page / 1000.0", _CASE)
 # each failure, named after its binding: a division by zero, a negative
-# and an infinite result, and a latency finite in microseconds only; a
-# failing key raises again each time it repeats
+# and an infinite result, and latencies that reach 2**63 ns; a failing key
+# raises again each time it repeats
 @example("page_size / (3.0 - page)", "duration", _CASE)
 @example("1.0", "duration / (page - 2.0)", _CASE)
 @example("10.0 - 4.0 * page", "duration", _CASE)
@@ -360,6 +359,10 @@ _CASE = (EventKind.ARRAY_SENSE, Geometry(1, 1, 1, 1, 2, 4, 4096, 128), 4096,
 @example("1e308 * 10.0", "duration", _CASE)
 @example("25.0", "1e308 * duration", _CASE)
 @example("1e306", "duration", _CASE)
+@example("1e16", "duration", _CASE)
+# the largest latency below 2**63 ns, and the next double, which reaches it
+@example("9223372036854774.0", "duration", _CASE)
+@example("9223372036854776.0", "duration", _CASE)
 def test_pricing_kernel_is_python_float_arithmetic_bit_for_bit(latency, power, case):
     kind, geometry, byte_count, targets = case
     models = ModelSet(

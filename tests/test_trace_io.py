@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
 import unicodedata
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -340,6 +342,71 @@ def reference_address(text: str, counts: tuple[int, ...]) -> FlashAddress | str:
     return f"address {'.'.join(map(str, indices))} out of range for geometry {counts}"
 
 
+# Arrival fields float reads, or does not: specials, NaN and infinities,
+# hexadecimal, misplaced underscores, halves of a nanosecond and the edges of
+# the time domain
+ARRIVAL_SPECIALS = [
+    "inf", "-inf", "Infinity", "nan", "-nan", "0x1", "1__0", "_1", "1_", "1_0",
+    ".", "", "e5", "1e", "-0", "+0", "-1e-400", "1e-400", "1e305", "1e306",
+    "1e400", "-1e306", "0.0005", "0.0015", "523.9395", "9223372036854775.807",
+    "9223372036854775.8075", "9223372036854775.8085",
+]
+# digits past the third fraction digit: a half of a nanosecond, and either
+# side of one beyond the 28 digits of decimal's default context
+HALF_TAILS = ["", "5", "5" + "0" * 30, "5" + "0" * 29 + "1", "4" + "9" * 30]
+
+
+@st.composite
+def arrival_spellings(draw) -> str:
+    """An arrival field: a special; a short text over float's alphabet; a
+    decimal of whole nanoseconds with a tail near a half, near 0 or near
+    2**63 ns; or a signed number of any magnitude in one of three digit
+    scripts, with underscores, fraction digits and an exponent."""
+    choice = draw(st.integers(0, 4))
+    if choice == 0:
+        return draw(st.sampled_from(ARRIVAL_SPECIALS))
+    if choice == 1:
+        # short, so that an exponent stays small enough to compute with
+        return draw(st.text(st.sampled_from([*"0123456789+-_.eEinf", "\u0661", "\uff11"]),
+                            max_size=6))
+    if choice == 2:
+        ns = draw(st.integers(0, 10**4) | st.integers(2**63 - 10**4, 2**63 + 10**4)
+                  | st.integers(0, 2**63))
+        return f"{ns // 1000}.{ns % 1000:03d}{draw(st.sampled_from(HALF_TAILS))}"
+    digits = draw(st.sampled_from(SPELLING_DIGITS))
+    whole = draw(st.sampled_from(["", "0"]) | st.integers(0, 10**19).map(str))
+    spelled = "".join(digits[int(d)] for d in whole)
+    if len(spelled) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(spelled) - 1))
+        spelled = spelled[:cut] + "_" + spelled[cut:]
+    text = draw(st.sampled_from(["", "+", "-"])) + spelled
+    if draw(st.booleans()):
+        fraction = draw(st.text(st.sampled_from("0123456789"), max_size=32))
+        text += "." + "".join(digits[int(d)] for d in fraction)
+    if draw(st.booleans()):
+        text += f"{draw(st.sampled_from('eE'))}{draw(st.integers(-25, 25))}"
+    return text
+
+
+def reference_arrival(text: str) -> int | str:
+    """The arrival in nanoseconds that a field spells under the trace rules,
+    or the diagnostic `parse_trace` gives for it: `float` decides the
+    spelling and the sign, and the value is the text's exact one times 1000,
+    rounded half-even, below 2**63."""
+    try:
+        us = float(text)
+    except ValueError:
+        return f"bad arrival time '{text}'"
+    if math.isnan(us) or math.isinf(us):
+        return f"bad arrival time '{text}'"
+    if us < 0:
+        return f"arrival time {text} is negative"
+    ns = round(Fraction(text) * 1000)
+    if ns < 2**63:
+        return ns
+    return f"arrival time {text} is 2**63 ns or later"
+
+
 class TestParseTrace:
     def test_single_read_at_origin(self, geometry):
         commands = parse_trace(trace_text("0,read,0.0.0.0.0.0"), geometry)
@@ -570,13 +637,56 @@ class TestParseTrace:
             (21, "need at least arrival time and kind"),
         ]
 
-    # 1e306 us is finite, but not in nanoseconds
-    @pytest.mark.parametrize("arrival", ["nan", "inf", "1e400", "1e306"])
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_arrival_rejected_with_line(self, geometry, arrival):
         with pytest.raises(TraceParseError) as excinfo:
             parse_trace(trace_text("0,read,0", f"{arrival},read,1"), geometry)
         (diag,) = excinfo.value.diagnostics
         assert (diag.line, diag.message) == (3, f"bad arrival time '{arrival}'")
+
+    # 2**63 ns exactly; a text that rounds up to it; the next whole
+    # microsecond; and a finite number of microseconds far past it
+    @pytest.mark.parametrize(
+        "arrival",
+        ["9223372036854775.808", "9223372036854775.8075", "9223372036854776", "1e306"],
+    )
+    def test_arrival_at_2_to_the_63_ns_rejected_with_line(self, geometry, arrival):
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(trace_text("0,read,0", f"{arrival},read,1"), geometry)
+        (diag,) = excinfo.value.diagnostics
+        assert (diag.line, diag.message) == (
+            3, f"arrival time {arrival} is 2**63 ns or later"
+        )
+
+    @pytest.mark.parametrize(
+        "arrival,arrival_ns",
+        [
+            ("9223372036854775.807", 2**63 - 1),
+            ("523.9395", 523_940),  # the double nearest 523.9395 is below it
+            ("0.0005", 0),  # half-even: a half rounds to the even neighbour
+            ("0.0015", 2),
+            ("0.00150000000000000000000000000000001", 2),
+            ("-1e-400", 0),  # float reads -0.0, which is not negative
+            ("1_0", 10_000),
+        ],
+    )
+    def test_arrival_is_its_exact_decimal_rounded_half_even(
+        self, geometry, arrival, arrival_ns
+    ):
+        (c,) = parse_trace(trace_text(f"{arrival},read,0"), geometry)
+        assert c.arrival_ns == arrival_ns
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrival_spellings())
+    def test_arrival_spellings_read_as_the_reference_reads_them(self, arrival):
+        geometry = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)
+        expected = reference_arrival(arrival)
+        try:
+            (c,) = parse_trace(trace_text(f"{arrival},read,0"), geometry)
+        except TraceParseError as exc:
+            assert [d.message for d in exc.diagnostics] == [expected]
+        else:
+            assert c.arrival_ns == expected
 
     def test_multi_plane_and_interleave_lists(self, geometry):
         commands = parse_trace(
@@ -617,16 +727,22 @@ class TestParseTrace:
         st.lists(
             st.tuples(
                 st.sampled_from(CommandKind),
-                st.integers(0, 2**51 - 1),
+                st.integers(0, 2**63 - 1),
                 st.randoms(use_true_random=False),
             ),
             max_size=30,
         )
     )
-    @example([(kind, 2**51 - 1 - i, random.Random(i)) for i, kind in enumerate(CommandKind)])
+    @example([(kind, 2**63 - 1 - i, random.Random(i)) for i, kind in enumerate(CommandKind)])
+    # arrivals that a double of microseconds would not hold: the second read
+    # back 1 ns early, and the third 1 ns late, when one was read through it
+    @example([
+        (CommandKind.READ, 2**51, random.Random(0)),
+        (CommandKind.WRITE, 4_494_576_694_523_227, random.Random(1)),
+        (CommandKind.ERASE, 2**63 - 1, random.Random(2)),
+    ])
     def test_round_trip_any_kind_and_arrival(self, drafts):
-        # every kind at any whole-nanosecond arrival below 2**51 ns; from
-        # there up, an arrival may come back a nanosecond off (see README)
+        # every kind at any whole-nanosecond arrival below 2**63 ns
         geometry = Geometry(2, 2, 2, 2, 4, 8, 4096, 128)
         drafts.sort(key=lambda draft: draft[1])
         trace = [
