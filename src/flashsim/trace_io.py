@@ -163,11 +163,16 @@ def _arrival_ns(text: str) -> int:
         raise _LineError(f"bad arrival time '{text}'")
     if us < 0:
         raise _LineError(f"arrival time {text} is negative")
+    if not us:  # below 1e-323 us, so 0 ns; `Decimal` cannot convert some
+        return 0  # such texts, as 0e1000000000000000000
     # Below 10**16 us the quantized value fits 28 digits, so scaling it is
-    # exact. decimal is imported only here: it adds 2 ms and 0.4 MB to a start.
+    # exact. The context is this function's own, whatever the caller's is.
+    # decimal is imported only here: it adds 2 ms and 0.4 MB to a start.
     if us < 1e16:
-        from decimal import ROUND_HALF_EVEN, Decimal
-        ns = int(Decimal(text).quantize(Decimal("0.001"), ROUND_HALF_EVEN) * NS_PER_US)
+        from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
+        exact = Context(prec=28, rounding=ROUND_HALF_EVEN, traps=[InvalidOperation])
+        rounded_us = exact.quantize(Decimal(text), Decimal("0.001"))
+        ns = int(exact.multiply(rounded_us, NS_PER_US))
         if ns < TIME_LIMIT_NS:
             return ns
     raise _LineError(f"arrival time {text} is 2**63 ns or later")
@@ -180,17 +185,19 @@ class _LineError(FlashSimError):
 # The operand parsers, one per operand layout. Each takes the kind, the
 # comma fields after arrival and kind, and the call's address reader, and
 # returns (operands, page count).
-_Reader = Callable[[str], FlashAddress]
-_Operands = tuple[tuple[FlashAddress, ...], int]
 
 
-def _one_address(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands:
+def _one_address(
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 1:
         raise _LineError(f"{kind.value} takes one address, got {len(fields)} fields")
     return (address(fields[0]),), 1
 
 
-def _extent(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands:
+def _extent(
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 2:
         raise _LineError(
             f"{kind.value} takes an address and a page count, got {len(fields)} fields"
@@ -205,7 +212,9 @@ def _extent(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands
     return (addr,), count
 
 
-def _pair(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands:
+def _pair(
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 2:
         raise _LineError(
             f"copy_back takes source and destination, got {len(fields)} fields"
@@ -213,7 +222,9 @@ def _pair(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands:
     return (address(fields[0]), address(fields[1])), 1
 
 
-def _pairs(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands:
+def _pairs(
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 2:
         raise _LineError(
             "multi_plane_copy_back takes a source list and a destination list, "
@@ -229,7 +240,9 @@ def _pairs(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands:
     return tuple(operands), 1
 
 
-def _address_list(kind: CommandKind, fields: list[str], address: _Reader) -> _Operands:
+def _address_list(
+    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+) -> tuple[tuple[FlashAddress, ...], int]:
     if len(fields) != 1:
         raise _LineError(
             f"{kind.value} takes one ';'-separated address list, got {len(fields)} fields"
@@ -251,7 +264,9 @@ _KIND_PARSERS = {
 }
 
 
-def _parse_address_list(text: str, address: _Reader) -> tuple[FlashAddress, ...]:
+def _parse_address_list(
+    text: str, address: Callable[[str], FlashAddress]
+) -> tuple[FlashAddress, ...]:
     parts = text.split(";")
     # as for a line's fields in `parse_trace`: a list with no space and no
     # unprintable character has no part to strip
@@ -298,7 +313,7 @@ class _LevelIndices(dict):
         return index
 
 
-def _address_reader(geometry: Geometry) -> _Reader:
+def _address_reader(geometry: Geometry) -> Callable[[str], FlashAddress]:
     """The address parser of one `parse_trace` call.
 
     A six-piece address whose pieces all pass their level's lookup is built

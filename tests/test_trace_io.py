@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import math
 import random
 import unicodedata
@@ -668,6 +669,12 @@ class TestParseTrace:
             ("0.00150000000000000000000000000000001", 2),
             ("-1e-400", 0),  # float reads -0.0, which is not negative
             ("1_0", 10_000),
+            # exponents past what Decimal converts, on values float reads
+            # as 0; Fraction cannot evaluate them either
+            ("0e1000000000000000000", 0),
+            ("0e-3000000000000000000", 0),
+            ("1e-3000000000000000000", 0),
+            ("-1e-3000000000000000000", 0),
         ],
     )
     def test_arrival_is_its_exact_decimal_rounded_half_even(
@@ -675,6 +682,14 @@ class TestParseTrace:
     ):
         (c,) = parse_trace(trace_text(f"{arrival},read,0"), geometry)
         assert c.arrival_ns == arrival_ns
+
+    def test_arrival_does_not_depend_on_the_callers_decimal_context(self, geometry):
+        text = trace_text("523.9395,read,0", "9223372036854775.807,read,1")
+        with decimal.localcontext() as context:
+            context.prec = 3
+            context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+            commands = parse_trace(text, geometry)
+        assert [c.arrival_ns for c in commands] == [523_940, 2**63 - 1]
 
     @settings(max_examples=400, deadline=None)
     @given(arrival_spellings())
