@@ -13,6 +13,13 @@ Time is whole nanoseconds below 2**63 (trace microseconds scaled by 1000),
 so schedules never diverge through float accumulation; energy is carried
 as double-precision microjoules.
 
+`run` reads its trace once, one command at a time: `replay` checks the
+command against the device, `run` checks its (arrival, sequence) order and
+applies the policy's strictness, and the private `_Placer`, the placement
+core, places its events. The placer compiles each shape in one place,
+interns the resources its events occupy and places every event in one
+loop.
+
 A run's `RunResult` records the choices the later layers follow: whether it
 kept an event log (`event_log`) and whether its plane events occupied whole
 dies (`die_serialization`). `idle_accounting` and the report read them
@@ -39,7 +46,6 @@ from .commands import (
     Command,
     CommandKind,
     EventKind,
-    Step,
     decompose,  # noqa: F401 - unused here; perfbench's tracer hooks engine.decompose
     erased_blocks,
     event_bytes,
@@ -55,7 +61,7 @@ from .errors import (
     ValidationFatal,
     Violation,
 )
-from .models import ModelSet, Pricer
+from .models import ModelSet
 from .topology import FlashAddress, Geometry, Resource, SubsystemState, validate_geometry
 from .units import TIME_LIMIT_NS
 
@@ -319,17 +325,19 @@ _KIND_SLOTS = {kind: slot for slot, kind in enumerate(EventKind)}
 
 
 def run(
-    trace: Sequence[Command],
+    trace: Iterable[Command],
     geometry: Geometry,
     supported: frozenset[CommandKind],
     models: ModelSet,
     policy: Policy = Policy(),
     event_log: bool = True,
 ) -> RunResult:
-    """Simulate a validated, arrival-sorted command stream.
+    """Simulate a validated command stream in (arrival, sequence) order.
 
-    Commands are checked by `replay` in trace order and each one's event DAG
-    is placed on the timeline per the module's scheduling discipline.
+    `trace` is read once, so any iterable in that order works. `replay`
+    checks each command in turn, and a `_Placer` places its event DAG on
+    the timeline per the module's scheduling discipline. A command out of
+    order raises TraceOrderError before its own findings are acted on.
     Structural validation errors abort the run; warnings abort only under a
     strict policy. A model binding that fails on an event, or an event that
     would end at 2**63 ns or later, aborts the run with a
@@ -341,79 +349,106 @@ def run(
     until one is read; with `event_log` false it stays empty.
     """
     validate_geometry(geometry)
-    _check_order(trace)
-    price = models.pricer(geometry)
-    overhead_on_bus = policy.cmd_overhead_on_bus
-    serialize_dies = policy.die_serialization
-
-    # Each (command kind value, operand count) shape, compiled once per run:
-    # its steps, each with its kind slot, the position of its use in the
-    # shape's list of distinct ones, its pricing function and its folded
-    # price (see `_compile`), the pair the event loop takes without a call.
-    # A use is the (resource kind, key length, operand) a step occupies: its
-    # resource is keyed by the first `length` indices of the command's
-    # operand, and a step that occupies none has length 0. A step's operand
-    # is the index of its target, except in a cache command, whose extent
-    # pages share its operand's plane and bus, so every step's operand is 0.
-    # A cache kind has one chain per run, kept with the page count it was
-    # built for: `shape` builds cache steps page by page, so a command of n
-    # pages runs the first 2n + 1 steps of the chain of any longer extent,
-    # and the chain is compiled again only when a longer extent arrives. Its
-    # first three steps, which every cache command runs, have every kind and
-    # every use of the chain. A kind's slot indexes its energy total, which
-    # starts at 0.0 when a compiled shape first has the kind and stays None
-    # otherwise. Every kind of a compiled shape is placed unless the run
-    # aborts, so the kinds with a total are exactly the kinds some event had.
-    compiled: dict[tuple[str, int], tuple[tuple, tuple, int]] = {}
-    kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
-    # Resources are interned to dense slots in the order the events occupy
-    # them, so memory follows the trace, not the geometry: each command
-    # resolves its shape's uses to slots before its events are placed, and
-    # that list is in step order. A slot is keyed by the address prefix that
-    # names its resource: (channel,) for a bus, the first three indices for
-    # a die and the first four for a plane. The three lengths differ, so no
-    # two kinds share a key.
-    slot_of: dict[tuple[int, ...], int] = {}
-    resources: list[Resource] = []
-    busy_until: list[int] = []
-    busy: list[int] = []
+    placer = _Placer(geometry, models, policy, event_log)
     results: list[CommandResult] = []
-    schedule = EventLog(resources)
-    log_start, log_price = schedule.starts.append, schedule.prices.append
-    log_slot = schedule.slots.append
-    last_end = 0
-
+    arrival = sequence_id = -1
     for cmd, warnings in replay(trace, geometry, supported, policy):
+        if cmd.arrival_ns < arrival or (
+            cmd.arrival_ns == arrival and cmd.sequence_id <= sequence_id
+        ):
+            raise TraceOrderError(
+                f"commands {sequence_id} and {cmd.sequence_id} are not in "
+                "(arrival, sequence) order"
+            )
+        arrival, sequence_id = cmd.arrival_ns, cmd.sequence_id
         fatal = [v for v in warnings if v.severity is Severity.ERROR]
         if fatal:
             raise ValidationFatal(fatal)
         if policy.strict and warnings:
             raise ValidationFatal(warnings)
+        results.append(placer.place(cmd, tuple(warnings)))
 
+    kind_energy = placer.kind_energy
+    return RunResult(
+        results,
+        placer.log if event_log else EventLog(placer.resources),
+        dict(zip(placer.resources, placer.busy)),
+        results[0].arrival_ns if results else 0,
+        placer.last_end,
+        tuple(
+            (kind, kind_energy[slot])
+            for kind, slot in _KIND_SLOTS.items()
+            if kind_energy[slot] is not None
+        ),
+        event_log,
+        policy.die_serialization,
+    )
+
+
+class _Placer:
+    """A run's placement core: places one command at a time, each after
+    every command placed before it, and keeps what placing needs across
+    commands.
+
+    Each (command kind value, operand count) shape is compiled once per run
+    (see `_compile`): its steps, each with its kind slot, the position of
+    its use in the shape's list of distinct ones, its pricing function and
+    its folded price, the pair the event loop takes without a call. A use
+    is the (resource kind, key length, operand) a step occupies: its
+    resource is keyed by the first `length` indices of the command's
+    operand, and a step that occupies none has length 0. A step's operand
+    is the index of its target, except in a cache command, whose extent
+    pages share its operand's plane and bus, so every step's operand is 0.
+    A cache kind has one chain per run, kept with the page count it was
+    built for: `shape` builds cache steps page by page, so a command of n
+    pages runs the first 2n + 1 steps of the chain of any longer extent,
+    and the chain is compiled again only when a longer extent arrives. Its
+    first three steps, which every cache command runs, have every kind and
+    every use of the chain. A kind's slot indexes its energy total, which
+    starts at 0.0 when a compiled shape first has the kind and stays None
+    otherwise. Every kind of a compiled shape is placed unless the run
+    aborts, so the kinds with a total are exactly the kinds some event had.
+
+    Resources are interned to dense slots in the order the events occupy
+    them, so memory follows the trace, not the geometry: each command
+    resolves its shape's uses to slots before its events are placed, and
+    that list is in step order. A slot is keyed by the address prefix that
+    names its resource: (channel,) for a bus, the first three indices for
+    a die and the first four for a plane. The three lengths differ, so no
+    two kinds share a key, and the empty prefix of a use that occupies no
+    resource is slot -1. Each slot has its busy horizon and its busy time.
+    `log` is the run's event log, or None when it keeps none.
+    """
+
+    def __init__(self, geometry: Geometry, models: ModelSet, policy: Policy, event_log: bool):
+        self.geometry = geometry
+        self.price = models.pricer(geometry)
+        self.latency_keys = models.latency_keys
+        self.policy = policy
+        self.compiled: dict[tuple[str, int], tuple[tuple, tuple, int]] = {}
+        self.kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
+        self.slot_of: dict[tuple[int, ...], int] = {(): -1}
+        self.resources: list[Resource] = []
+        self.busy_until: list[int] = []
+        self.busy: list[int] = []
+        self.last_end = 0
+        self.log = EventLog(self.resources) if event_log else None
+
+    def place(self, cmd: Command, warnings: tuple[Violation, ...]) -> CommandResult:
+        """Place `cmd`'s events and return its result, with `warnings`."""
+        compiled, slot_of, resources = self.compiled, self.slot_of, self.resources
+        kind_energy, busy_until, busy, log = self.kind_energy, self.busy_until, self.busy, self.log
         operands = cmd.operands
         n_operands, page_count = len(operands), cmd.page_count
         key = (cmd.kind._value_, n_operands)
         found = compiled.get(key)
         if found is None or found[2] < page_count:
-            chain, uses = _compile(
-                shape(cmd.kind, n_operands, page_count, overhead_on_bus),
-                LAYOUT[key[0]] == EXTENT,
-                price,
-                geometry,
-                serialize_dies,
-            )
-            found = compiled[key] = (chain, uses, page_count)
-            for step in chain:
-                if kind_energy[step[6]] is None:
-                    kind_energy[step[6]] = 0.0
+            found = compiled[key] = self._compile(cmd.kind, n_operands, page_count)
         chain, uses, chain_pages = found
         # only a cache kind's chain can be longer than its command
         steps = chain if chain_pages == page_count else chain[: 2 * page_count + 1]
         cmd_slots: list[int] = []
         for resource_kind, length, operand in uses:
-            if not length:
-                cmd_slots.append(-1)
-                continue
             resource_key = operands[operand][:length]
             slot = slot_of.get(resource_key)
             if slot is None:
@@ -425,8 +460,9 @@ def run(
         targets = event_targets(cmd)
         arrival = cmd.arrival_ns
         sequence_id = cmd.sequence_id
-        if event_log:
-            schedule.add_command(sequence_id, chain, targets)
+        if log is not None:
+            log.add_command(sequence_id, chain, targets)
+            log_start, log_price, log_slot = log.starts.append, log.prices.append, log.slots.append
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0
@@ -454,11 +490,11 @@ def run(
                 if end > completion:
                     if end >= TIME_LIMIT_NS:
                         detail = f"ends at {end} ns, which is 2**63 ns or later"
-                        raise ModelEvaluationError(models.latency_keys[kind], detail)
+                        raise ModelEvaluationError(self.latency_keys[kind], detail)
                     completion = end
                 energy_total += energy
                 kind_energy[kind_slot] += energy
-                if event_log:
+                if log is not None:
                     log_start(start)
                     log_price(pair)
                     log_slot(slot)
@@ -466,65 +502,43 @@ def run(
             raise exc.located(
                 cmd.line, f"the {kind.value} event of {cmd.kind.value} command {sequence_id}"
             ) from exc
-        if completion > last_end:
-            last_end = completion
-        results.append(
-            CommandResult(
-                sequence_id,
-                cmd.kind,
-                arrival,
-                completion,
-                energy_total,
-                tuple(warnings),
+        if completion > self.last_end:
+            self.last_end = completion
+        return CommandResult(sequence_id, cmd.kind, arrival, completion, energy_total, warnings)
+
+    def _compile(
+        self, kind: CommandKind, n_operands: int, page_count: int
+    ) -> tuple[tuple, tuple[tuple[str | None, int, int], ...], int]:
+        """The shape of `kind`, `n_operands` and `page_count` as `place`
+        runs it: its steps, (kind, target index, deps, position of its use
+        in uses, folded price, pricing function, kind slot); those distinct
+        uses, (resource kind, key length, operand), in first-step order; and
+        `page_count`. Starts the energy total of each kind it has. Die
+        serialization coarsens every plane to its die. The pricing function
+        and folded price are the step's `Pricer.entry`: the folded price is
+        the pair every event of the step costs, or None when the function
+        prices each one."""
+        policy, kind_energy = self.policy, self.kind_energy
+        occupies = {
+            ROLE_NONE: (None, 0),
+            ROLE_PLANE: ("die", 3) if policy.die_serialization else ("plane", 4),
+            ROLE_BUS: ("bus", 1),
+        }
+        extent = LAYOUT[kind._value_] == EXTENT
+        uses: dict[tuple[str | None, int, int], int] = {}
+        chain = []
+        for event_kind, index, deps, role in shape(
+            kind, n_operands, page_count, policy.cmd_overhead_on_bus
+        ):
+            pricing, pair = self.price.entry(event_kind, event_bytes(event_kind, self.geometry))
+            use = (*occupies[role], 0 if extent else index)
+            slot = _KIND_SLOTS[event_kind]
+            if kind_energy[slot] is None:
+                kind_energy[slot] = 0.0
+            chain.append(
+                (event_kind, index, deps, uses.setdefault(use, len(uses)), pair, pricing, slot)
             )
-        )
-
-    first_arrival = trace[0].arrival_ns if trace else 0
-    energy_by_kind = tuple(
-        (kind, kind_energy[slot])
-        for kind, slot in _KIND_SLOTS.items()
-        if kind_energy[slot] is not None
-    )
-    return RunResult(
-        results,
-        schedule,
-        dict(zip(resources, busy)),
-        first_arrival,
-        last_end,
-        energy_by_kind,
-        event_log,
-        serialize_dies,
-    )
-
-
-def _compile(
-    steps: Sequence[Step],
-    extent: bool,
-    price: Pricer,
-    geometry: Geometry,
-    serialize_dies: bool,
-) -> tuple[tuple, tuple[tuple[str | None, int, int], ...]]:
-    """A shape's steps as the run places them, (kind, target index, deps,
-    position of its use in uses, folded price, pricing function, kind
-    slot), and those distinct uses, (resource kind, key length, operand),
-    in first-step order; see `run`. Die serialization coarsens every plane
-    to its die. The pricing function and folded price are the step's
-    `Pricer.entry`: the folded price is the pair every event of the step
-    costs, or None when the function prices each one."""
-    occupies = {
-        ROLE_NONE: (None, 0),
-        ROLE_PLANE: ("die", 3) if serialize_dies else ("plane", 4),
-        ROLE_BUS: ("bus", 1),
-    }
-    uses: dict[tuple[str | None, int, int], int] = {}
-    compiled = []
-    for kind, index, deps, role in steps:
-        pricing, pair = price.entry(kind, event_bytes(kind, geometry))
-        use = (*occupies[role], 0 if extent else index)
-        compiled.append(
-            (kind, index, deps, uses.setdefault(use, len(uses)), pair, pricing, _KIND_SLOTS[kind])
-        )
-    return tuple(compiled), tuple(uses)
+        return tuple(chain), tuple(uses), page_count
 
 
 def all_resources(geometry: Geometry, die_serialization: bool = False) -> list[Resource]:
@@ -568,14 +582,3 @@ def idle_accounting(
         idle_us = makespan_us - busy.get(resource, 0) / 1000
         out[resource] = models.idle_power_mw(resource.kind) * idle_us / 1000
     return out
-
-
-def _check_order(trace: Sequence[Command]) -> None:
-    for prev, cur in zip(trace, islice(trace, 1, None)):
-        if cur.arrival_ns < prev.arrival_ns or (
-            cur.arrival_ns == prev.arrival_ns and cur.sequence_id <= prev.sequence_id
-        ):
-            raise TraceOrderError(
-                f"commands {prev.sequence_id} and {cur.sequence_id} are not in "
-                "(arrival, sequence) order"
-            )

@@ -3,26 +3,40 @@
 The paper's timing model prices each primitive event, and a command's
 latency follows from how its events chain and contend. For a command that
 arrives at an idle device, under the default policy, that latency has a
-closed form in the timing parameters:
+closed form in the timing parameters (the rows for serialized dies are
+under `die_serialization`):
 
     c = t_cmd, s = t_sense, p = t_prog, e = t_erase, b = t_buf,
     x = one page transfer (page_size * t_bus_per_byte)
 
-| command                        | latency                  |
-| ------------------------------ | ------------------------ |
-| read                           | c+s+x                    |
-| write                          | c+x+p                    |
-| erase                          | c+e                      |
-| copy_back                      | c+s+b+p                  |
-| cache_read of n pages          | c+s+x+(n-1)*max(s,x)     |
-| cache_write of n pages         | c+x+p+(n-1)*max(p,x)     |
-| multi-plane read of k planes   | c+s+k*x                  |
-| multi-plane write of k planes  | c+k*x+p                  |
-| multi-plane erase of k planes  | c+e                      |
-| interleaved read of k dies     | c+s+k*x                  |
-| interleaved write of k dies    | c+k*x+p                  |
-| interleaved erase of k dies    | c+e                      |
-| multi-plane copy-back, k pairs | c+s+b+p                  |
+| command                                         | latency              |
+| ----------------------------------------------- | -------------------- |
+| read                                            | c+s+x                |
+| write                                           | c+x+p                |
+| erase                                           | c+e                  |
+| copy_back                                       | c+s+b+p              |
+| cache_read of n pages                           | c+s+x+(n-1)*max(s,x) |
+| cache_write of n pages                          | c+x+p+(n-1)*max(p,x) |
+| multi-plane read of k planes                    | c+s+k*x              |
+| multi-plane write of k planes                   | c+k*x+p              |
+| multi-plane erase of k planes                   | c+e                  |
+| interleaved read of k dies                      | c+s+k*x              |
+| interleaved write of k dies                     | c+k*x+p              |
+| interleaved erase of k dies                     | c+e                  |
+| multi-plane copy-back, k pairs                  | c+s+b+p              |
+| multi-plane read of k planes, serialized dies   | c+s+x+(k-1)*max(s,x) |
+| multi-plane write of k planes, serialized dies  | c+x+p+(k-1)*max(p,x) |
+| multi-plane erase of k planes, serialized dies  | c+k*e                |
+| multi-plane copy-back, k pairs, serialized dies | c+k*(s+b+p)          |
+
+`die_serialization` makes the array steps of a multi-plane command take
+turns on their one die: each sense or program after the first pipelines
+against the transfers, as in a cache command, and the erases and the
+copy-back chains run one after another. Every other row holds under it
+as written: no other kind has array steps on two planes of one die. Under
+`cmd_overhead_on_bus` every row holds too: the overhead comes first, so on
+an idle device its bus is free, and it only adds c to that bus's busy
+time, which is otherwise the command's transfers (BUS_BUSY_NS).
 
 A command's energy is the sum over its events of power x duration. With
 the power of each event kind named by the letter of its duration
@@ -49,10 +63,12 @@ The energy also tells apart two steps whose durations are equal but whose
 powers are not (a sense and a transfer when s = x), which the latency
 cannot.
 
+Neither policy changes an energy: it moves events in time, not their
+durations or powers.
+
 Nothing here reads `commands.shape`, `decompose` or the models, so a wrong
 row of the command-kind table is wrong in the engine only, and criterion 3
-of `test_acceptance.py` sees the two disagree. The `cmd_overhead_on_bus`
-and `die_serialization` variants are not written yet.
+of `test_acceptance.py` sees the two disagree.
 """
 
 from __future__ import annotations
@@ -90,6 +106,33 @@ LATENCY_NS: dict[CommandKind, Callable[[Timing, int], int]] = {
     CommandKind.INTERLEAVED_WRITE: lambda t, k: t.c + k * t.x + t.p,
     CommandKind.INTERLEAVED_ERASE: lambda t, k: t.c + t.e,
     CommandKind.MULTI_PLANE_COPY_BACK: lambda t, k: t.c + t.s + t.b + t.p,
+}
+
+# The kinds whose latency `die_serialization` changes, with their latency
+# under it.
+DIE_SERIALIZED_LATENCY_NS: dict[CommandKind, Callable[[Timing, int], int]] = {
+    CommandKind.MULTI_PLANE_READ: lambda t, k: t.c + t.s + t.x + (k - 1) * max(t.s, t.x),
+    CommandKind.MULTI_PLANE_WRITE: lambda t, k: t.c + t.x + t.p + (k - 1) * max(t.p, t.x),
+    CommandKind.MULTI_PLANE_ERASE: lambda t, k: t.c + k * t.e,
+    CommandKind.MULTI_PLANE_COPY_BACK: lambda t, k: t.c + k * (t.s + t.b + t.p),
+}
+
+# Each kind's busy time on its channel bus, its page transfers, under
+# either die policy; `cmd_overhead_on_bus` adds c.
+BUS_BUSY_NS: dict[CommandKind, Callable[[Timing, int], int]] = {
+    CommandKind.READ: lambda t, n: t.x,
+    CommandKind.WRITE: lambda t, n: t.x,
+    CommandKind.ERASE: lambda t, n: 0,
+    CommandKind.COPY_BACK: lambda t, n: 0,
+    CommandKind.CACHE_READ: lambda t, n: n * t.x,
+    CommandKind.CACHE_WRITE: lambda t, n: n * t.x,
+    CommandKind.MULTI_PLANE_READ: lambda t, k: k * t.x,
+    CommandKind.MULTI_PLANE_WRITE: lambda t, k: k * t.x,
+    CommandKind.MULTI_PLANE_ERASE: lambda t, k: 0,
+    CommandKind.INTERLEAVED_READ: lambda t, k: k * t.x,
+    CommandKind.INTERLEAVED_WRITE: lambda t, k: k * t.x,
+    CommandKind.INTERLEAVED_ERASE: lambda t, k: 0,
+    CommandKind.MULTI_PLANE_COPY_BACK: lambda t, k: 0,
 }
 
 

@@ -24,11 +24,19 @@ from flashsim.engine import Policy, idle_accounting, run
 from flashsim.errors import Rule
 from flashsim.models import EventContext, EventKind, ModelSet, PowerParams, TimingParams
 from flashsim.stats import build_report
-from flashsim.topology import Geometry, encode, decode
+from flashsim.topology import Geometry, Resource, encode, decode
 from flashsim.trace_io import parse_config
 
 from checks import assert_schedule_legal
-from closed_form import __doc__ as CLOSED_FORM_DOC, ENERGY_UJ, LATENCY_NS, Power, Timing
+from closed_form import (
+    BUS_BUSY_NS,
+    DIE_SERIALIZED_LATENCY_NS,
+    ENERGY_UJ,
+    LATENCY_NS,
+    Power,
+    Timing,
+    __doc__ as CLOSED_FORM_DOC,
+)
 from conftest import ALL_KINDS, A
 from gen import random_trace
 from oracle import enumerated_addresses, oracle_schedule
@@ -170,32 +178,53 @@ CLOSED_FORM_GEOMETRY = Geometry(1, 1, 4, 4, 2, 16, 2048, 64)
 @given(
     # TimingParams in field order, in whole nanoseconds (per byte for
     # t_bus_per_byte)
+    # a page transfer of up to 2.048 ms, so that it is drawn both shorter
+    # and longer than a sense or a program
     params_ns=st.tuples(
-        *[st.integers(0, 2_000_000)] * 4, st.integers(0, 50), st.integers(0, 2_000_000)
+        *[st.integers(0, 2_000_000)] * 4, st.integers(0, 1000), st.integers(0, 2_000_000)
     ),
     # PowerParams p_cmd to p_buf, in milliwatts
     power_mw=st.tuples(*[st.integers(0, 100)] * 6),
     n=st.integers(1, CLOSED_FORM_GEOMETRY.pages_per_block),
     k=st.integers(1, CLOSED_FORM_GEOMETRY.planes_per_die),
+    die_serialization=st.booleans(),
+    cmd_overhead_on_bus=st.booleans(),
 )
 # the built-in parameters
 @example(
     params_ns=(0, 25_000, 200_000, 1_500_000, 25, 0), power_mw=(0, 30, 40, 50, 20, 0),
-    n=3, k=2,
+    n=3, k=2, die_serialization=False, cmd_overhead_on_bus=False,
 )
 # a sense and a transfer as long as each other, at different powers
 @example(
     params_ns=(1_000, 51_200, 200_000, 1_500_000, 25, 3_000), power_mw=(5, 30, 40, 50, 20, 7),
-    n=4, k=3,
+    n=4, k=3, die_serialization=False, cmd_overhead_on_bus=False,
 )
-def closed_forms_hold(params_ns, power_mw, n, k):
+# serialized dies with a sense longer than a transfer, then shorter, with
+# and without the overhead on the bus
+@example(
+    params_ns=(1_000, 60_000, 30_000, 1_500_000, 25, 3_000), power_mw=(5, 30, 40, 50, 20, 7),
+    n=4, k=3, die_serialization=True, cmd_overhead_on_bus=False,
+)
+@example(
+    params_ns=(1_000, 20_000, 300_000, 1_500_000, 25, 3_000), power_mw=(5, 30, 40, 50, 20, 7),
+    n=4, k=3, die_serialization=True, cmd_overhead_on_bus=True,
+)
+@example(
+    params_ns=(1_000, 20_000, 300_000, 1_500_000, 25, 3_000), power_mw=(5, 30, 40, 50, 20, 7),
+    n=4, k=3, die_serialization=False, cmd_overhead_on_bus=True,
+)
+def closed_forms_hold(params_ns, power_mw, n, k, die_serialization, cmd_overhead_on_bus):
     """Each command alone on an idle device takes the latency and the
     energy `closed_form.py` gives, a derivation that shares no code with
-    `commands.shape`."""
+    `commands.shape`, and keeps its channel bus busy for the time it gives,
+    under each policy."""
     g = CLOSED_FORM_GEOMETRY
     models = ModelSet(
         TimingParams(*(ns / 1000 for ns in params_ns)), PowerParams(*power_mw)
     )
+    policy = Policy(die_serialization=die_serialization, cmd_overhead_on_bus=cmd_overhead_on_bus)
+    latencies = {**LATENCY_NS, **DIE_SERIALIZED_LATENCY_NS} if die_serialization else LATENCY_NS
     t_cmd, t_sense, t_prog, t_erase, ns_per_byte, t_buf = params_ns
     timing = Timing(t_cmd, t_sense, t_prog, t_erase, t_buf, g.page_size * ns_per_byte)
     p_cmd, p_sense, p_prog, p_erase, p_bus, p_buf = power_mw
@@ -220,13 +249,15 @@ def closed_forms_hold(params_ns, power_mw, n, k):
         (CommandKind.MULTI_PLANE_COPY_BACK, pairs, 1, k),
     )
     assert [row[0] for row in table] == list(LATENCY_NS) == list(CommandKind)
-    assert list(ENERGY_UJ) == list(CommandKind)
+    assert list(ENERGY_UJ) == list(BUS_BUSY_NS) == list(CommandKind)
     for kind, operands, page_count, count in table:
-        result = checked_run([Command(0, kind, operands, page_count)], g, models)
-        assert result.results[0].latency_ns == LATENCY_NS[kind](timing, count), kind
+        result = checked_run([Command(0, kind, operands, page_count)], g, models, policy)
+        assert result.results[0].latency_ns == latencies[kind](timing, count), kind
         assert math.isclose(
             result.results[0].energy_uj, ENERGY_UJ[kind](timing, power, count), rel_tol=1e-9
         ), kind
+        bus_ns = BUS_BUSY_NS[kind](timing, count) + (timing.c if cmd_overhead_on_bus else 0)
+        assert result.busy_ns.get(Resource("bus", (0,)), 0) == bus_ns, kind
 
 
 def latency_rows(text: str) -> list[tuple[str, str]]:
@@ -249,7 +280,7 @@ def latency_rows(text: str) -> list[tuple[str, str]]:
 def test_readme_latency_table_is_the_closed_form_table():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     derived = latency_rows(CLOSED_FORM_DOC)
-    assert len(derived) == len(CommandKind)
+    assert len(derived) == len(CommandKind) + len(DIE_SERIALIZED_LATENCY_NS)
     assert latency_rows(readme) == derived
 
 

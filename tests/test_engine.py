@@ -682,6 +682,77 @@ class TestPolicies:
         assert busy[Resource("bus", (0,))] == 102400
 
 
+class ReadOnce:
+    """An iterable over `items` that fails when it is iterated a second time."""
+
+    def __init__(self, items):
+        self.items = items
+        self.iterated = False
+
+    def __iter__(self):
+        assert not self.iterated, "the trace was iterated twice"
+        self.iterated = True
+        yield from self.items
+
+
+class TestOnePass:
+    """`run` reads its trace once and checks each command's order as the
+    command arrives."""
+
+    @pytest.mark.parametrize("policy", TestOracleEquivalence.POLICIES)
+    def test_a_trace_read_once_runs_as_its_list(self, geometry, policy):
+        for seed in range(3):
+            trace = random_trace(random.Random(70 + seed), geometry, 25)
+            listed = run(trace, geometry, ALL_KINDS, ModelSet(), policy)
+            assert run(ReadOnce(trace), geometry, ALL_KINDS, ModelSet(), policy) == listed
+            assert run(iter(trace), geometry, ALL_KINDS, ModelSet(), policy) == listed
+            assert run(
+                (c for c in trace), geometry, ALL_KINDS, ModelSet(), policy, event_log=False
+            ) == run(trace, geometry, ALL_KINDS, ModelSet(), policy, event_log=False)
+
+    def test_an_empty_iterator_runs_as_an_empty_list(self, geometry, models):
+        assert run(iter([]), geometry, ALL_KINDS, models) == run([], geometry, ALL_KINDS, models)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((10, 0), (5, 1)),  # an earlier arrival
+            ((10, 3), (10, 3)),  # an equal arrival and an equal sequence id
+            ((10, 3), (10, 2)),  # an equal arrival and a lower sequence id
+        ],
+    )
+    def test_a_command_out_of_order_is_refused(self, geometry, models, first, second):
+        trace = [cmd(CommandKind.READ, A(), arrival_us=t, seq=seq) for t, seq in (first, second)]
+        text = f"commands {first[1]} and {second[1]} are not in (arrival, sequence) order"
+        with pytest.raises(TraceOrderError) as excinfo:
+            run(trace, geometry, ALL_KINDS, models)
+        assert str(excinfo.value) == text
+
+    def test_an_equal_arrival_with_a_higher_sequence_id_is_in_order(self, geometry):
+        trace = [cmd(CommandKind.READ, A(), arrival_us=10, seq=seq) for seq in (3, 4)]
+        assert [r.sequence_id for r in run_checked(trace, geometry).results] == [3, 4]
+
+    def test_an_out_of_order_command_is_refused_before_its_own_findings(self, geometry, models):
+        trace = [
+            cmd(CommandKind.READ, A(), arrival_us=10, seq=0),
+            cmd(CommandKind.COPY_BACK, A(plane=0), A(plane=1), arrival_us=5, seq=1),
+        ]
+        with pytest.raises(TraceOrderError):
+            run(trace, geometry, ALL_KINDS, models)
+
+    def test_an_earlier_fatal_finding_is_raised_before_a_later_order_error(
+        self, geometry, models
+    ):
+        trace = [
+            cmd(CommandKind.COPY_BACK, A(plane=0), A(plane=1), arrival_us=0, seq=0),
+            cmd(CommandKind.READ, A(), arrival_us=10, seq=1),
+            cmd(CommandKind.READ, A(), arrival_us=5, seq=2),
+        ]
+        with pytest.raises(ValidationFatal) as excinfo:
+            run(trace, geometry, ALL_KINDS, models)
+        assert excinfo.value.violations[0].rule is Rule.COPY_BACK_CROSS_PLANE
+
+
 class TestScale:
     def test_run_memory_follows_the_trace_not_the_geometry(self):
         # 2**40 planes: state sized by the geometry would not fit in memory

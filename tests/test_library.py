@@ -78,6 +78,15 @@ def test_run_results_are_equal_when_all_their_attributes_are():
     assert first.__eq__(first.results) is NotImplemented
 
 
+def test_run_reads_a_generator_of_commands_in_order_once():
+    listed = run([READ, WRITE], G, ALL, ModelSet(), Policy(), event_log=False)
+    assert run((c for c in (READ, WRITE)), G, ALL, ModelSet(), Policy(), event_log=False) == listed
+    with pytest.raises(
+        FlashSimError, match=r"^commands 1 and 0 are not in \(arrival, sequence\) order$"
+    ):
+        run(iter([WRITE, READ]), G, ALL, ModelSet(), Policy())
+
+
 def test_a_scheduled_event_ends_at_its_start_plus_its_duration():
     result = run([READ, WRITE], G, ALL, ModelSet(), Policy())
     # the read: overhead (0 us), sense (25 us), a 4096-byte transfer (102.4 us)
