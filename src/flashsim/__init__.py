@@ -19,6 +19,7 @@ from .errors import (
     FlashSimError,
     Rule,
     Severity,
+    TraceOrderError,
     TraceParseError,
     ValidationFatal,
     Violation,
@@ -62,6 +63,7 @@ __all__ = [
     "Severity",
     "SubsystemState",
     "TimingParams",
+    "TraceOrderError",
     "TraceParseError",
     "ValidationFatal",
     "Violation",

@@ -12,7 +12,6 @@ import argparse
 import gc
 import os
 import sys
-from pathlib import Path
 
 from .engine import Policy, idle_accounting, replay, run
 from .errors import (
@@ -147,7 +146,8 @@ def _pipeline(args: argparse.Namespace, config, trace_text: str, err) -> int:
 def _read(path: str, what: str, err) -> str | None:
     """The file's text, or None after printing why it cannot be read."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         reason = exc.strerror
     except UnicodeDecodeError:

@@ -10,9 +10,9 @@ geometry in, same event DAG out.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .errors import Rule, Severity, Violation
+from .errors import Record, Rule, Severity, Violation
 from .topology import FlashAddress, Geometry, Resource, new_address
 from .units import TIME_LIMIT_NS
 
@@ -103,7 +103,7 @@ _WRITING = frozenset(
 _ERASING = frozenset(value for value, (_, stages) in _KINDS.items() if stages == _ERASE)
 
 
-class _CommandFields(NamedTuple):
+class _CommandFields(Record):
     arrival_ns: int
     kind: CommandKind
     operands: tuple[FlashAddress, ...]
@@ -184,7 +184,7 @@ class Command(_CommandFields):
         return hash(self[:5])
 
 
-class FlashEvent(NamedTuple):
+class FlashEvent(Record):
     """A primitive hardware activity within one command's decomposition.
 
     `depends_on` references earlier event ids (list positions) of the same

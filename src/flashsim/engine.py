@@ -35,7 +35,7 @@ from array import array
 from bisect import bisect_right
 from itertools import islice
 from operator import sub
-from typing import Iterable, Iterator, MutableSequence, NamedTuple, Sequence
+from typing import Iterable, Iterator, MutableSequence, Sequence
 
 from .commands import (
     EXTENT,
@@ -56,6 +56,7 @@ from .commands import (
 )
 from .errors import (
     ModelEvaluationError,
+    Record,
     Severity,
     TraceOrderError,
     ValidationFatal,
@@ -66,7 +67,7 @@ from .topology import FlashAddress, Geometry, Resource, SubsystemState, validate
 from .units import TIME_LIMIT_NS
 
 
-class Policy(NamedTuple):
+class Policy(Record):
     """Run-wide switches, all defaulted to the permissive baseline."""
 
     strict: bool = False  # escalate warnings to fatal errors
@@ -77,7 +78,7 @@ class Policy(NamedTuple):
     multi_plane_same_offsets: bool = True
 
 
-class ScheduledEvent(NamedTuple):
+class ScheduledEvent(Record):
     """One priced and placed event from the run's event log.
 
     A named tuple, built by the `EventLog` each time an event is read.
@@ -219,7 +220,7 @@ class EventLog:
         return list(self) == other
 
 
-class CommandResult(NamedTuple):
+class CommandResult(Record):
     sequence_id: int
     kind: CommandKind
     arrival_ns: int

@@ -1,9 +1,48 @@
-"""Exception types and validation diagnostics shared across the simulator."""
+"""Exception types and validation diagnostics shared across the simulator,
+and `Record`, the base every record of the package is declared on."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
+
+
+class _RecordMeta(type):
+    """Builds a class declared on `Record` as the `collections.namedtuple`
+    that `typing.NamedTuple` builds from the same body: the same fields,
+    defaults, docstring, methods and properties. Its annotations stay the
+    text the body wrote, which `typing.get_type_hints` still resolves;
+    typing would compile each of them at import."""
+
+    def __new__(mcls, typename: str, bases: tuple, namespace: dict) -> type:
+        annotations = namespace.get("__annotations__", {})
+        defaulted: list[str] = []
+        for field in annotations:
+            if field in namespace:
+                defaulted.append(field)
+            elif defaulted:
+                raise TypeError(
+                    f"Non-default namedtuple field {field} cannot follow default "
+                    f"field{'s' if len(defaulted) > 1 else ''} {', '.join(defaulted)}"
+                )
+        record = namedtuple(
+            typename,
+            annotations,
+            defaults=[namespace[field] for field in defaulted],
+            module=namespace["__module__"],
+        )
+        record.__new__.__annotations__ = annotations
+        # the body's docstring, methods and properties, and its
+        # __annotations__; a field's default is already the record's
+        for key, value in namespace.items():
+            if key not in annotations:
+                setattr(record, key, value)
+        return record
+
+
+# `class R(Record):` with annotated fields declares a named tuple, as
+# `class R(typing.NamedTuple):` does.
+Record = type.__new__(_RecordMeta, "Record", (), {"__module__": __name__})
 
 
 class FlashSimError(Exception):
@@ -82,7 +121,7 @@ class TraceOrderError(FlashSimError):
     """Command stream handed to the engine is not sorted by arrival time."""
 
 
-class Diagnostic(NamedTuple):
+class Diagnostic(Record):
     """A per-line parse problem, reported with its 1-based line number."""
 
     line: int
@@ -116,7 +155,7 @@ class Severity(Enum):
     __hash__ = object.__hash__  # as for Rule
 
 
-class Violation(NamedTuple):
+class Violation(Record):
     """One flagged constraint or structural problem on a command."""
 
     rule: Rule

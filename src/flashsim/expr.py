@@ -27,16 +27,21 @@ config text is ever compiled.
 from __future__ import annotations
 
 import re
-from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from functools import cache, cached_property
+from typing import Callable, Mapping, Sequence, Union
 
-from .errors import ExpressionSyntaxError, UnknownIdentifierError
+from .errors import ExpressionSyntaxError, Record, UnknownIdentifierError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/(),]))"
-)
+
+@cache
+def _token_pattern() -> re.Pattern[str]:
+    # compiled on first use, as only configs with expressions tokenize
+    return re.compile(
+        r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+        r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+        r"|(?P<op>[-+*/(),]))"
+    )
+
 
 _FUNCTIONS: dict[str, Callable[..., float]] = {"min": min, "max": max}
 
@@ -48,31 +53,31 @@ DIVISION_BY_ZERO = "division by zero in expression"
 Node = Union["Num", "Var", "Unary", "Binary", "Call"]
 
 
-class Num(NamedTuple):
+class Num(Record):
     value: float
 
 
-class Var(NamedTuple):
+class Var(Record):
     name: str
 
 
-class Unary(NamedTuple):
+class Unary(Record):
     op: str
     operand: Node
 
 
-class Binary(NamedTuple):
+class Binary(Record):
     op: str
     left: Node
     right: Node
 
 
-class Call(NamedTuple):
+class Call(Record):
     func: str
     args: tuple[Node, ...]
 
 
-class _Token(NamedTuple):
+class _Token(Record):
     kind: str  # "number" | "ident" | "op" | "end"
     text: str
     position: int
@@ -81,8 +86,9 @@ class _Token(NamedTuple):
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     pos = 0
+    token = _token_pattern().match
     while pos < len(text):
-        match = _TOKEN.match(text, pos)
+        match = token(text, pos)
         if match is None:
             stripped = text[pos:].lstrip()
             if not stripped:
@@ -301,7 +307,7 @@ class Emitter:
         return self.namespace.pop("_f")  # type: ignore[return-value]
 
 
-class _ExpressionFields(NamedTuple):
+class _ExpressionFields(Record):
     source: str
     root: Node
     variables: frozenset[str]

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from .commands import BUS_EVENTS, EventKind
-from .errors import ModelEvaluationError, NegativeResultError
+from .errors import ModelEvaluationError, NegativeResultError, Record
 from .expr import (
     DIVISION_BY_ZERO,
     Binary,
@@ -107,7 +107,7 @@ def _reject_out_of_range(params: tuple) -> None:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-class _TimingFields(NamedTuple):
+class _TimingFields(Record):
     t_cmd: float = 0.0
     t_sense: float = 25.0
     t_prog: float = 200.0
@@ -122,7 +122,7 @@ class TimingParams(_RangeChecked, _TimingFields):
     __slots__ = ()
 
 
-class _PowerFields(NamedTuple):
+class _PowerFields(Record):
     p_cmd: float = 0.0
     p_sense: float = 30.0
     p_prog: float = 40.0
@@ -139,7 +139,7 @@ class PowerParams(_RangeChecked, _PowerFields):
     __slots__ = ()
 
 
-class EventContext(NamedTuple):
+class EventContext(Record):
     """The variables one event exposes to the model equations.
 
     `duration_us` must be set exactly when evaluating a power binding: the

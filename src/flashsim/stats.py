@@ -19,16 +19,15 @@ event.
 from __future__ import annotations
 
 import io
-import json
 import math
+from _json import encode_basestring_ascii as _quote
 from collections import Counter
 from itertools import islice
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .commands import CommandKind, EventKind
 from .engine import CommandResult, EventLog, RunResult, ScheduledEvent
-from .errors import ModelEvaluationError, Rule, Violation
+from .errors import ModelEvaluationError, Record, Rule, Violation
 from .topology import ADDRESS_FORMAT, Resource
 
 REPORT_SCHEMA = "flashsim-report v1"
@@ -36,7 +35,7 @@ REPORT_SCHEMA = "flashsim-report v1"
 PERCENTILES = (50, 95, 99)
 
 
-class KindStats(NamedTuple):
+class KindStats(Record):
     kind: CommandKind
     count: int
     mean_us: float
@@ -45,14 +44,14 @@ class KindStats(NamedTuple):
     percentiles_us: tuple[float, ...]  # matches PERCENTILES
 
 
-class ResourceUsage(NamedTuple):
+class ResourceUsage(Record):
     resource: Resource
     busy_us: float
     utilization: float  # busy / makespan, in [0, 1]
     idle_energy_uj: float
 
 
-class Report(NamedTuple):
+class Report(Record):
     """A run's aggregates; `commands` and `events` are the run's own records.
 
     `events` is the run's `schedule`, or None when the run kept no event
@@ -230,7 +229,39 @@ def us_repr(ns: int) -> str:
 
 def _json_float(value: float) -> str:
     """`value` as json.dumps writes it: float.__repr__ when finite."""
-    return repr(value) if math.isfinite(value) else json.dumps(value)
+    if math.isfinite(value):
+        return repr(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _json_text(value: object, indent: str = "\n") -> str:
+    """`value`, a tree of dicts with str keys, lists, str, int, float, bool
+    and None, as ``json.dumps(value, indent=2)`` writes it; `indent` is the
+    newline and indentation that lead the line `value` starts on."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_quote(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not value:
+        return "[]"
+    items = [_json_text(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _json_int(value: int | None) -> str:
@@ -343,8 +374,8 @@ def _event_rows(log: EventLog) -> Iterator[str]:
 
 def _write_structured(report: Report, write: Callable[[str], object]) -> None:
     # the three arrays that grow with the trace are written from row
-    # templates; json.dumps renders the other keys, in two runs around them
-    scalars = json.dumps(
+    # templates; _json_text renders the other keys, in two runs around them
+    scalars = _json_text(
         {
             "schema": REPORT_SCHEMA,
             "command_count": report.command_count,
@@ -352,10 +383,9 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
             "total_energy_uj": report.total_energy_uj,
             "event_energy_uj": report.event_energy_uj,
             "idle_energy_uj": report.idle_energy_uj,
-        },
-        indent=2,
+        }
     )
-    summaries = json.dumps(
+    summaries = _json_text(
         {
             "latency_by_kind": [
                 {
@@ -388,10 +418,9 @@ def _write_structured(report: Report, write: Callable[[str], object]) -> None:
                 {"rule": rule.value, "count": count}
                 for rule, count in report.warning_counts
             ],
-        },
-        indent=2,
+        }
     )
-    # each dumped object's keys, without its braces, are top-level keys here
+    # each rendered object's keys, without its braces, are top-level keys here
     write(scalars[:-2] + ',\n  "commands": ')
     _write_array(
         write,

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
-from typing import NamedTuple
 
 from .errors import (
     AddressRangeError,
     GeometryError,
+    Record,
     Rule,
     Severity,
     Violation,
@@ -42,7 +42,7 @@ from .errors import (
 MAX_TOTAL_PAGES = 2**63 - 1
 
 
-class Geometry(NamedTuple):
+class Geometry(Record):
     """Dimensions of a flash subsystem, channel down to page.
 
     All six counts must be >= 1; `page_size` >= 1 bytes; `oob_size` >= 0
@@ -73,7 +73,7 @@ class Geometry(NamedTuple):
 ADDRESS_FORMAT = "%d.%d.%d.%d.%d.%d"
 
 
-class FlashAddress(NamedTuple):
+class FlashAddress(Record):
     """Hierarchical physical page coordinate; every index is zero-based.
 
     A tuple of the six indices, so it is built, hashed and compared in C.
@@ -101,7 +101,7 @@ class PageState(Enum):
     WRITTEN = "written"
 
 
-class Resource(NamedTuple):
+class Resource(Record):
     """An exclusively-occupied hardware unit: a plane or a channel bus.
 
     Planes serialize array operations; the channel bus serializes data

@@ -31,7 +31,7 @@ import io
 import math
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .commands import (
     DIE_LIST,
@@ -50,6 +50,7 @@ from .errors import (
     ConfigError,
     Diagnostic,
     FlashSimError,
+    Record,
     TraceParseError,
 )
 from .models import (
@@ -70,7 +71,7 @@ _KIND_BY_NAME = {kind.value: kind for kind in CommandKind}
 _EVENT_BY_NAME = {kind.value: kind for kind in EventKind}
 
 
-class Config(NamedTuple):
+class Config(Record):
     geometry: Geometry
     supported: frozenset[CommandKind]
     models: ModelSet

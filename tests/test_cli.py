@@ -622,6 +622,20 @@ def test_undecodable_input_exits_2(fixture_paths, capsys, which):
     assert err == f"{bad}: cannot read {which}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("which", ["config", "trace"])
+def test_an_input_path_is_opened_as_written(fixture_paths, capsys, which):
+    # the path goes to open() as given: a trailing slash names a directory
+    # and an empty path names no file
+    paths = dict(zip(("config", "trace"), fixture_paths))
+    for path, reason in (
+        (f"{paths[which]}/", "Not a directory"),
+        ("", "No such file or directory"),
+    ):
+        args = {**paths, which: path}
+        code, out, err = invoke(capsys, "--config", args["config"], "--trace", args["trace"])
+        assert (code, out, err) == (2, "", f"{path}: cannot read {which}: {reason}\n")
+
+
 def test_duplicate_config_key_rejected(fixture_paths, capsys, tmp_path):
     _, trace = fixture_paths
     config = tmp_path / "dup.ini"

@@ -26,6 +26,7 @@ from flashsim import (
     Policy,
     Rule,
     SubsystemState,
+    TraceOrderError,
     build_report,
     decode,
     emit,
@@ -82,7 +83,7 @@ def test_run_reads_a_generator_of_commands_in_order_once():
     listed = run([READ, WRITE], G, ALL, ModelSet(), Policy(), event_log=False)
     assert run((c for c in (READ, WRITE)), G, ALL, ModelSet(), Policy(), event_log=False) == listed
     with pytest.raises(
-        FlashSimError, match=r"^commands 1 and 0 are not in \(arrival, sequence\) order$"
+        TraceOrderError, match=r"^commands 1 and 0 are not in \(arrival, sequence\) order$"
     ):
         run(iter([WRITE, READ]), G, ALL, ModelSet(), Policy())
 

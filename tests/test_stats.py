@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -26,6 +27,8 @@ from flashsim.stats import (
     PERCENTILES,
     REPORT_SCHEMA,
     Report,
+    _json_float,
+    _json_text,
     build_report,
     emit,
     nearest_rank,
@@ -559,6 +562,40 @@ def test_structured_rows_escape_as_json_dumps_does(present):
 @example(ns=10**19)
 def test_us_repr_is_repr_of_the_microseconds(ns):
     assert us_repr(ns) == repr(ns / 1000)
+
+
+# Floats that json.dumps spells in its own way or that sit at the ends of
+# the range: a signed zero, the least subnormal, a huge one and the three
+# non-finite values.
+_JSON_FLOATS = (-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan)
+
+# Trees of the values a report's head and summaries hold, strings with
+# quotes, backslashes, control and non-ASCII characters included.
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(_JSON_FLOATS)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(value=_json_values)
+@example(value={"a": [], "b": {}, "c": [[], {}], "d": [{"e": [1, True, None]}]})
+@example(value=list(_JSON_FLOATS))
+@example(value={'"key\\\n': '"\\\x00\x1f\x7f \u00e9\u4e2d\U0001f600'})
+def test_json_text_has_the_bytes_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", _JSON_FLOATS, ids=repr)
+def test_json_float_has_the_bytes_of_json_dumps(value):
+    assert _json_float(value) == json.dumps(value)
 
 
 def _report_with_rows(n: int) -> Report:
