@@ -100,6 +100,7 @@ ALLOWED = {
     "engine.EventLog.__getitem__": API,
     "engine.EventLog.__eq__": API + "; also RunResult.__eq__",
     "engine.EventLog._event": API + "; helper of __iter__/__getitem__",
+    "engine.EventLog._priced_before": API + "; helper of __getitem__",
     "engine.EventLog.of": API + "; write_report's reader of a Report built by hand "
     "with a list of ScheduledEvents",
     "trace_io.emit_trace": API,

@@ -23,9 +23,11 @@ loop.
 A run's `RunResult` records the choices the later layers follow: whether it
 kept an event log (`event_log`) and whether its plane events occupied whole
 dies (`die_serialization`). `idle_accounting` and the report read them
-there and take neither again. The event log is an `EventLog`: the columns
-the run computed, which the report writes rows from, and which build a
-`ScheduledEvent` only when one is asked for.
+there and take neither again. The event log is an `EventLog`: what the
+run cannot recompute, which the report writes rows from, and which builds
+a `ScheduledEvent` only when one is asked for. Per event it keeps only the
+start, and a price only for an event whose step is priced per event; the
+rest comes from each command's compiled steps, operands and resources.
 """
 
 from __future__ import annotations
@@ -99,18 +101,27 @@ class ScheduledEvent(Record):
 
 
 class EventLog:
-    """A run's event log, kept as the columns the run computes.
+    """A run's event log, kept as what the run cannot recompute.
 
-    Per command: its sequence id, its compiled steps (a step's event kind
-    at index 0 and the index of its target at 1; an event's id is its
-    step's position), its targets and the position of its first event.
+    Per command: its sequence id, its compiled steps, its targets, its
+    resource slot per use and the position of its first event. A step is
+    a tuple that starts (event kind, target index, use, folded pair): an
+    event's id is its step's position, its target is the command's target
+    at the step's index, its resource is the command's slot at the step's
+    use, and its (duration_ns, energy_uj) pair is the step's folded pair.
+    A step whose folded pair is None is priced per event, and each of its
+    events keeps its own pair in `prices`, in placement order.
+    A command's targets are its operands. A cache command keeps only its
+    extent's first page, its one operand: a step index past the operands
+    is the page that many pages after it.
     A command's events are its first steps, as many as there are events
     up to the next command's first (see `counts`): a cache command of n
     pages keeps its kind's whole chain, which may be longer than its
     2n + 1 events.
-    Per event: its start, the (duration_ns, energy_uj) pair its pricing
-    returned and its resource's slot in `resources`, -1 for none. Starts
-    are 64-bit integers: every time is below 2**63 ns.
+    Per event: its start, a 64-bit integer, as every time is below
+    2**63 ns. A slot indexes `resources`, -1 for none. A run shares one
+    tuple of slots between the commands that occupy the same resources,
+    and one chain between the commands of a compiled shape.
 
     Read as a sequence, the log builds a `ScheduledEvent` for each event
     on access, in placement order. It supports `len`, iteration, indexing
@@ -119,34 +130,42 @@ class EventLog:
     """
 
     __slots__ = (
-        "sequence_ids", "steps", "targets", "firsts", "starts", "prices", "slots",
-        "resources",
+        "sequence_ids", "steps", "targets", "slots", "firsts", "starts", "prices",
+        "resources", "_priced",
     )
 
     def __init__(self, resources: list[Resource]):
         self.sequence_ids: list[int] = []
         self.steps: list[Sequence[tuple]] = []
         self.targets: list[Sequence[FlashAddress]] = []
+        self.slots: list[Sequence[int]] = []
         self.firsts: MutableSequence[int] = array("q")
         self.starts: MutableSequence[int] = array("q")
         self.prices: list[tuple[int, float]] = []
-        self.slots: MutableSequence[int] = array("i")
         self.resources = resources
+        # per command, the number of pairs in `prices` of the events before
+        # its own; filled as far as indexing has needed
+        self._priced: MutableSequence[int] = array("q")
 
     @classmethod
     def of(cls, events: Iterable[ScheduledEvent]) -> EventLog:
         """The log of `events`, which are numbered as a run numbers them:
         each command's events together, with ids 0, 1, 2, ... in order.
         Raises ValueError for an event that breaks that numbering, or that
-        does not start and end within [0, 2**63) ns."""
+        does not start and end within [0, 2**63) ns. Each event has a step,
+        a target and a use of its own, and its pair in `prices`."""
         slot_of: dict[Resource, int] = {}
         log = cls([])
         for e in events:
             if not 0 <= e.start_ns <= e.end_ns < TIME_LIMIT_NS:
                 raise ValueError(f"event {e.event_id} of command {e.sequence_id} "
                                  "does not start and end within [0, 2**63) ns")
-            if e.event_id == 0:
-                log.add_command(e.sequence_id, [], [])
+            if e.event_id == 0:  # the next command's first event
+                log.sequence_ids.append(e.sequence_id)
+                log.steps.append([])
+                log.targets.append([])
+                log.slots.append([])
+                log.firsts.append(len(log.starts))
             elif not log.steps or (e.sequence_id, e.event_id) != (
                 log.sequence_ids[-1], len(log.steps[-1])
             ):
@@ -154,36 +173,34 @@ class EventLog:
                     f"event {e.event_id} of command {e.sequence_id} does not follow "
                     f"its event {e.event_id - 1}"
                 )
-            log.steps[-1].append((e.kind, e.event_id))
+            log.steps[-1].append((e.kind, e.event_id, e.event_id, None))
             log.targets[-1].append(e.target)
-            log.starts.append(e.start_ns)
-            log.prices.append((e.duration_ns, e.energy_uj))
-            log.slots.append(
+            log.slots[-1].append(
                 -1 if e.resource is None else slot_of.setdefault(e.resource, len(slot_of))
             )
+            log.starts.append(e.start_ns)
+            log.prices.append((e.duration_ns, e.energy_uj))
         log.resources = list(slot_of)
         return log
 
-    def add_command(
-        self, sequence_id: int, steps: Sequence[tuple], targets: Sequence[FlashAddress]
-    ) -> None:
-        """Start the next command's events."""
-        self.sequence_ids.append(sequence_id)
-        self.steps.append(steps)
-        self.targets.append(targets)
-        self.firsts.append(len(self.starts))
-
-    def _event(self, command: int, event_id: int, i: int) -> ScheduledEvent:
-        step = self.steps[command][event_id]
-        slot = self.slots[i]
+    def _event(
+        self, command: int, event_id: int, start: int, pair: tuple[int, float]
+    ) -> ScheduledEvent:
+        kind, index, use = self.steps[command][event_id][:3]
+        targets = self.targets[command]
+        if index < len(targets):
+            target = targets[index]
+        else:  # a page of a cache command's extent
+            target = targets[0]._replace(page=targets[0].page + index)
+        slot = self.slots[command][use]
         return ScheduledEvent(
             self.sequence_ids[command],
             event_id,
-            step[0],
-            self.targets[command][step[1]],
+            kind,
+            target,
             None if slot < 0 else self.resources[slot],
-            self.starts[i],
-            *self.prices[i],
+            start,
+            *pair,
         )
 
     def __len__(self) -> int:
@@ -197,11 +214,13 @@ class EventLog:
             yield len(self.starts) - firsts[-1]
 
     def __iter__(self) -> Iterator[ScheduledEvent]:
-        i = 0
-        for command, count in enumerate(self.counts()):
-            for event_id in range(count):
-                yield self._event(command, event_id, i)
-                i += 1
+        starts, prices = iter(self.starts), iter(self.prices)
+        for command, (steps, count) in enumerate(zip(self.steps, self.counts())):
+            for event_id, step in enumerate(islice(steps, count)):
+                pair = step[3]
+                yield self._event(
+                    command, event_id, next(starts), next(prices) if pair is None else pair
+                )
 
     def __getitem__(self, index: int | slice):
         if isinstance(index, slice):
@@ -210,7 +229,25 @@ class EventLog:
         if not 0 <= i < len(self):
             raise IndexError("event log index out of range")
         command = bisect_right(self.firsts, i) - 1
-        return self._event(command, i - self.firsts[command], i)
+        event_id = i - self.firsts[command]
+        steps = self.steps[command]
+        pair = steps[event_id][3]
+        if pair is None:
+            before = sum(step[3] is None for step in islice(steps, event_id))
+            pair = self.prices[self._priced_before(command) + before]
+        return self._event(command, event_id, self.starts[i], pair)
+
+    def _priced_before(self, command: int) -> int:
+        """The number of pairs in `prices` of the events before `command`'s."""
+        priced, firsts, steps = self._priced, self.firsts, self.steps
+        if not priced:
+            priced.append(0)
+        for c in range(len(priced), command + 1):
+            count = firsts[c] - firsts[c - 1]
+            priced.append(
+                priced[-1] + sum(step[3] is None for step in islice(steps[c - 1], count))
+            )
+        return priced[command]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventLog):
@@ -345,9 +382,10 @@ def run(
     ModelEvaluationError located at its command's trace line.
 
     Every event's energy is added to its kind's total as it is placed. The
-    result's `schedule` holds each event's start, price and resource slot
-    with its command's steps and targets, and builds no `ScheduledEvent`
-    until one is read; with `event_log` false it stays empty.
+    result's `schedule` holds each event's start, and its price when its
+    step is priced per event, with its command's steps, operands and
+    resource slots, and builds no `ScheduledEvent` until one is read; with
+    `event_log` false it stays empty.
     """
     validate_geometry(geometry)
     placer = _Placer(geometry, models, policy, event_log)
@@ -418,7 +456,10 @@ class _Placer:
     a die and the first four for a plane. The three lengths differ, so no
     two kinds share a key, and the empty prefix of a use that occupies no
     resource is slot -1. Each slot has its busy horizon and its busy time.
-    `log` is the run's event log, or None when it keeps none.
+    `log` is the run's event log, or None when it keeps none. The log
+    shares one tuple of slots (`slot_tuples`) between the commands that
+    occupy the same resources. A command's targets are built only when its
+    shape has a step priced per event, the only kind that reads one.
     """
 
     def __init__(self, geometry: Geometry, models: ModelSet, policy: Policy, event_log: bool):
@@ -426,14 +467,21 @@ class _Placer:
         self.price = models.pricer(geometry)
         self.latency_keys = models.latency_keys
         self.policy = policy
-        self.compiled: dict[tuple[str, int], tuple[tuple, tuple, int]] = {}
+        self.compiled: dict[tuple[str, int], tuple[tuple, tuple, int, bool]] = {}
         self.kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
         self.slot_of: dict[tuple[int, ...], int] = {(): -1}
         self.resources: list[Resource] = []
         self.busy_until: list[int] = []
         self.busy: list[int] = []
         self.last_end = 0
-        self.log = EventLog(self.resources) if event_log else None
+        self.log = log = EventLog(self.resources) if event_log else None
+        self.slot_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # the appends of the log's columns, bound once, as a call per
+        # command to a method that appends them costs the run a few percent
+        self.log_columns = None if log is None else (
+            log.sequence_ids.append, log.steps.append, log.targets.append,
+            log.slots.append, log.firsts.append, log.starts.append, log.prices.append,
+        )
 
     def place(self, cmd: Command, warnings: tuple[Violation, ...]) -> CommandResult:
         """Place `cmd`'s events and return its result, with `warnings`."""
@@ -445,7 +493,7 @@ class _Placer:
         found = compiled.get(key)
         if found is None or found[2] < page_count:
             found = compiled[key] = self._compile(cmd.kind, n_operands, page_count)
-        chain, uses, chain_pages = found
+        chain, uses, chain_pages, per_event = found
         # only a cache kind's chain can be longer than its command
         steps = chain if chain_pages == page_count else chain[: 2 * page_count + 1]
         cmd_slots: list[int] = []
@@ -458,23 +506,33 @@ class _Placer:
                 busy_until.append(0)
                 busy.append(0)
             cmd_slots.append(slot)
-        targets = event_targets(cmd)
+        # only a step priced per event reads its target
+        targets = event_targets(cmd) if per_event else None
         arrival = cmd.arrival_ns
         sequence_id = cmd.sequence_id
         if log is not None:
-            log.add_command(sequence_id, chain, targets)
-            log_start, log_price, log_slot = log.starts.append, log.prices.append, log.slots.append
+            add_id, add_steps, add_targets, add_slots, add_first, log_start, log_price = (
+                self.log_columns
+            )
+            add_id(sequence_id)
+            add_steps(chain)
+            add_targets(operands)
+            shared = tuple(cmd_slots)
+            add_slots(self.slot_tuples.setdefault(shared, shared))
+            add_first(len(log.starts))
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0
         try:
-            for kind, index, deps, use, pair, priced, kind_slot in steps:
+            for kind, index, use, pair, deps, priced, kind_slot in steps:
                 ready = arrival
                 for dep in deps:
                     if ends[dep] > ready:
                         ready = ends[dep]
                 if pair is None:
                     pair = priced(targets[index])
+                    if log is not None:
+                        log_price(pair)
                 duration, energy = pair
                 slot = cmd_slots[use]
                 if slot < 0:
@@ -497,8 +555,6 @@ class _Placer:
                 kind_energy[kind_slot] += energy
                 if log is not None:
                     log_start(start)
-                    log_price(pair)
-                    log_slot(slot)
         except ModelEvaluationError as exc:
             raise exc.located(
                 cmd.line, f"the {kind.value} event of {cmd.kind.value} command {sequence_id}"
@@ -509,16 +565,17 @@ class _Placer:
 
     def _compile(
         self, kind: CommandKind, n_operands: int, page_count: int
-    ) -> tuple[tuple, tuple[tuple[str | None, int, int], ...], int]:
+    ) -> tuple[tuple, tuple[tuple[str | None, int, int], ...], int, bool]:
         """The shape of `kind`, `n_operands` and `page_count` as `place`
-        runs it: its steps, (kind, target index, deps, position of its use
-        in uses, folded price, pricing function, kind slot); those distinct
-        uses, (resource kind, key length, operand), in first-step order; and
-        `page_count`. Starts the energy total of each kind it has. Die
-        serialization coarsens every plane to its die. The pricing function
-        and folded price are the step's `Pricer.entry`: the folded price is
-        the pair every event of the step costs, or None when the function
-        prices each one."""
+        runs it: its steps, (kind, target index, position of its use in
+        uses, folded price, deps, pricing function, kind slot), whose first
+        four are what the event log reads of a step; those distinct uses,
+        (resource kind, key length, operand), in first-step order;
+        `page_count`; and whether some step is priced per event. Starts the
+        energy total of each kind it has. Die serialization coarsens every
+        plane to its die. The pricing function and folded price are the
+        step's `Pricer.entry`: the folded price is the pair every event of
+        the step costs, or None when the function prices each one."""
         policy, kind_energy = self.policy, self.kind_energy
         occupies = {
             ROLE_NONE: (None, 0),
@@ -537,9 +594,10 @@ class _Placer:
             if kind_energy[slot] is None:
                 kind_energy[slot] = 0.0
             chain.append(
-                (event_kind, index, deps, uses.setdefault(use, len(uses)), pair, pricing, slot)
+                (event_kind, index, uses.setdefault(use, len(uses)), pair, deps, pricing, slot)
             )
-        return tuple(chain), tuple(uses), page_count
+        per_event = any(step[3] is None for step in chain)
+        return tuple(chain), tuple(uses), page_count, per_event
 
 
 def all_resources(geometry: Geometry, die_serialization: bool = False) -> list[Resource]:

@@ -11,9 +11,10 @@ documented order so identical runs produce identical bytes. A report holds
 the run's event log exactly when the run kept one, and is written with it
 exactly then. Rows are written to the stream as they are rendered, one
 command's event rows per write. The log's rows are written from its
-columns (`EventLog`): each step of a compiled shape, each resource and each
-priced pair is rendered once, a target once per command, and a start per
-event.
+columns (`EventLog`): each step of a compiled shape is rendered once, with
+the tail of its folded price, and so is each resource and each pair priced
+per event; a command's targets (a cache command's pages, from its first
+page's prefix) and its resources once per command; and a start per event.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 from .commands import CommandKind, EventKind
 from .engine import CommandResult, EventLog, RunResult, ScheduledEvent
 from .errors import ModelEvaluationError, Record, Rule, Violation
-from .topology import ADDRESS_FORMAT, Resource
+from .topology import ADDRESS_FORMAT, FlashAddress, Resource
 
 REPORT_SCHEMA = "flashsim-report v1"
 
@@ -294,12 +295,12 @@ _WARNING_ROW = (
 )
 # An event row is written from its parts: its command's head, its step's
 # event id and kind, its target, its resource, its start and the tail that
-# its priced (duration, energy) pair renders to.
+# its (duration, energy) pair renders to. A target's text is quoted as it
+# is, as digits and dots need no escaping: its quotes end the step's part
+# and start the resource's.
 _EVENT_HEAD = ',\n    {\n      "sequence_id": %d,\n      "event_id": '
-_EVENT_STEP = '%d,\n      "kind": %s,\n      "target": '
-# a target's text is quoted as it is, as digits and dots need no escaping
-_EVENT_TARGET = '"' + ADDRESS_FORMAT + '",\n      "resource": '
-_EVENT_RESOURCE = ',\n      "start_us": '
+_EVENT_STEP = '%d,\n      "kind": %s,\n      "target": "'
+_EVENT_RESOURCE = '",\n      "resource": %s,\n      "start_us": '
 _EVENT_TAIL = ',\n      "duration_us": %s,\n      "energy_uj": %s\n    }'
 
 
@@ -322,54 +323,108 @@ def _events_of(report: Report) -> EventLog:
     return events if isinstance(events, EventLog) else EventLog.of(events)
 
 
-# Tails are cached by the identity of their priced pair, as floats that
-# compare equal may render differently (-0.0 and 0.0). The log keeps every
-# pair alive, so no identity is reused while a log is written. Pricing
-# returns a new pair for each input it evaluates, so the cache is emptied
-# when it holds this many tails.
+# Tails are cached by the identity of their pair, as floats that compare
+# equal may render differently (-0.0 and 0.0). The log keeps every pair
+# alive, so no identity is reused while a log is written. A folded pair is
+# shared by every step of its kind and byte count, and its tail is kept
+# with each shape that has it; the cap is for pairs priced per event, as
+# pricing returns a new pair for each input it evaluates. The cache is
+# emptied when it holds this many tails.
 _TAILS_KEPT = 1024
+
+
+def _tail_cache(render_tail: Callable[[tuple[int, float]], object]) -> Callable:
+    """`render_tail`, cached by the identity of its pair."""
+    tails: dict[int, object] = {}
+
+    def tail_of(pair: tuple[int, float]) -> object:
+        found = tails.get(id(pair))
+        if found is None:
+            if len(tails) == _TAILS_KEPT:
+                tails.clear()
+            found = tails[id(pair)] = render_tail(pair)
+        return found
+
+    return tail_of
+
+
+def _shape(
+    steps: Sequence[tuple],
+    render_step: Callable[[int, EventKind], str],
+    tail_of: Callable[[tuple[int, float]], object],
+) -> tuple[list[tuple], list[int]]:
+    """A compiled shape's rows as the writers take them: for each step, its
+    rendered step text, its target index, its use and the tail its folded
+    pair renders to, or None for a step priced per event; and, for each
+    step, how many targets the steps up to it read."""
+    rows = []
+    reaches = []
+    reach = 0
+    for event_id, step in enumerate(steps):
+        kind, index, use, pair = step[:4]
+        rows.append(
+            (render_step(event_id, kind), index, use, None if pair is None else tail_of(pair))
+        )
+        reach = max(reach, index + 1)
+        reaches.append(reach)
+    return rows, reaches
+
+
+def _target_texts(targets: Sequence[FlashAddress], reach: int) -> list[str]:
+    """The address texts of the targets a command's events read, the first
+    `reach`: its operands', or, for a cache command, whose steps read past
+    its one operand, each page of its extent's, written after its first
+    page's prefix."""
+    if reach <= len(targets):
+        return [ADDRESS_FORMAT % target for target in targets]
+    first = targets[0]
+    prefix = ADDRESS_FORMAT[:-2] % first[:5]  # its first five indices, each with its dot
+    return ["%s%d" % (prefix, page) for page in range(first[5], first[5] + reach)]
 
 
 def _event_rows(log: EventLog) -> Iterator[str]:
     """The structured event rows of each command, joined, from the log's
-    columns. Each step of a compiled shape, each resource and each priced
-    pair is rendered once, and each target once per command."""
+    columns. Each step of a compiled shape, with its folded pair's tail,
+    and each resource and each priced pair is rendered once, a command's
+    targets and resources once per command, and a start per event."""
     join = "".join
-    resources = [_quote(r.label) + _EVENT_RESOURCE for r in log.resources]
-    resources.append("null" + _EVENT_RESOURCE)  # slot -1: no resource
-    shapes: dict[int, list[tuple[str, int]]] = {}
-    tails: dict[int, str] = {}
-    events = zip(log.starts, log.prices, log.slots)
-    for sequence_id, steps, targets, count in zip(
-        log.sequence_ids, log.steps, log.targets, log.counts()
+    resources = [_EVENT_RESOURCE % _quote(r.label) for r in log.resources]
+    resources.append(_EVENT_RESOURCE % "null")  # slot -1: no resource
+    shapes: dict[int, tuple[list[tuple], list[int]]] = {}
+    tail_of = _tail_cache(_structured_tail)
+    next_price = iter(log.prices).__next__
+    starts = iter(log.starts)
+    for sequence_id, steps, targets, slots, count in zip(
+        log.sequence_ids, log.steps, log.targets, log.slots, log.counts()
     ):
         head = _EVENT_HEAD % sequence_id
         shape = shapes.get(id(steps))
         if shape is None:
-            shape = shapes[id(steps)] = [
-                (_EVENT_STEP % (event_id, _quote(step[0]._value_)), step[1])
-                for event_id, step in enumerate(steps)
-            ]
-        texts = [_EVENT_TARGET % target for target in targets]
+            shape = shapes[id(steps)] = _shape(
+                steps,
+                lambda event_id, kind: _EVENT_STEP % (event_id, _quote(kind._value_)),
+                tail_of,
+            )
+        rows, reaches = shape
+        texts = _target_texts(targets, reaches[count - 1])
+        used = [resources[slot] for slot in slots]
         parts: list[str] = []
         add = parts.extend
         # a command's events are its first `count` steps; zip reads a step
-        # before an event, so it leaves the next command's events unread
-        for (step, index), (start, pair, slot) in zip(islice(shape, count), events):
-            tail = tails.get(id(pair))
-            if tail is None:
-                if len(tails) == _TAILS_KEPT:
-                    tails.clear()
-                tail = tails[id(pair)] = _EVENT_TAIL % (
-                    us_repr(pair[0]), _json_float(pair[1])
-                )
+        # before a start, so it leaves the next command's starts unread
+        for (step, index, use, tail), start in zip(islice(rows, count), starts):
+            if tail is None:  # a step priced per event
+                tail = tail_of(next_price())
             if 0 <= start < _EXACT_US_LIMIT_NS:  # us_repr(start), inlined
-                whole, ns = divmod(start, 1000)
-                add((head, step, texts[index], resources[slot], str(whole),
-                     _NS_FRACTIONS[ns], tail))
+                add((head, step, texts[index], used[use], str(start // 1000),
+                     _NS_FRACTIONS[start % 1000], tail))
             else:
-                add((head, step, texts[index], resources[slot], repr(start / 1000), tail))
+                add((head, step, texts[index], used[use], repr(start / 1000), tail))
         yield join(parts)
+
+
+def _structured_tail(pair: tuple[int, float]) -> str:
+    return _EVENT_TAIL % (us_repr(pair[0]), _json_float(pair[1]))
 
 
 def _write_structured(report: Report, write: Callable[[str], object]) -> None:
@@ -507,35 +562,37 @@ def _write_table(report: Report, write: Callable[[str], object]) -> None:
 def _event_lines(log: EventLog) -> Iterator[str]:
     """The table's event lines of each command, joined, from the log's
     columns, each field padded to its column. Each step of a compiled
-    shape, each resource and each priced pair is rendered once, and each
-    target once per command."""
+    shape, with its folded pair's tail, and each resource and each priced
+    pair is rendered once, a command's targets and resources once per
+    command, and a start per event."""
     join = "".join
     resources = [f"{r.label:<16}" for r in log.resources]
     resources.append(f"{'-':<16}")  # slot -1: no resource
-    shapes: dict[int, list[tuple[str, int]]] = {}
-    tails: dict[int, tuple[str, str]] = {}
-    events = zip(log.starts, log.prices, log.slots)
-    for steps, targets, count in zip(log.steps, log.targets, log.counts()):
+    shapes: dict[int, tuple[list[tuple], list[int]]] = {}
+    tail_of = _tail_cache(_table_tail)
+    next_price = iter(log.prices).__next__
+    starts = iter(log.starts)
+    for steps, targets, slots, count in zip(log.steps, log.targets, log.slots, log.counts()):
         shape = shapes.get(id(steps))
         if shape is None:
-            shape = shapes[id(steps)] = [
-                (f"  {step[0]._value_:<18}", step[1]) for step in steps
-            ]
-        texts = [f"{ADDRESS_FORMAT % target:<16}" for target in targets]
+            shape = shapes[id(steps)] = _shape(
+                steps, lambda event_id, kind: f"  {kind._value_:<18}", tail_of
+            )
+        rows, reaches = shape
+        texts = [f"{text:<16}" for text in _target_texts(targets, reaches[count - 1])]
+        used = [resources[slot] for slot in slots]
         parts: list[str] = []
         add = parts.extend
-        for (step, index), (start, pair, slot) in zip(islice(shape, count), events):
-            tail = tails.get(id(pair))
-            if tail is None:
-                if len(tails) == _TAILS_KEPT:
-                    tails.clear()
-                duration, energy = pair
-                tail = tails[id(pair)] = (
-                    f"{duration / 1000:>12.3f}", f"{energy:>10.3f}\n"
-                )
-            add(("%12.3f" % (start / 1000), tail[0], step, texts[index], resources[slot],
-                 tail[1]))
+        for (step, index, use, tail), start in zip(islice(rows, count), starts):
+            if tail is None:  # a step priced per event
+                tail = tail_of(next_price())
+            add(("%12.3f" % (start / 1000), tail[0], step, texts[index], used[use], tail[1]))
         yield join(parts)
+
+
+def _table_tail(pair: tuple[int, float]) -> tuple[str, str]:
+    duration, energy = pair
+    return f"{duration / 1000:>12.3f}", f"{energy:>10.3f}\n"
 
 
 def _warning_lines(warnings: Iterable[Violation]) -> Iterator[str]:

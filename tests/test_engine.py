@@ -927,7 +927,8 @@ class TestEventLog:
         g = TestMetamorphic.GEOMETRY
         trace = random_trace(random.Random(seed), g, n_commands)
         models = TestOracleEquivalence.MODEL_SETS[models]
-        log = run(trace, g, ALL_KINDS, models, policy).schedule
+        result = run(trace, g, ALL_KINDS, models, policy)
+        log = result.schedule
         events = list(log)
         assert len(log) == len(events) >= n_commands
         assert log == events and events == log
@@ -943,7 +944,17 @@ class TestEventLog:
             assert log != events[:-1]
         assert log.__eq__(tuple(events)) is NotImplemented
         # a list of records reads back into the same columns
-        assert engine.EventLog.of(events) == log
+        listed = engine.EventLog.of(events)
+        assert listed == log
+        # and both write the same report: the run's log from its folded
+        # steps, its priced pairs and its commands' operands, the listed
+        # one from each event's own fields
+        report = build_report(result)
+        for fmt in ("structured", "table"):
+            written, expected = io.StringIO(), io.StringIO()
+            write_report(report, written, fmt)
+            write_report(report._replace(events=listed), expected, fmt)
+            assert written.getvalue() == expected.getvalue(), fmt
 
     @pytest.mark.parametrize("policy", TestOracleEquivalence.POLICIES)
     def test_resources_are_in_the_order_events_first_occupy_them(self, geometry, policy):
@@ -1082,3 +1093,24 @@ class TestFoldedPrices:
         # a built-in kind has one byte count: a page for a bus transfer, else 0
         assert len(result.schedule) > 600
         assert len(calls) == len({e.kind for e in result.schedule}) == len(EventKind)
+
+    @pytest.mark.parametrize("models", sorted(TestOracleEquivalence.MODEL_SETS))
+    def test_the_log_keeps_a_price_only_for_an_event_priced_on_its_own(
+        self, geometry, models
+    ):
+        # a folded step's events keep no pair and need no target, so a
+        # command whose steps are all folded builds no page address of its
+        # extent; only the "address" models price events by their target
+        trace = random_trace(random.Random(3), geometry, 300)
+        assert sum(c.page_count > 1 for c in trace) > 10
+        model_set = TestOracleEquivalence.MODEL_SETS[models]
+        with mock.patch.object(engine, "event_targets", wraps=engine.event_targets) as spy:
+            log = run(trace, geometry, ALL_KINDS, model_set).schedule
+        priced = {EventKind.ARRAY_SENSE, EventKind.BUS_TRANSFER_OUT, EventKind.ARRAY_PROGRAM}
+        erasing = {CommandKind.ERASE, CommandKind.MULTI_PLANE_ERASE, CommandKind.INTERLEAVED_ERASE}
+        if models == "address":  # an erase's steps are all folded
+            assert spy.call_count == sum(c.kind not in erasing for c in trace)
+            assert len(log.prices) == sum(e.kind in priced for e in log) > 300
+        else:
+            assert spy.call_count == 0
+            assert log.prices == [] and len(log) > 600
