@@ -83,12 +83,10 @@ ALLOWED = {
     "commands.decompose": HOOKED + "; also the event DAGs of tests/oracle.py",
     "topology.encode": HOOKED + "; " + API,
     # documented library names
-    "commands.Command.__new__": API + "; the command line builds commands in C",
-    "commands.Command._make": API,
+    "commands.Command._check": API + "; the command line builds commands in C",
     "commands.Command.__eq__": API,
     "commands.Command.__ne__": API,
     "commands.Command.__hash__": API,
-    "models._RangeChecked._make": API + "; TimingParams._make, PowerParams._make",
     "topology.decode": API + "; also the command line's reader of a flat trace index",
     "topology.SubsystemState.page_state": API,
     "topology.SubsystemState.erase_count": API,

@@ -9,15 +9,14 @@ geometry in, same event DAG out.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import Record, Rule, Severity, Violation
+from .errors import IdentityEnum, Record, Rule, Severity, Violation
 from .topology import FlashAddress, Geometry, Resource, new_address
 from .units import TIME_LIMIT_NS
 
 
-class CommandKind(Enum):
+class CommandKind(IdentityEnum):
     READ = "read"
     WRITE = "write"
     ERASE = "erase"
@@ -32,10 +31,8 @@ class CommandKind(Enum):
     INTERLEAVED_ERASE = "interleaved_erase"
     MULTI_PLANE_COPY_BACK = "multi_plane_copy_back"
 
-    __hash__ = object.__hash__  # as for errors.Rule
 
-
-class EventKind(Enum):
+class EventKind(IdentityEnum):
     CMD_OVERHEAD = "cmd_overhead"
     ARRAY_SENSE = "array_sense"
     ARRAY_PROGRAM = "array_program"
@@ -43,8 +40,6 @@ class EventKind(Enum):
     BUS_TRANSFER_IN = "bus_transfer_in"
     BUS_TRANSFER_OUT = "bus_transfer_out"
     BUFFER_COPY = "buffer_copy"
-
-    __hash__ = object.__hash__  # as for errors.Rule
 
 
 # Events that run inside a plane's array vs. on the shared channel bus.
@@ -103,16 +98,7 @@ _WRITING = frozenset(
 _ERASING = frozenset(value for value, (_, stages) in _KINDS.items() if stages == _ERASE)
 
 
-class _CommandFields(Record):
-    arrival_ns: int
-    kind: CommandKind
-    operands: tuple[FlashAddress, ...]
-    page_count: int = 1
-    sequence_id: int = 0
-    line: int | None = None
-
-
-class Command(_CommandFields):
+class Command(Record):
     """One trace entry.
 
     `operands` is interpreted per kind: a single page for read/write/erase
@@ -122,22 +108,20 @@ class Command(_CommandFields):
     the multi-plane and interleaved families. `arrival_ns` is on the
     engine's integer-nanosecond timebase, in [0, 2**63).
 
-    A named tuple whose constructor checks the operand layout; `_make` and
-    `_replace` go through the same checks. Equality and hash ignore `line`,
-    the trace line a command was parsed from.
+    A checked record (see `errors.Record`) that rejects an arrival outside
+    that range and an operand layout or page count its kind does not take.
+    Equality and hash ignore `line`, the trace line a command was parsed from.
     """
 
-    __slots__ = ()
+    arrival_ns: int
+    kind: CommandKind
+    operands: tuple[FlashAddress, ...]
+    page_count: int = 1
+    sequence_id: int = 0
+    line: int | None = None
 
-    def __new__(
-        cls,
-        arrival_ns: int,
-        kind: CommandKind,
-        operands: tuple[FlashAddress, ...],
-        page_count: int = 1,
-        sequence_id: int = 0,
-        line: int | None = None,
-    ) -> Command:
+    def _check(self) -> None:
+        arrival_ns, kind, operands, page_count = self[:4]
         if arrival_ns < 0:
             raise ValueError("arrival time must be >= 0")
         if arrival_ns >= TIME_LIMIT_NS:
@@ -162,13 +146,6 @@ class Command(_CommandFields):
                 raise ValueError(f"page_count must be >= 1, got {page_count}")
         elif page_count != 1:
             raise ValueError(f"{kind.value} does not take a page count")
-        return tuple.__new__(
-            cls, (arrival_ns, kind, operands, page_count, sequence_id, line)
-        )
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Command:
-        return cls(*iterable)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Command):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import wraps
 
 
 class _RecordMeta(type):
@@ -12,7 +13,12 @@ class _RecordMeta(type):
     that `typing.NamedTuple` builds from the same body: the same fields,
     defaults, docstring, methods and properties. Its annotations stay the
     text the body wrote, which `typing.get_type_hints` still resolves;
-    typing would compile each of them at import."""
+    typing would compile each of them at import.
+
+    A body that defines `_check(self)` declares a checked record: its
+    constructor, and so `_make` and `_replace`, call `_check` on the built
+    tuple, which raises to reject its values. The constructor is wrapped
+    with `functools.wraps`, so `inspect.signature` still lists the fields."""
 
     def __new__(mcls, typename: str, bases: tuple, namespace: dict) -> type:
         annotations = namespace.get("__annotations__", {})
@@ -37,6 +43,18 @@ class _RecordMeta(type):
         for key, value in namespace.items():
             if key not in annotations:
                 setattr(record, key, value)
+        check = namespace.get("_check")
+        if check is not None:
+            new = record.__new__
+
+            @wraps(new)
+            def checked_new(cls, *args, **kwargs):
+                self = new(cls, *args, **kwargs)
+                check(self)
+                return self
+
+            record.__new__ = staticmethod(checked_new)
+            record._make = classmethod(lambda cls, iterable: cls(*iterable))
         return record
 
 
@@ -128,7 +146,16 @@ class Diagnostic(Record):
     message: str
 
 
-class Rule(Enum):
+class IdentityEnum(Enum):
+    """Base of the package's enums, whose members hash by identity: they are
+    singletons compared by identity, so the C identity hash fits, where
+    Enum's own __hash__ hashes the name in Python. No output iterates a set
+    of members, so their order in a set is never seen."""
+
+    __hash__ = object.__hash__
+
+
+class Rule(IdentityEnum):
     """Identifiers for every check validate() and the state machine can flag."""
 
     UNSUPPORTED_COMMAND = "unsupported_command"
@@ -141,18 +168,11 @@ class Rule(Enum):
     ERASE_BEFORE_WRITE = "erase_before_write"
     ENDURANCE_EXCEEDED = "endurance_exceeded"
 
-    # members are singletons compared by identity, so the C identity hash
-    # fits; Enum's own __hash__ hashes the name in Python. No output
-    # iterates a set of members, so their order in a set is never seen.
-    __hash__ = object.__hash__
 
-
-class Severity(Enum):
+class Severity(IdentityEnum):
     # errors are always fatal; warnings escalate to fatal only under strict policy
     WARNING = "warning"
     ERROR = "error"
-
-    __hash__ = object.__hash__  # as for Rule
 
 
 class Violation(Record):

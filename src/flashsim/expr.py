@@ -316,8 +316,8 @@ class _ExpressionFields(Record):
 class Expression(_ExpressionFields):
     """A parsed, validated model equation. Stateless and safe to share.
 
-    A named tuple of its source, tree and variables. Unlike the other
-    records it keeps an instance dict, where `_compiled` is cached.
+    A named tuple of its source, tree and variables. It alone subclasses
+    its fields base, for an instance dict where `_compiled` is cached.
     """
 
     @cached_property

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .commands import BUS_EVENTS, EventKind
 from .errors import ModelEvaluationError, NegativeResultError, Record
@@ -85,29 +85,17 @@ _PRICES_KEPT = 256
 Binding = tuple[Node, str]
 
 
-class _RangeChecked:
-    """Makes a named tuple of parameters reject a value that is negative,
-    NaN or infinite, when it is built and through `_make` and `_replace`."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        params = super().__new__(cls, *args, **kwargs)
-        _reject_out_of_range(params)
-        return params
-
-    @classmethod
-    def _make(cls, iterable: Iterable[float]):
-        return cls(*iterable)
-
-
 def _reject_out_of_range(params: tuple) -> None:
     for name, value in zip(params._fields, params):
         if not 0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-class _TimingFields(Record):
+class TimingParams(Record):
+    """Built-in latency parameters, microseconds (per byte for the bus); a
+    checked record (see `errors.Record`) that rejects a negative, NaN or
+    infinite value."""
+
     t_cmd: float = 0.0
     t_sense: float = 25.0
     t_prog: float = 200.0
@@ -115,14 +103,13 @@ class _TimingFields(Record):
     t_bus_per_byte: float = 0.025
     t_buf: float = 0.0
 
-
-class TimingParams(_RangeChecked, _TimingFields):
-    """Built-in latency parameters, microseconds (per byte for the bus)."""
-
-    __slots__ = ()
+    _check = _reject_out_of_range
 
 
-class _PowerFields(Record):
+class PowerParams(Record):
+    """Built-in power parameters, milliwatts; a checked record (see
+    `errors.Record`) that rejects a negative, NaN or infinite value."""
+
     p_cmd: float = 0.0
     p_sense: float = 30.0
     p_prog: float = 40.0
@@ -132,11 +119,7 @@ class _PowerFields(Record):
     p_idle_plane: float = 0.0
     p_idle_bus: float = 0.0
 
-
-class PowerParams(_RangeChecked, _PowerFields):
-    """Built-in power parameters, milliwatts."""
-
-    __slots__ = ()
+    _check = _reject_out_of_range
 
 
 class EventContext(Record):

@@ -25,12 +25,12 @@ address's first and later readings.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import partial
 
 from .errors import (
     AddressRangeError,
     GeometryError,
+    IdentityEnum,
     Record,
     Rule,
     Severity,
@@ -96,7 +96,7 @@ class FlashAddress(Record):
 new_address = partial(tuple.__new__, FlashAddress)
 
 
-class PageState(Enum):
+class PageState(IdentityEnum):
     ERASED = "erased"
     WRITTEN = "written"
 

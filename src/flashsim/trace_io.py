@@ -135,7 +135,7 @@ def parse_trace(text: str, geometry: Geometry) -> list[Command]:
         raise TraceParseError(problems)
 
     records.sort(key=itemgetter(0))  # stable: equal arrivals keep line order
-    # The operand parsers enforce every layout rule `Command.__new__` checks
+    # The operand parsers enforce every layout rule `Command._check` checks
     # (operand count, page count) and `_arrival_ns` keeps every arrival in
     # [0, 2**63) ns, so the commands are built in C, unchecked again.
     return [

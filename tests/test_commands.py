@@ -194,6 +194,8 @@ class TestCommandArity:
             read._replace(page_count=3)
         with pytest.raises(ValueError, match="^arrival time must be >= 0$"):
             Command._make((-1, CommandKind.READ, (A(),), 1, 0, None))
+        with pytest.raises(ValueError, match="^read does not take a page count$"):
+            Command._make((0, CommandKind.READ, (A(),), 3, 0, None))
         with pytest.raises(ValueError, match=r"^arrival time must be below 2\*\*63 ns$"):
             read._replace(arrival_ns=2**63)
 

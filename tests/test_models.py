@@ -70,7 +70,8 @@ def test_duration_presence_is_enforced(models):
 
 
 def test_negative_parameters_rejected():
-    # every parameter, when built and through _replace, with the same text
+    # every parameter, when built and through _replace and _make, with the
+    # same text
     for params in (TimingParams, PowerParams):
         for value in (-1.0, -0.5, math.nan, math.inf, -math.inf):
             for name in params._fields:
@@ -80,6 +81,10 @@ def test_negative_parameters_rejected():
                 assert str(caught.value) == expected
                 with pytest.raises(ValueError) as caught:
                     params()._replace(**{name: value})
+                assert str(caught.value) == expected
+                with pytest.raises(ValueError) as caught:
+                    params._make(value if field == name else default
+                                 for field, default in params._field_defaults.items())
                 assert str(caught.value) == expected
 
 

@@ -3,8 +3,10 @@ from __future__ import annotations
 import decimal
 import math
 import random
+import re
 import unicodedata
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -783,6 +785,21 @@ class TestParseConfig:
         )
         assert config.policy == Policy()
         assert config.models.timing.t_sense == 25.0
+
+    def test_readme_config_examples_parse(self):
+        # the first ```ini block of README.md is a whole config; each later
+        # block is read appended to it
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8"
+        )
+        first, *later = re.findall(r"^```ini\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+        configs = [parse_config(first)] + [parse_config(first + "\n" + b) for b in later]
+        assert configs[0] == parse_config(MINIMAL_CONFIG)._replace(models=configs[0].models)
+        bound = configs[1].models
+        assert set(bound.latency_exprs) == set(bound.power_exprs) == {EventKind.ARRAY_SENSE}
+        # the policy block spells out every default
+        assert configs[2].policy == Policy()
+        assert len(configs) == 3
 
     def test_missing_geometry_key(self):
         broken = MINIMAL_CONFIG.replace("pages_per_block = 8\n", "")
