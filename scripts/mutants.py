@@ -14,13 +14,18 @@ temporary directory. Each mutant is then planted there on its own and
 ``python -m pytest -x -q -p no:cacheprovider tests`` runs against the
 copy's ``src``, without ``tests/test_mutant_list.py``: that test checks
 that every entry's text occurs exactly once, which a planted mutant breaks
-by construction, so it would kill every mutant. A mutant is killed when the run fails, and the first test
-that failed is named; it survived when the run passes. Prints one row per
-mutant, its name and what became of it, and exits 1 when a mutant
-survives. Before any test runs, every entry is checked: when an entry's
-file is missing or its text does not occur exactly once, the script names
-the entry and exits 1. The copy goes where ``tempfile`` puts temporary
-directories (``TMPDIR``) and is removed at the end.
+by construction, so it would kill every mutant. A mutant is killed when
+tests fail (pytest exit 1), and the first test that failed is named; it
+survived when the run passes. Any other pytest exit, such as 2 for a
+collection error or 4 when ``conftest.py`` cannot import the package,
+means the mutant broke the run before its tests could judge it: the row
+says "broke the run (pytest exit N)", and the mutant must be planted
+another way. Prints one row per mutant, its name and what became of it,
+and exits 1 when a mutant survives or breaks the run. Before any test
+runs, every entry is checked: when an entry's file is missing or its text
+does not occur exactly once, the script names the entry and exits 1.
+The copy goes where ``tempfile`` puts temporary directories (``TMPDIR``)
+and is removed at the end.
 
 Stdlib only. The mutants run one after another; a run that passes costs a
 whole test-suite run (about 40 s), so the script is not part of the tests.
@@ -84,6 +89,8 @@ def verdict(copy: Path, mutant: dict) -> str:
         path.write_text(original, encoding="utf-8")
     if proc.returncode == 0:
         return "survived"
+    if proc.returncode != 1:
+        return f"broke the run (pytest exit {proc.returncode})"
     first = FAILED.search(proc.stdout)
     return f"killed by {first.group(1) if first else f'pytest exit {proc.returncode}'}"
 
@@ -97,16 +104,17 @@ def main() -> int:
     if problems:
         print(f"{len(mutants)} mutants, {len(problems)} problems")
         return 1
-    survived = 0
+    survived = broke = 0
     with tempfile.TemporaryDirectory(prefix="flashsim-mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         for mutant in mutants:
             result = verdict(copy, mutant)
             survived += result == "survived"
+            broke += result.startswith("broke")
             print(f"{mutant['name']:<28} {result}", flush=True)
-    print(f"{len(mutants)} mutants, {survived} survived")
-    return 1 if survived else 0
+    print(f"{len(mutants)} mutants, {survived} survived, {broke} broke the run")
+    return 1 if survived or broke else 0
 
 
 if __name__ == "__main__":

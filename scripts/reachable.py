@@ -84,6 +84,8 @@ ALLOWED = {
     "topology.encode": HOOKED + "; " + API,
     # documented library names
     "commands.Command._check": API + "; the command line builds commands in C",
+    "errors._RecordMeta.__new__.<locals>.checked_make": API
+    + "; a checked record's _make, and so its _replace, which the command line never calls",
     "commands.Command.__eq__": API,
     "commands.Command.__ne__": API,
     "commands.Command.__hash__": API,

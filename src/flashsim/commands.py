@@ -9,6 +9,7 @@ geometry in, same event DAG out.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import IdentityEnum, Record, Rule, Severity, Violation
@@ -53,10 +54,7 @@ PLANE_EVENTS = frozenset(
 )
 BUS_EVENTS = frozenset({EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT})
 
-# How each kind lays out its operands. Code that branches on a command's
-# kind looks it up by `kind._value_`, a plain attribute: a frozenset of
-# members would hash each one through Enum.__hash__, a Python-level function
-# in 3.11, and `CommandKind.X` is a metaclass attribute lookup.
+# How each kind lays out its operands.
 ONE_ADDRESS = 0  # read, write, erase: one page (erase: its block)
 EXTENT = 1  # cache kinds: a start page, plus `page_count` consecutive pages
 PAIR = 2  # copy_back: source, destination
@@ -71,31 +69,30 @@ _WRITE = (EventKind.BUS_TRANSFER_IN, EventKind.ARRAY_PROGRAM)
 _ERASE = (EventKind.BLOCK_ERASE,)
 _COPY_BACK = (EventKind.ARRAY_SENSE, EventKind.BUFFER_COPY, EventKind.ARRAY_PROGRAM)
 
-# Each kind, by value: its operand layout and its stages. `LAYOUT`,
-# `_WRITING` and `_ERASING` are derived from this table, and `shape` reads
-# it.
-_KINDS: dict[str, tuple[int, tuple[EventKind, ...]]] = {
-    "read": (ONE_ADDRESS, _READ),
-    "write": (ONE_ADDRESS, _WRITE),
-    "erase": (ONE_ADDRESS, _ERASE),
-    "copy_back": (PAIR, _COPY_BACK),
-    "cache_read": (EXTENT, _READ),
-    "cache_write": (EXTENT, _WRITE),
-    "multi_plane_read": (PLANE_LIST, _READ),
-    "multi_plane_write": (PLANE_LIST, _WRITE),
-    "multi_plane_erase": (PLANE_LIST, _ERASE),
-    "interleaved_read": (DIE_LIST, _READ),
-    "interleaved_write": (DIE_LIST, _WRITE),
-    "interleaved_erase": (DIE_LIST, _ERASE),
-    "multi_plane_copy_back": (PAIRS, _COPY_BACK),
+# Each kind's operand layout and stages. `LAYOUT`, `_WRITING` and
+# `_ERASING` are derived from this table, and `shape` reads it.
+_KINDS: dict[CommandKind, tuple[int, tuple[EventKind, ...]]] = {
+    CommandKind.READ: (ONE_ADDRESS, _READ),
+    CommandKind.WRITE: (ONE_ADDRESS, _WRITE),
+    CommandKind.ERASE: (ONE_ADDRESS, _ERASE),
+    CommandKind.COPY_BACK: (PAIR, _COPY_BACK),
+    CommandKind.CACHE_READ: (EXTENT, _READ),
+    CommandKind.CACHE_WRITE: (EXTENT, _WRITE),
+    CommandKind.MULTI_PLANE_READ: (PLANE_LIST, _READ),
+    CommandKind.MULTI_PLANE_WRITE: (PLANE_LIST, _WRITE),
+    CommandKind.MULTI_PLANE_ERASE: (PLANE_LIST, _ERASE),
+    CommandKind.INTERLEAVED_READ: (DIE_LIST, _READ),
+    CommandKind.INTERLEAVED_WRITE: (DIE_LIST, _WRITE),
+    CommandKind.INTERLEAVED_ERASE: (DIE_LIST, _ERASE),
+    CommandKind.MULTI_PLANE_COPY_BACK: (PAIRS, _COPY_BACK),
 }
-LAYOUT: dict[str, int] = {value: layout for value, (layout, _) in _KINDS.items()}
-# Kinds, by value, whose stages program pages (see `written_pages`) and whose
-# stages are one block erase (see `erased_blocks`).
+LAYOUT: dict[CommandKind, int] = {kind: layout for kind, (layout, _) in _KINDS.items()}
+# Kinds whose stages program pages (see `written_pages`) and whose stages are
+# one block erase (see `erased_blocks`).
 _WRITING = frozenset(
-    value for value, (_, stages) in _KINDS.items() if EventKind.ARRAY_PROGRAM in stages
+    kind for kind, (_, stages) in _KINDS.items() if EventKind.ARRAY_PROGRAM in stages
 )
-_ERASING = frozenset(value for value, (_, stages) in _KINDS.items() if stages == _ERASE)
+_ERASING = frozenset(kind for kind, (_, stages) in _KINDS.items() if stages == _ERASE)
 
 
 class Command(Record):
@@ -127,7 +124,7 @@ class Command(Record):
         if arrival_ns >= TIME_LIMIT_NS:
             raise ValueError("arrival time must be below 2**63 ns")
         n = len(operands)
-        layout = LAYOUT[kind._value_]
+        layout = LAYOUT[kind]
         if layout == ONE_ADDRESS or layout == EXTENT:
             if n != 1:
                 raise ValueError(f"{kind.value} takes exactly 1 operand, got {n}")
@@ -226,7 +223,7 @@ def validate(
                     cmd,
                 )
             ]
-    layout = LAYOUT[kind._value_]
+    layout = LAYOUT[kind]
     if layout == ONE_ADDRESS:
         return []
     if layout == PAIR:
@@ -239,7 +236,7 @@ def validate(
     elif layout == PLANE_LIST:
         found = _multi_plane_rules(operands, same_offsets, "operand")
     elif layout == DIE_LIST:
-        found = _interleave_rules(operands)
+        found = _fan_out_rules(operands, "operand", _INTERLEAVED)
     else:  # EXTENT: the cache kinds
         first = operands[0].page
         if first + page_count > pages:
@@ -279,34 +276,37 @@ def _copy_back_rules(operands: Sequence[FlashAddress]) -> list[Violation]:
     return out
 
 
-# The shape rules key addresses by slices: `a[:4]` names the plane, `a[:3]`
-# the die and `a[:2]` the chip.
+# The fan-out rules of the multi-plane and interleaved families: the operands
+# name one shared unit, and each names a distinct unit one level below it.
+# `_CHIP`, `_DIE` and `_PLANE` key an address by the unit it names, its
+# prefix. Each family's entry: (rule, family name, shared unit's key and
+# name, own unit's key and name).
+_CHIP, _DIE, _PLANE = itemgetter(slice(2)), itemgetter(slice(3)), itemgetter(slice(4))
+_MULTI_PLANE = (Rule.MULTI_PLANE_SHAPE, "multi-plane", _DIE, "die", _PLANE, "plane")
+_INTERLEAVED = (Rule.INTERLEAVE_SHAPE, "interleaved", _CHIP, "chip", _DIE, "die")
+
+
+def _fan_out_rules(addrs: Sequence[FlashAddress], role: str, family: tuple) -> list[Violation]:
+    """One family's fan-out findings on `addrs`, each named a `role`: more
+    than one shared unit, then a repeated own unit."""
+    rule, name, shared_of, shared, own_of, own = family
+    out = []
+    n_shared = len(set(map(shared_of, addrs)))
+    if n_shared > 1:
+        message = f"{name} {role}s span {n_shared} {shared}s; all must target one {shared}"
+        out.append(Violation(rule, Severity.ERROR, message))
+    if len(set(map(own_of, addrs))) != len(addrs):
+        message = f"{name} {role}s repeat a {own}; {own}s must be distinct"
+        out.append(Violation(rule, Severity.ERROR, message))
+    return out
 
 
 def _multi_plane_rules(
     addrs: Sequence[FlashAddress], same_offsets: bool, role: str
 ) -> list[Violation]:
-    out = []
-    dies = {a[:3] for a in addrs}
-    if len(dies) > 1:
-        out.append(
-            Violation(
-                Rule.MULTI_PLANE_SHAPE,
-                Severity.ERROR,
-                f"multi-plane {role}s span {len(dies)} dies; all must target one die",
-            )
-        )
-    planes = [a[:4] for a in addrs]
-    if len(set(planes)) != len(planes):
-        out.append(
-            Violation(
-                Rule.MULTI_PLANE_SHAPE,
-                Severity.ERROR,
-                f"multi-plane {role}s repeat a plane; planes must be distinct",
-            )
-        )
+    out = _fan_out_rules(addrs, role, _MULTI_PLANE)
     if same_offsets and not out:
-        out.extend(_offset_rule(addrs, role))
+        out = _offset_rule(addrs, role)
     return out
 
 
@@ -324,29 +324,6 @@ def _offset_rule(addrs: Sequence[FlashAddress], role: str) -> list[Violation]:
     return []
 
 
-def _interleave_rules(addrs: Sequence[FlashAddress]) -> list[Violation]:
-    out = []
-    chips = {a[:2] for a in addrs}
-    if len(chips) > 1:
-        out.append(
-            Violation(
-                Rule.INTERLEAVE_SHAPE,
-                Severity.ERROR,
-                f"interleaved operands span {len(chips)} chips; all must target one chip",
-            )
-        )
-    dies = [a[:3] for a in addrs]
-    if len(set(dies)) != len(dies):
-        out.append(
-            Violation(
-                Rule.INTERLEAVE_SHAPE,
-                Severity.ERROR,
-                "interleaved operands repeat a die; dies must be distinct",
-            )
-        )
-    return out
-
-
 def written_pages(cmd: Command) -> tuple[tuple[FlashAddress, ...], int]:
     """The pages a command programs, as runs: (first pages, run length).
 
@@ -354,10 +331,10 @@ def written_pages(cmd: Command) -> tuple[tuple[FlashAddress, ...], int]:
     block, in operand order: a cache write is one run of its page count,
     every other writing kind writes single pages, and reads and erases
     write none."""
-    value = cmd.kind._value_
-    if value not in _WRITING:
+    kind = cmd.kind
+    if kind not in _WRITING:
         return (), 1
-    layout = LAYOUT[value]
+    layout = LAYOUT[kind]
     if layout == EXTENT:
         return cmd.operands, cmd.page_count
     if layout == PAIR or layout == PAIRS:
@@ -367,7 +344,7 @@ def written_pages(cmd: Command) -> tuple[tuple[FlashAddress, ...], int]:
 
 def erased_blocks(cmd: Command) -> tuple[FlashAddress, ...]:
     """Block-identifying addresses a command erases (empty for the rest)."""
-    return cmd.operands if cmd.kind._value_ in _ERASING else ()
+    return cmd.operands if cmd.kind in _ERASING else ()
 
 
 # The resource a shape step occupies, resolved against its target address.
@@ -382,7 +359,7 @@ def event_targets(cmd: Command) -> tuple[FlashAddress, ...]:
     """The addresses a command's shape steps index: the extent pages of a
     cache command, the operands of every other kind (a copy-back pair i is
     source 2i and destination 2i+1)."""
-    if LAYOUT[cmd.kind._value_] != EXTENT:
+    if LAYOUT[cmd.kind] != EXTENT:
         return cmd.operands
     channel, chip, die, plane, block, first = cmd.operands[0]
     return tuple(
@@ -407,7 +384,7 @@ def shape(
     """The event DAG of every command of this kind, operand count and page
     count; see `decompose` for the shapes. Nothing is cached here: the
     engine builds each shape once per run and drops it with the run."""
-    layout, stages = _KINDS[kind._value_]
+    layout, stages = _KINDS[kind]
     n_targets = page_count if layout == EXTENT else n_operands
     steps: list[Step] = [
         (EventKind.CMD_OVERHEAD, 0, (), ROLE_BUS if cmd_overhead_on_bus else ROLE_NONE)

@@ -467,7 +467,7 @@ class _Placer:
         self.price = models.pricer(geometry)
         self.latency_keys = models.latency_keys
         self.policy = policy
-        self.compiled: dict[tuple[str, int], tuple[tuple, tuple, int, bool]] = {}
+        self.compiled: dict[tuple[CommandKind, int], tuple[tuple, tuple, int, bool]] = {}
         self.kind_energy: list[float | None] = [None] * len(_KIND_SLOTS)
         self.slot_of: dict[tuple[int, ...], int] = {(): -1}
         self.resources: list[Resource] = []
@@ -489,7 +489,7 @@ class _Placer:
         kind_energy, busy_until, busy, log = self.kind_energy, self.busy_until, self.busy, self.log
         operands = cmd.operands
         n_operands, page_count = len(operands), cmd.page_count
-        key = (cmd.kind._value_, n_operands)
+        key = (cmd.kind, n_operands)
         found = compiled.get(key)
         if found is None or found[2] < page_count:
             found = compiled[key] = self._compile(cmd.kind, n_operands, page_count)
@@ -582,7 +582,7 @@ class _Placer:
             ROLE_PLANE: ("die", 3) if policy.die_serialization else ("plane", 4),
             ROLE_BUS: ("bus", 1),
         }
-        extent = LAYOUT[kind._value_] == EXTENT
+        extent = LAYOUT[kind] == EXTENT
         uses: dict[tuple[str | None, int, int], int] = {}
         chain = []
         for event_kind, index, deps, role in shape(

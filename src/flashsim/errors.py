@@ -16,9 +16,11 @@ class _RecordMeta(type):
     typing would compile each of them at import.
 
     A body that defines `_check(self)` declares a checked record: its
-    constructor, and so `_make` and `_replace`, call `_check` on the built
-    tuple, which raises to reject its values. The constructor is wrapped
-    with `functools.wraps`, so `inspect.signature` still lists the fields."""
+    constructor and its `_make`, and so `_replace`, call `_check` on the
+    built tuple, which raises to reject its values. `_make` is otherwise the
+    named tuple's own, so it takes exactly one value per field, defaults or
+    not. The constructor is wrapped with `functools.wraps`, so
+    `inspect.signature` still lists the fields."""
 
     def __new__(mcls, typename: str, bases: tuple, namespace: dict) -> type:
         annotations = namespace.get("__annotations__", {})
@@ -45,7 +47,7 @@ class _RecordMeta(type):
                 setattr(record, key, value)
         check = namespace.get("_check")
         if check is not None:
-            new = record.__new__
+            new, make = record.__new__, record._make.__func__
 
             @wraps(new)
             def checked_new(cls, *args, **kwargs):
@@ -53,8 +55,14 @@ class _RecordMeta(type):
                 check(self)
                 return self
 
+            @wraps(make)
+            def checked_make(cls, iterable):
+                self = make(cls, iterable)
+                check(self)
+                return self
+
             record.__new__ = staticmethod(checked_new)
-            record._make = classmethod(lambda cls, iterable: cls(*iterable))
+            record._make = classmethod(checked_make)
         return record
 
 

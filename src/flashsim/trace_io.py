@@ -122,8 +122,11 @@ def parse_trace(text: str, geometry: Geometry) -> list[Command]:
             entry = _KIND_PARSERS.get(fields[1])
             if entry is None:
                 raise _LineError(f"unknown command kind '{fields[1]}'")
-            kind, parse_operands = entry
-            operands, page_count = parse_operands(kind, fields[2:], address)
+            kind, count, takes, parse_operands = entry
+            n = len(fields) - 2
+            if n != count:
+                raise _LineError(f"{kind.value} takes {takes}, got {n} fields")
+            operands, page_count = parse_operands(fields[2:], address)
         except _LineError as exc:
             problems.append(Diagnostic(lineno, str(exc)))
             continue
@@ -135,9 +138,10 @@ def parse_trace(text: str, geometry: Geometry) -> list[Command]:
         raise TraceParseError(problems)
 
     records.sort(key=itemgetter(0))  # stable: equal arrivals keep line order
-    # The operand parsers enforce every layout rule `Command._check` checks
-    # (operand count, page count) and `_arrival_ns` keeps every arrival in
-    # [0, 2**63) ns, so the commands are built in C, unchecked again.
+    # The field count and the operand parsers enforce every layout rule
+    # `Command._check` checks (operand count, page count) and `_arrival_ns`
+    # keeps every arrival in [0, 2**63) ns, so the commands are built in C,
+    # unchecked again.
     return [
         _new_command((arrival_ns, kind, operands, page_count, sequence_id, lineno))
         for sequence_id, (arrival_ns, lineno, kind, operands, page_count) in enumerate(
@@ -183,26 +187,20 @@ class _LineError(FlashSimError):
     pass
 
 
-# The operand parsers, one per operand layout. Each takes the kind, the
-# comma fields after arrival and kind, and the call's address reader, and
-# returns (operands, page count).
+# The operand parsers, one per operand layout. Each takes the comma fields
+# after arrival and kind, as many as its layout's entry in `_OPERAND_PARSERS`
+# counts, and the call's address reader, and returns (operands, page count).
 
 
 def _one_address(
-    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+    fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
-    if len(fields) != 1:
-        raise _LineError(f"{kind.value} takes one address, got {len(fields)} fields")
     return (address(fields[0]),), 1
 
 
 def _extent(
-    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+    fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
-    if len(fields) != 2:
-        raise _LineError(
-            f"{kind.value} takes an address and a page count, got {len(fields)} fields"
-        )
     addr = address(fields[0])
     try:
         count = int(fields[1])
@@ -214,23 +212,14 @@ def _extent(
 
 
 def _pair(
-    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+    fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
-    if len(fields) != 2:
-        raise _LineError(
-            f"copy_back takes source and destination, got {len(fields)} fields"
-        )
     return (address(fields[0]), address(fields[1])), 1
 
 
 def _pairs(
-    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+    fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
-    if len(fields) != 2:
-        raise _LineError(
-            "multi_plane_copy_back takes a source list and a destination list, "
-            f"got {len(fields)} fields"
-        )
     sources = _parse_address_list(fields[0], address)
     dests = _parse_address_list(fields[1], address)
     if len(sources) != len(dests):
@@ -242,27 +231,23 @@ def _pairs(
 
 
 def _address_list(
-    kind: CommandKind, fields: list[str], address: Callable[[str], FlashAddress]
+    fields: list[str], address: Callable[[str], FlashAddress]
 ) -> tuple[tuple[FlashAddress, ...], int]:
-    if len(fields) != 1:
-        raise _LineError(
-            f"{kind.value} takes one ';'-separated address list, got {len(fields)} fields"
-        )
     return _parse_address_list(fields[0], address), 1
 
 
+# layout -> (number of operand fields, what they are, as a diagnostic names
+# them, operand parser)
 _OPERAND_PARSERS = {
-    ONE_ADDRESS: _one_address,
-    EXTENT: _extent,
-    PAIR: _pair,
-    PAIRS: _pairs,
-    PLANE_LIST: _address_list,
-    DIE_LIST: _address_list,
+    ONE_ADDRESS: (1, "one address", _one_address),
+    EXTENT: (2, "an address and a page count", _extent),
+    PAIR: (2, "source and destination", _pair),
+    PAIRS: (2, "a source list and a destination list", _pairs),
+    PLANE_LIST: (1, "one ';'-separated address list", _address_list),
+    DIE_LIST: (1, "one ';'-separated address list", _address_list),
 }
-# kind field text -> (kind, its operand parser)
-_KIND_PARSERS = {
-    name: (kind, _OPERAND_PARSERS[LAYOUT[name]]) for name, kind in _KIND_BY_NAME.items()
-}
+# kind field text -> (kind, *its layout's entry)
+_KIND_PARSERS = {kind.value: (kind, *_OPERAND_PARSERS[LAYOUT[kind]]) for kind in CommandKind}
 
 
 def _parse_address_list(
@@ -385,7 +370,7 @@ def emit_trace(commands: Iterable[Command]) -> str:
     for cmd in commands:
         us, ns = divmod(cmd.arrival_ns, NS_PER_US)
         arrival = f"{us}.{ns:03d}".rstrip("0") if ns else str(us)
-        layout = LAYOUT[cmd.kind._value_]
+        layout = LAYOUT[cmd.kind]
         if layout == EXTENT:
             rest = f"{cmd.operands[0]},{cmd.page_count}"
         elif layout == PAIR:
@@ -440,10 +425,18 @@ def parse_config(text: str) -> Config:
     return Config(geometry, supported, models, policy)
 
 
-def _parse_geometry(section: configparser.SectionProxy) -> Geometry:
+def _reject_unknown_keys(section: configparser.SectionProxy, known: Iterable[str]) -> None:
+    """Raise on the first key of `section` that is not in `known`, before
+    any value of the section is read. [performance] and [power] check their
+    keys in `_model_section`'s loop instead, where a bad value before an
+    unknown key is the one reported."""
     for key in section:
-        if key not in Geometry._fields:
-            raise ConfigError(f"unknown key geometry.{key}")
+        if key not in known:
+            raise ConfigError(f"unknown key {section.name}.{key}")
+
+
+def _parse_geometry(section: configparser.SectionProxy) -> Geometry:
+    _reject_unknown_keys(section, Geometry._fields)
     values = {}
     for key in Geometry._fields:  # a field with a default is optional
         if key in section:
@@ -459,9 +452,7 @@ def _parse_geometry(section: configparser.SectionProxy) -> Geometry:
 
 
 def _parse_supported(section: configparser.SectionProxy) -> frozenset[CommandKind]:
-    for key in section:
-        if key != "supported":
-            raise ConfigError(f"unknown key commands.{key}")
+    _reject_unknown_keys(section, ("supported",))
     if "supported" not in section:
         raise ConfigError("missing required key commands.supported")
     names = [n.strip() for n in section["supported"].split(",") if n.strip()]
@@ -519,9 +510,7 @@ def _parse_policy(parser: configparser.ConfigParser) -> Policy:
     if not parser.has_section("policy"):
         return Policy()
     section = parser["policy"]
-    for key in section:
-        if key not in _POLICY_KEYS:
-            raise ConfigError(f"unknown key policy.{key}")
+    _reject_unknown_keys(section, _POLICY_KEYS)
     kwargs: dict = {}
     if "violation_severity" in section:
         raw = section["violation_severity"]

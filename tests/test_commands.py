@@ -31,6 +31,57 @@ def rules(violations):
     return [v.rule for v in violations]
 
 
+MULTI_PLANE, INTERLEAVED = Rule.MULTI_PLANE_SHAPE, Rule.INTERLEAVE_SHAPE
+SPAN_DIES = (MULTI_PLANE, "multi-plane operands span 2 dies; all must target one die")
+REPEAT_PLANE = (MULTI_PLANE, "multi-plane operands repeat a plane; planes must be distinct")
+SPAN_CHIPS = (INTERLEAVED, "interleaved operands span 2 chips; all must target one chip")
+REPEAT_DIE = (INTERLEAVED, "interleaved operands repeat a die; dies must be distinct")
+# (kind, operands, the (rule, message) of each finding in order); every
+# finding of the multi-plane and interleaved shape rules is an error
+FAN_OUT_CASES = [
+    (CommandKind.MULTI_PLANE_READ, (A(die=0), A(die=1, plane=1)), [SPAN_DIES]),
+    (CommandKind.MULTI_PLANE_WRITE, (A(plane=1), A(plane=1)), [REPEAT_PLANE]),
+    (
+        CommandKind.MULTI_PLANE_ERASE,
+        (A(die=0), A(die=1), A(die=1, block=1)),
+        [SPAN_DIES, REPEAT_PLANE],
+    ),
+    (
+        CommandKind.MULTI_PLANE_WRITE,
+        (A(plane=0, block=2), A(plane=1, block=1, page=3)),
+        [
+            (
+                MULTI_PLANE,
+                "multi-plane operands must share one (block, page) offset, "
+                "got [(1, 3), (2, 0)]",
+            )
+        ],
+    ),
+    (CommandKind.INTERLEAVED_READ, (A(chip=0), A(chip=1, die=1)), [SPAN_CHIPS]),
+    (CommandKind.INTERLEAVED_WRITE, (A(die=1), A(die=1, plane=1)), [REPEAT_DIE]),
+    (
+        CommandKind.INTERLEAVED_ERASE,
+        (A(chip=0), A(chip=1), A(chip=1, plane=1)),
+        [SPAN_CHIPS, REPEAT_DIE],
+    ),
+    (
+        CommandKind.MULTI_PLANE_COPY_BACK,
+        (
+            A(die=0, page=1), A(die=0, block=1, page=3),
+            A(die=1, plane=1, page=1), A(die=1, plane=1, block=2, page=3),
+        ),
+        [
+            (MULTI_PLANE, "multi-plane sources span 2 dies; all must target one die"),
+            (
+                MULTI_PLANE,
+                "multi-plane destinations must share one (block, page) offset, "
+                "got [(1, 3), (2, 3)]",
+            ),
+        ],
+    ),
+]
+
+
 class TestValidate:
     def test_copy_back_same_plane_both_odd_is_ok(self, geometry, supported):
         # pages 3 and 5: both odd, same plane
@@ -150,6 +201,13 @@ class TestValidate:
         assert Rule.MULTI_PLANE_SHAPE in rules(
             validate(repeated_plane, geometry, supported)
         )
+
+    @pytest.mark.parametrize("kind, operands, expected", FAN_OUT_CASES)
+    def test_fan_out_finding_texts(self, geometry, supported, kind, operands, expected):
+        c = Command(0, kind, operands, sequence_id=3, line=9)
+        assert [tuple(v) for v in validate(c, geometry, supported)] == [
+            (rule, Severity.ERROR, message, 3, 9) for rule, message in expected
+        ]
 
     def test_checks_stop_at_first_error(self, geometry):
         c = cmd(CommandKind.COPY_BACK, A(block=99), A(plane=1))

@@ -1,9 +1,10 @@
 """The records and enums of the package, as `flashsim.errors` declares them.
 
-A record whose body defines `_check` is a checked record: its signature
-lists its fields and their defaults, and it rejects an invalid value with
-the same `ValueError` text whether it is built, made with `_make` or copied
-with `_replace`. Every enum of the package hashes its members by identity.
+Every record's `_make` takes exactly one value per field, as a named
+tuple's does. A record whose body defines `_check` is a checked record:
+its signature lists its fields and their defaults, and it rejects an
+invalid value with the same `ValueError` text whether it is built, made
+with `_make` or copied with `_replace`. Every enum of the package hashes its members by identity.
 The classes are found in the package's modules, so a record or enum added
 later is held to the same contract.
 """
@@ -35,7 +36,8 @@ CLASSES = [
     for cls in vars(module).values()
     if isinstance(cls, type) and cls.__module__ == module.__name__
 ]
-CHECKED = [cls for cls in CLASSES if issubclass(cls, tuple) and "_check" in vars(cls)]
+RECORDS = [cls for cls in CLASSES if issubclass(cls, tuple)]
+CHECKED = [cls for cls in RECORDS if "_check" in vars(cls)]
 ENUMS = [cls for cls in CLASSES if issubclass(cls, enum.Enum)]
 
 READ = Command(0, CommandKind.READ, (A(),))
@@ -69,6 +71,14 @@ def test_a_checked_record_signature_lists_its_fields(record):
         name: p.default for name, p in parameters.items() if p.default is not p.empty
     }
     assert defaults == record._field_defaults
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_make_takes_exactly_one_value_per_field(record):
+    n = len(record._fields)
+    with pytest.raises(TypeError) as caught:
+        record._make(range(n - 1))
+    assert str(caught.value) == f"Expected {n} arguments, got {n - 1}"
 
 
 @pytest.mark.parametrize("valid, change, text", INVALID)
