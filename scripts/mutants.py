@@ -20,10 +20,13 @@ survived when the run passes. Any other pytest exit, such as 2 for a
 collection error or 4 when ``conftest.py`` cannot import the package,
 means the mutant broke the run before its tests could judge it: the row
 says "broke the run (pytest exit N)", and the mutant must be planted
-another way. Prints one row per mutant, its name and what became of it,
-and exits 1 when a mutant survives or breaks the run. Before any test
-runs, every entry is checked: when an entry's file is missing or its text
-does not occur exactly once, the script names the entry and exits 1.
+another way. So does a test module that fails at import: pytest exits 1,
+but its first ``ERROR`` line names the module, with no ``::`` test id, and
+the row says "broke the run (tests/<module>.py did not import)". Prints
+one row per mutant, its name and what became of it, and exits 1 when a
+mutant survives or breaks the run. Before any test runs, every entry is
+checked: when an entry's file is missing or its text does not occur
+exactly once, the script names the entry and exits 1.
 The copy goes where ``tempfile`` puts temporary directories (``TMPDIR``)
 and is removed at the end.
 
@@ -87,12 +90,22 @@ def verdict(copy: Path, mutant: dict) -> str:
         return f"killed (no result in {RUN_TIMEOUT_S} s)"
     finally:
         path.write_text(original, encoding="utf-8")
-    if proc.returncode == 0:
+    return outcome(proc.returncode, proc.stdout)
+
+
+def outcome(returncode: int, stdout: str) -> str:
+    """What became of a mutant whose test run exited with `returncode`
+    and printed `stdout`."""
+    if returncode == 0:
         return "survived"
-    if proc.returncode != 1:
-        return f"broke the run (pytest exit {proc.returncode})"
-    first = FAILED.search(proc.stdout)
-    return f"killed by {first.group(1) if first else f'pytest exit {proc.returncode}'}"
+    if returncode != 1:
+        return f"broke the run (pytest exit {returncode})"
+    first = FAILED.search(stdout)
+    if first is None:
+        return "killed by pytest exit 1"
+    if "::" not in first.group(1):  # a module that failed at import
+        return f"broke the run ({first.group(1)} did not import)"
+    return f"killed by {first.group(1)}"
 
 
 def main() -> int:

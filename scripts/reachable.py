@@ -77,7 +77,6 @@ ALLOWED = {
     "models.ModelSet.latency_us": HOOKED,
     "models.ModelSet.energy_uj": HOOKED,
     "models.ModelSet._function": HOOKED + "; helper of latency_us/energy_uj",
-    "models._values": HOOKED + "; helper of latency_us/energy_uj",
     "expr.Expression.evaluate": HOOKED,
     "expr.Expression._compiled": HOOKED + "; helper of evaluate",
     "commands.decompose": HOOKED + "; also the event DAGs of tests/oracle.py",
@@ -97,10 +96,8 @@ ALLOWED = {
     # RunResult.schedule read as a sequence; the command line reads its columns
     "engine.EventLog.__len__": API + "; also perfbench's count of scheduled events",
     "engine.EventLog.__iter__": API,
-    "engine.EventLog.__getitem__": API,
+    "engine.EventLog.__getitem__": API + "; reads the log in order through __iter__",
     "engine.EventLog.__eq__": API + "; also RunResult.__eq__",
-    "engine.EventLog._event": API + "; helper of __iter__/__getitem__",
-    "engine.EventLog._priced_before": API + "; helper of __getitem__",
     "engine.EventLog.of": API + "; write_report's reader of a Report built by hand "
     "with a list of ScheduledEvents",
     "trace_io.emit_trace": API,

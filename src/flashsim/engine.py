@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from itertools import islice
-from operator import sub
 from typing import Iterable, Iterator, MutableSequence, Sequence
 
 from .commands import (
@@ -104,20 +102,19 @@ class EventLog:
     """A run's event log, kept as what the run cannot recompute.
 
     Per command: its sequence id, its compiled steps, its targets, its
-    resource slot per use and the position of its first event. A step is
-    a tuple that starts (event kind, target index, use, folded pair): an
-    event's id is its step's position, its target is the command's target
-    at the step's index, its resource is the command's slot at the step's
-    use, and its (duration_ns, energy_uj) pair is the step's folded pair.
+    resource slot per use and its number of events. A step is a tuple
+    that starts (event kind, target index, use, folded pair): an event's
+    id is its step's position, its target is the command's target at the
+    step's index, its resource is the command's slot at the step's use,
+    and its (duration_ns, energy_uj) pair is the step's folded pair.
     A step whose folded pair is None is priced per event, and each of its
     events keeps its own pair in `prices`, in placement order.
     A command's targets are its operands. A cache command keeps only its
     extent's first page, its one operand: a step index past the operands
     is the page that many pages after it.
-    A command's events are its first steps, as many as there are events
-    up to the next command's first (see `counts`): a cache command of n
-    pages keeps its kind's whole chain, which may be longer than its
-    2n + 1 events.
+    A command's events are its first steps, as many as its count in
+    `counts`: a cache command of n pages keeps its kind's whole chain,
+    which may be longer than its 2n + 1 events.
     Per event: its start, a 64-bit integer, as every time is below
     2**63 ns. A slot indexes `resources`, -1 for none. A run shares one
     tuple of slots between the commands that occupy the same resources,
@@ -126,12 +123,12 @@ class EventLog:
     Read as a sequence, the log builds a `ScheduledEvent` for each event
     on access, in placement order. It supports `len`, iteration, indexing
     (negative indices too; a slice gives a list) and `==` with another log
-    or a list of `ScheduledEvent`s.
+    or a list of `ScheduledEvent`s. Indexing reads the log in order up to
+    the index, and a slice reads all of it.
     """
 
     __slots__ = (
-        "sequence_ids", "steps", "targets", "slots", "firsts", "starts", "prices",
-        "resources", "_priced",
+        "sequence_ids", "steps", "targets", "slots", "counts", "starts", "prices", "resources",
     )
 
     def __init__(self, resources: list[Resource]):
@@ -139,13 +136,10 @@ class EventLog:
         self.steps: list[Sequence[tuple]] = []
         self.targets: list[Sequence[FlashAddress]] = []
         self.slots: list[Sequence[int]] = []
-        self.firsts: MutableSequence[int] = array("q")
+        self.counts: MutableSequence[int] = array("q")
         self.starts: MutableSequence[int] = array("q")
         self.prices: list[tuple[int, float]] = []
         self.resources = resources
-        # per command, the number of pairs in `prices` of the events before
-        # its own; filled as far as indexing has needed
-        self._priced: MutableSequence[int] = array("q")
 
     @classmethod
     def of(cls, events: Iterable[ScheduledEvent]) -> EventLog:
@@ -165,7 +159,6 @@ class EventLog:
                 log.steps.append([])
                 log.targets.append([])
                 log.slots.append([])
-                log.firsts.append(len(log.starts))
             elif not log.steps or (e.sequence_id, e.event_id) != (
                 log.sequence_ids[-1], len(log.steps[-1])
             ):
@@ -180,74 +173,42 @@ class EventLog:
             )
             log.starts.append(e.start_ns)
             log.prices.append((e.duration_ns, e.energy_uj))
+        log.counts.extend(map(len, log.steps))
         log.resources = list(slot_of)
         return log
-
-    def _event(
-        self, command: int, event_id: int, start: int, pair: tuple[int, float]
-    ) -> ScheduledEvent:
-        kind, index, use = self.steps[command][event_id][:3]
-        targets = self.targets[command]
-        if index < len(targets):
-            target = targets[index]
-        else:  # a page of a cache command's extent
-            target = targets[0]._replace(page=targets[0].page + index)
-        slot = self.slots[command][use]
-        return ScheduledEvent(
-            self.sequence_ids[command],
-            event_id,
-            kind,
-            target,
-            None if slot < 0 else self.resources[slot],
-            start,
-            *pair,
-        )
 
     def __len__(self) -> int:
         return len(self.starts)
 
-    def counts(self) -> Iterator[int]:
-        """Each command's number of events, in command order."""
-        firsts = self.firsts
-        yield from map(sub, islice(firsts, 1, None), firsts)
-        if firsts:
-            yield len(self.starts) - firsts[-1]
-
     def __iter__(self) -> Iterator[ScheduledEvent]:
-        starts, prices = iter(self.starts), iter(self.prices)
-        for command, (steps, count) in enumerate(zip(self.steps, self.counts())):
+        starts, prices, resources = iter(self.starts), iter(self.prices), self.resources
+        for sequence_id, steps, targets, slots, count in zip(
+            self.sequence_ids, self.steps, self.targets, self.slots, self.counts
+        ):
             for event_id, step in enumerate(islice(steps, count)):
-                pair = step[3]
-                yield self._event(
-                    command, event_id, next(starts), next(prices) if pair is None else pair
+                kind, index, use, pair = step[:4]
+                if index < len(targets):
+                    target = targets[index]
+                else:  # a page of a cache command's extent
+                    target = targets[0]._replace(page=targets[0].page + index)
+                slot = slots[use]
+                yield ScheduledEvent(
+                    sequence_id,
+                    event_id,
+                    kind,
+                    target,
+                    None if slot < 0 else resources[slot],
+                    next(starts),
+                    *(next(prices) if pair is None else pair),
                 )
 
     def __getitem__(self, index: int | slice):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+            return list(self)[index]
         i = index + len(self) if index < 0 else index
         if not 0 <= i < len(self):
             raise IndexError("event log index out of range")
-        command = bisect_right(self.firsts, i) - 1
-        event_id = i - self.firsts[command]
-        steps = self.steps[command]
-        pair = steps[event_id][3]
-        if pair is None:
-            before = sum(step[3] is None for step in islice(steps, event_id))
-            pair = self.prices[self._priced_before(command) + before]
-        return self._event(command, event_id, self.starts[i], pair)
-
-    def _priced_before(self, command: int) -> int:
-        """The number of pairs in `prices` of the events before `command`'s."""
-        priced, firsts, steps = self._priced, self.firsts, self.steps
-        if not priced:
-            priced.append(0)
-        for c in range(len(priced), command + 1):
-            count = firsts[c] - firsts[c - 1]
-            priced.append(
-                priced[-1] + sum(step[3] is None for step in islice(steps[c - 1], count))
-            )
-        return priced[command]
+        return next(islice(self, i, None))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventLog):
@@ -480,7 +441,7 @@ class _Placer:
         # command to a method that appends them costs the run a few percent
         self.log_columns = None if log is None else (
             log.sequence_ids.append, log.steps.append, log.targets.append,
-            log.slots.append, log.firsts.append, log.starts.append, log.prices.append,
+            log.slots.append, log.counts.append, log.starts.append, log.prices.append,
         )
 
     def place(self, cmd: Command, warnings: tuple[Violation, ...]) -> CommandResult:
@@ -511,7 +472,7 @@ class _Placer:
         arrival = cmd.arrival_ns
         sequence_id = cmd.sequence_id
         if log is not None:
-            add_id, add_steps, add_targets, add_slots, add_first, log_start, log_price = (
+            add_id, add_steps, add_targets, add_slots, add_count, log_start, log_price = (
                 self.log_columns
             )
             add_id(sequence_id)
@@ -519,7 +480,7 @@ class _Placer:
             add_targets(operands)
             shared = tuple(cmd_slots)
             add_slots(self.slot_tuples.setdefault(shared, shared))
-            add_first(len(log.starts))
+            add_count(len(steps))
         ends: list[int] = []
         completion = arrival
         energy_total = 0.0

@@ -56,8 +56,9 @@ from .topology import FlashAddress, Geometry
 from .units import NS_PER_US, TIME_LIMIT_NS
 
 # The variables a binding reads, in the order latency_us and energy_uj pass
-# them. Every expression may reference the first nine; power expressions
-# additionally see the event's scheduled duration, which comes last.
+# them: an `EventContext`'s fields 1 to 9, then its duration. Every
+# expression may reference the first nine; power expressions additionally
+# see the event's scheduled duration, which comes last.
 VARIABLE_ORDER = (
     "byte_count",
     "page_size",
@@ -224,13 +225,13 @@ class ModelSet:
         """Duration of one event in microseconds; always finite and >= 0."""
         if ctx.duration_us is not None:
             raise ValueError("latency context must not carry a duration")
-        return self._function(ctx.kind, False)(*_values(ctx))
+        return self._function(ctx.kind, False)(*map(float, ctx[1:10]))
 
     def energy_uj(self, ctx: EventContext) -> float:
         """Energy of one event in microjoules; always finite and >= 0."""
         if ctx.duration_us is None:
             raise ValueError("energy context requires the event duration")
-        return self._function(ctx.kind, True)(*_values(ctx), ctx.duration_us)
+        return self._function(ctx.kind, True)(*map(float, ctx[1:10]), ctx.duration_us)
 
     def _function(self, kind: EventKind, power: bool) -> Callable[..., float]:
         found = self._functions.get((kind, power))
@@ -347,20 +348,6 @@ class Pricer:
             return function, function(None)  # reads no target
         except ModelEvaluationError:
             return function, None
-
-
-def _values(ctx: EventContext) -> tuple[float, ...]:
-    return (
-        float(ctx.byte_count),
-        float(ctx.page_size),
-        float(ctx.oob_size),
-        float(ctx.channel),
-        float(ctx.chip),
-        float(ctx.die),
-        float(ctx.plane),
-        float(ctx.block),
-        float(ctx.page),
-    )
 
 
 def _check_range(emitter: Emitter, value: str, key: str) -> None:

@@ -395,7 +395,7 @@ def _event_rows(log: EventLog) -> Iterator[str]:
     next_price = iter(log.prices).__next__
     starts = iter(log.starts)
     for sequence_id, steps, targets, slots, count in zip(
-        log.sequence_ids, log.steps, log.targets, log.slots, log.counts()
+        log.sequence_ids, log.steps, log.targets, log.slots, log.counts
     ):
         head = _EVENT_HEAD % sequence_id
         shape = shapes.get(id(steps))
@@ -572,7 +572,7 @@ def _event_lines(log: EventLog) -> Iterator[str]:
     tail_of = _tail_cache(_table_tail)
     next_price = iter(log.prices).__next__
     starts = iter(log.starts)
-    for steps, targets, slots, count in zip(log.steps, log.targets, log.slots, log.counts()):
+    for steps, targets, slots, count in zip(log.steps, log.targets, log.slots, log.counts):
         shape = shapes.get(id(steps))
         if shape is None:
             shape = shapes[id(steps)] = _shape(

@@ -946,6 +946,9 @@ class TestEventLog:
         # a list of records reads back into the same columns
         listed = engine.EventLog.of(events)
         assert listed == log
+        # with each command's event count, which both writers read
+        assert list(listed.counts) == list(log.counts)
+        assert sum(log.counts) == len(log)
         # and both write the same report: the run's log from its folded
         # steps, its priced pairs and its commands' operands, the listed
         # one from each event's own fields
@@ -1033,7 +1036,7 @@ class TestCacheChain:
         result = run_checked(trace, g, models=models, policy=policy)
         assert engine_events(result) == oracle_events(trace, g, models, policy)
         log = result.schedule
-        assert list(log.counts()) == [2 * n + 1 for n in self.EXTENTS for _ in range(2)]
+        assert list(log.counts) == [2 * n + 1 for n in self.EXTENTS for _ in range(2)]
         # the first three cache reads keep the 8-page chain, the later ones
         # the 12-page chain
         assert log.steps[0] is log.steps[2] is log.steps[4]

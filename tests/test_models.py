@@ -11,6 +11,7 @@ from flashsim.topology import FlashAddress, Geometry
 from flashsim.errors import ModelEvaluationError, NegativeResultError
 from flashsim.models import (
     _PRICES_KEPT,
+    VARIABLE_ORDER,
     EventContext,
     ModelSet,
     PowerParams,
@@ -108,6 +109,12 @@ def test_address_dependent_expression():
     expr = parse_latency_expression("25 + 0.001 * block")
     custom = ModelSet(latency_exprs={EventKind.ARRAY_SENSE: expr})
     assert custom.latency_us(ctx(EventKind.ARRAY_SENSE, block=2)) == 25 + 0.001 * 2
+
+
+def test_a_context_passes_its_variables_in_binding_order():
+    # latency_us and energy_uj pass a context's fields 1..9 as the first
+    # nine variables, so the record's fields must keep that order
+    assert EventContext._fields[1:10] == VARIABLE_ORDER[:9]
 
 
 # expressions spelling out the built-in equations, one per event kind

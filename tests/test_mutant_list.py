@@ -8,7 +8,7 @@ leave its entry stale and nothing here would fail. This guard runs the
 script's own entry check on every entry. The script is loaded from its
 source, so no bytecode is written under `scripts/`. The script leaves this
 file out of the runs it makes on a planted mutant, which fails it by
-construction.
+construction. This file also pins how the script judges a test run.
 """
 
 from __future__ import annotations
@@ -47,3 +47,36 @@ def test_each_mutant_is_named_once():
 @pytest.mark.parametrize("entry", ENTRIES, ids=[entry["name"] for entry in ENTRIES])
 def test_every_listed_mutant_can_be_planted(entry):
     assert MUTANTS.problem(ROOT, entry) is None
+
+
+# pytest's last lines under -x -q: a test that fails, and a test module that
+# raises at import
+_FAILED_OUTPUT = """\
+=========================== short test summary info ============================
+FAILED tests/test_b.py::test_b - assert 1 == 2
+!!!!!!!!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!!!!!!!!!
+1 failed in 1.04s
+"""
+_IMPORT_ERROR_OUTPUT = """\
+_______________________ ERROR collecting tests/test_a.py _______________________
+tests/test_a.py:1: in <module>
+    raise ValueError("boom")
+E   ValueError: boom
+=========================== short test summary info ============================
+ERROR tests/test_a.py - ValueError: boom
+!!!!!!!!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!!!!!!!!!
+1 error in 1.25s
+"""
+
+
+@pytest.mark.parametrize(
+    "returncode,stdout,expected",
+    [
+        (1, _FAILED_OUTPUT, "killed by tests/test_b.py::test_b"),
+        (1, _IMPORT_ERROR_OUTPUT, "broke the run (tests/test_a.py did not import)"),
+        (4, "", "broke the run (pytest exit 4)"),
+    ],
+    ids=["failed-test", "module-did-not-import", "exit-4"],
+)
+def test_only_a_failing_test_kills_a_mutant(returncode, stdout, expected):
+    assert MUTANTS.outcome(returncode, stdout) == expected
