@@ -11,7 +11,9 @@ over these inputs:
   ``perfbench/workloads.py``, imported with bytecode writing off, never
   written to) for seeds 1 and 2, under each of WORKLOAD_FLAGS;
 - each trace of ``tests/data`` and ``sample/`` under each config of those
-  two directories, under each of DATA_FLAGS.
+  two directories, under each of DATA_FLAGS;
+- ``--help``, the one run that argparse reads (it prints the help, which
+  is thrown away, and exits 0).
 
 Every function defined in ``src/flashsim`` that no run enters must be listed
 in ALLOWED with the reason it stays: an error path, a path for input no
@@ -62,6 +64,7 @@ API = "documented library API, with a library-style test"
 ALLOWED = {
     "cli.entry": "the `flashsim` console script; it only wraps cli.main",
     # exceptions and messages for inputs the runs above do not have
+    "errors.ConfigError.__init__": ERROR,
     "errors.TraceParseError.__init__": ERROR,
     "errors.ExpressionSyntaxError.__init__": ERROR,
     "errors.UnknownIdentifierError.__init__": ERROR,
@@ -149,6 +152,7 @@ def cases(work: Path) -> list[list[str]]:
         for trace in traces:
             for flags in DATA_FLAGS:
                 out.append(["--config", str(config), "--trace", str(trace), *flags])
+    out.append(["--help"])
     return out
 
 
@@ -173,7 +177,11 @@ def main() -> int:
             for argv in argvs:
                 sink = io.StringIO()
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    flashsim.cli.main(argv)
+                    try:
+                        flashsim.cli.main(argv)
+                    except SystemExit as exc:  # argparse, after printing the help
+                        if argv != ["--help"] or exc.code != 0:
+                            raise
         finally:
             sys.setprofile(None)
 

@@ -30,8 +30,9 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
   channel 0 and 0.0 on channel 1 (equal floats that render apart), an idle
   power of -0.0 on the planes (whose idle energies render as -0.0), policy
   flags spelled ``yes``, ``on`` and ``1``, an empty ``[DEFAULT]`` header,
-  and configs that each fail with one of the config diagnostics
-  ``tests/test_trace_io.py`` pins, so that their stderr is compared;
+  configs that each fail with one of the config diagnostics
+  ``tests/test_trace_io.py`` pins, and one config for each malformed-config
+  diagnostic, so that their stderr is compared;
 - ``sample/mixed.trace`` with every arrival moved later, on
   ``sample/ssd.ini``: so that event starts cross 10^15 ns, where a start
   in microseconds may need more than 15 digits, and so that arrivals pass
@@ -42,7 +43,10 @@ Each input runs through ``python -m flashsim`` from both trees with no flag,
 and ``--check --strict``, and the exit code, stdout and stderr of the two
 runs are compared. Each benchmark workload also runs with its own argv,
 as ``perfbench/workloads.py`` builds it, ``--out`` included, and the bytes
-of the file each tree writes are compared as well.
+of the file each tree writes are compared as well. Last, each of ARGV_FORMS
+runs once on ``sample/ssd.ini`` and ``sample/mixed.trace``: help, an
+abbreviated option and usage errors, which argparse answers, and an argv
+of ``--config=`` and ``--trace=`` words.
 
 Prints one line per case. For a case that differs it prints each side's
 exit code and stdout, stderr and ``--out`` file sha256, and the script
@@ -127,6 +131,12 @@ CONFIG_EDITS = (
     ("default-key", (("[geometry]", "[DEFAULT]\nt_sense = 30\n[geometry]"),)),
     ("empty-default", (("[geometry]", "[DEFAULT]\n[geometry]"),)),
     ("signed-zero-idle", (("p_idle_plane = 0", "p_idle_plane = -0"),)),
+    # one config for each malformed-config diagnostic
+    ("malformed-before-header", (("[geometry]", "channels = 2\n[geometry]"),)),
+    ("malformed-duplicate-section", (("[policy]", "[power]\n[policy]"),)),
+    ("malformed-duplicate-key", (("t_sense = 25", "t_sense = 25\nT_SENSE: 30"),)),
+    ("malformed-neither-header-nor-key", (("channels = 2", "channels 2"),)),
+    ("malformed-no-key", (("t_prog = 200", "= 200"),)),
     (
         "dies-overhead-on-bus",
         (
@@ -158,6 +168,20 @@ MIXED_PRICING_EDITS = (
         "bus_transfer_out = byte_count * 0.025 + 0.001 * page",
     ),
     ("#array_sense = 0.030 * duration", "block_erase = -duration"),
+)
+# argvs in the forms the command line reads, with CONFIG and TRACE for
+# SPELLING_CONFIG and EDITED_TRACE: help, abbreviations, a --format outside
+# its choices, a missing --trace and a value that looks like an option go
+# to argparse, which prints help or a usage error; --config=C --trace=T is
+# read without it
+ARGV_FORMS = (
+    ("--help",),
+    ("-h",),
+    ("--conf", "CONFIG", "--tr", "TRACE"),
+    ("--config=CONFIG", "--trace=TRACE"),
+    ("--config", "CONFIG", "--trace", "TRACE", "--format", "json"),
+    ("--config", "CONFIG"),
+    ("--config", "-x", "--trace", "TRACE"),
 )
 EXTENT_ROUNDS = 3
 # microseconds added to every arrival of EDITED_TRACE: starts from just
@@ -403,6 +427,16 @@ def main() -> int:
         cases += [
             (f"{name} perfbench argv", workload.argv(str(config), str(trace), str(out)))
             for name, workload, config, trace in workloads
+        ]
+        cases += [
+            (
+                f"argv {' '.join(form)}",
+                [
+                    arg.replace("CONFIG", str(SPELLING_CONFIG)).replace("TRACE", str(EDITED_TRACE))
+                    for arg in form
+                ],
+            )
+            for form in ARGV_FORMS
         ]
         for label, argv in cases:
             before = simulate(theirs, argv, work, out)

@@ -8,13 +8,14 @@ file:line context; the report is streamed to stdout or the --out file.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from .engine import Policy, idle_accounting, replay, run
 from .errors import (
+    ConfigError,
     FlashSimError,
     ModelEvaluationError,
     Severity,
@@ -28,7 +29,24 @@ from .stats import emit  # noqa: F401
 from .trace_io import parse_config, parse_trace
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each option `_build_parser` declares: whether it takes a value.
+_OPTIONS = {
+    "--config": True,
+    "--trace": True,
+    "--format": True,
+    "--out": True,
+    "--events": False,
+    "--check": False,
+    "--strict": False,
+}
+_FORMATS = ("structured", "table")
+
+
+def _build_parser():
+    """The argparse parser of the command line. argparse is imported only
+    here, since a canonical argv never needs it (see `_read_argv`)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="flashsim",
         description="Trace-driven latency and energy simulator for NAND flash subsystems.",
@@ -37,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", required=True, help="command trace file")
     parser.add_argument(
         "--format",
-        choices=("structured", "table"),
+        choices=_FORMATS,
         default="structured",
         help="report format (default: structured JSON)",
     )
@@ -56,8 +74,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The options of a canonical argv, as `_build_parser` reads them, or
+    None for any other argv.
+
+    Canonical: every option by its full name, each value as `--opt value`
+    or `--opt=value`, no separate value that is empty or starts with `-`,
+    every `--format` one of its choices, and both `--config` and `--trace`
+    given. What is left (help, abbreviations, `--`, and every usage error)
+    is argparse's to read, print and exit on.
+    """
+    values = {
+        "format": "structured",
+        "events": False,
+        "check": False,
+        "strict": False,
+        "out": None,
+    }
+    rest = iter(argv)
+    for arg in rest:
+        option, equals, value = arg.partition("=")
+        takes_value = _OPTIONS.get(option)
+        if takes_value is None or (equals and not takes_value):
+            return None
+        if not takes_value:
+            values[option[2:]] = True
+            continue
+        if not equals:
+            value = next(rest, "")
+            if not value or value[0] == "-":
+                return None
+        if option == "--format" and value not in _FORMATS:
+            return None  # argparse checks each one given, not just the last
+        values[option[2:]] = value
+    if "config" not in values or "trace" not in values:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     err = sys.stderr
 
     config_text = _read(args.config, "config", err)
@@ -69,8 +127,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = parse_config(config_text)
-    except FlashSimError as exc:
-        print(f"{args.config}: {exc}", file=err)
+    except ConfigError as exc:
+        where = args.config if exc.line is None else f"{args.config}:{exc.line}"
+        print(f"{where}: {exc}", file=err)
         return 2
 
     # From the trace's parse to the report's last write, memory grows with
@@ -87,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
-def _pipeline(args: argparse.Namespace, config, trace_text: str, err) -> int:
+def _pipeline(args, config, trace_text: str, err) -> int:
     """Parse the trace, then check it or simulate it and write the report;
     the exit code."""
     try:

@@ -84,7 +84,15 @@ class AddressRangeError(FlashSimError):
 
 
 class ConfigError(FlashSimError):
-    """Configuration file rejected (missing section/key, unknown key, bad value)."""
+    """Configuration file rejected (missing section/key, unknown key, bad value).
+
+    `line` is the config line a malformed-syntax error was found on; the
+    other config errors carry none.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message)
 
 
 class TraceParseError(FlashSimError):

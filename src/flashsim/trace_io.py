@@ -17,17 +17,17 @@ Addresses are either six dot-separated indices channel.chip.die.plane.block
 times are microseconds, rounded half-even to whole nanoseconds below 2**63;
 records are returned sorted and numbered by (arrival time, line order).
 
-Configuration files are INI. Sections ``[geometry]`` and ``[commands]`` are
-required; ``[performance]``, ``[power]`` and ``[policy]`` are optional and
-default to the built-in model fixture and the permissive policy. Unknown
+Configuration files are INI, in the language configparser reads (see
+`_read_ini`); a syntax error names its line. Sections ``[geometry]`` and
+``[commands]`` are required; ``[performance]``, ``[power]`` and
+``[policy]`` are optional and default to the built-in model fixture and
+the permissive policy. Unknown
 sections or keys are errors, never ignored. Model expressions are parsed
 eagerly so a syntax error surfaces before any simulation starts.
 """
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 from functools import partial
 from operator import itemgetter
@@ -401,42 +401,93 @@ _SECTIONS = frozenset({"geometry", "commands", "performance", "power", "policy"}
 
 def parse_config(text: str) -> Config:
     """Parse and fully validate an INI configuration."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}")
-
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-    # configparser copies a [DEFAULT] key into every section; an empty
-    # [DEFAULT] header changes nothing and is accepted
-    if parser.defaults():
+    sections = _read_ini(text)
+    defaults = sections.pop("DEFAULT")
+    for name in sections:
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+    # an empty [DEFAULT] header changes nothing and is accepted
+    if defaults:
         raise ConfigError("unknown section [DEFAULT]")
     for required in ("geometry", "commands"):
-        if not parser.has_section(required):
+        if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
 
-    geometry = _parse_geometry(parser["geometry"])
-    supported = _parse_supported(parser["commands"])
-    models = _parse_models(parser)
-    policy = _parse_policy(parser)
+    geometry = _parse_geometry(sections["geometry"])
+    supported = _parse_supported(sections["commands"])
+    models = _parse_models(sections)
+    policy = _parse_policy(sections.get("policy", {}))
     return Config(geometry, supported, models, policy)
 
 
-def _reject_unknown_keys(section: configparser.SectionProxy, known: Iterable[str]) -> None:
+def _read_ini(text: str) -> dict[str, dict[str, str]]:
+    r"""Each section's keys and values, in file order, with the keys of
+    every [DEFAULT] header under "DEFAULT", which is always there.
+
+    This is the language `configparser.ConfigParser(interpolation=None)`
+    reads. Lines end at \n only, and `str.strip` whitespace around a line
+    is ignored. A line whose first other character is `#` or `;` is a
+    comment. `[name]` opens a section (the name runs to the line's last
+    `]`); any other line is `key = value` or `key : value`, split at its
+    first `=` or `:`, the key lower-cased. A line indented deeper than the
+    last header or key line continues that key's value on a line of its
+    own, and so does a blank line; trailing blank lines are dropped. A
+    repeated section or key, a line before the first header and a line that
+    is neither raise ConfigError with the line's number.
+    """
+    sections: dict[str, dict[str, list[str]]] = {"DEFAULT": {}}
+    section = None  # the open section's keys, once a header is read
+    value = None  # the lines of the last key's value, until a header
+    indent = 0  # the indent of the last header or key line
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if not stripped and value is not None:
+                value.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if value is not None and depth > indent:
+            value.append(stripped)
+            continue
+        indent = depth
+        end = stripped.rfind("]")
+        if stripped[0] == "[" and end > 1:
+            name = stripped[1:end]
+            if name in sections and name != "DEFAULT":
+                raise ConfigError(f"malformed config: duplicate section [{name}]", lineno)
+            section = sections.setdefault(name, {})
+            value = None
+            continue
+        if section is None:
+            raise ConfigError("malformed config: a line before the first section header", lineno)
+        equals, colon = stripped.find("="), stripped.find(":")
+        cut = equals if colon < 0 or 0 <= equals < colon else colon
+        if cut < 0:
+            raise ConfigError("malformed config: expected '[section]' or 'key = value'", lineno)
+        if cut == 0:
+            raise ConfigError(f"malformed config: no key before '{stripped[0]}'", lineno)
+        key = stripped[:cut].rstrip().lower()
+        if key in section:
+            raise ConfigError(f"malformed config: duplicate key {name}.{key}", lineno)
+        value = section[key] = [stripped[cut + 1 :].strip()]
+    return {
+        name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
+        for name, keys in sections.items()
+    }
+
+
+def _reject_unknown_keys(name: str, section: dict[str, str], known: Iterable[str]) -> None:
     """Raise on the first key of `section` that is not in `known`, before
     any value of the section is read. [performance] and [power] check their
     keys in `_model_section`'s loop instead, where a bad value before an
     unknown key is the one reported."""
     for key in section:
         if key not in known:
-            raise ConfigError(f"unknown key {section.name}.{key}")
+            raise ConfigError(f"unknown key {name}.{key}")
 
 
-def _parse_geometry(section: configparser.SectionProxy) -> Geometry:
-    _reject_unknown_keys(section, Geometry._fields)
+def _parse_geometry(section: dict[str, str]) -> Geometry:
+    _reject_unknown_keys("geometry", section, Geometry._fields)
     values = {}
     for key in Geometry._fields:  # a field with a default is optional
         if key in section:
@@ -451,8 +502,8 @@ def _parse_geometry(section: configparser.SectionProxy) -> Geometry:
     return geometry
 
 
-def _parse_supported(section: configparser.SectionProxy) -> frozenset[CommandKind]:
-    _reject_unknown_keys(section, ("supported",))
+def _parse_supported(section: dict[str, str]) -> frozenset[CommandKind]:
+    _reject_unknown_keys("commands", section, ("supported",))
     if "supported" not in section:
         raise ConfigError("missing required key commands.supported")
     names = [n.strip() for n in section["supported"].split(",") if n.strip()]
@@ -466,12 +517,12 @@ def _parse_supported(section: configparser.SectionProxy) -> frozenset[CommandKin
     return frozenset(kinds)
 
 
-def _parse_models(parser: configparser.ConfigParser) -> ModelSet:
+def _parse_models(sections: dict[str, dict[str, str]]) -> ModelSet:
     timing_kwargs, latency_exprs = _model_section(
-        parser, "performance", TimingParams._fields, parse_latency_expression
+        sections, "performance", TimingParams._fields, parse_latency_expression
     )
     power_kwargs, power_exprs = _model_section(
-        parser, "power", PowerParams._fields, parse_power_expression
+        sections, "power", PowerParams._fields, parse_power_expression
     )
     try:
         timing = TimingParams(**timing_kwargs)
@@ -482,7 +533,7 @@ def _parse_models(parser: configparser.ConfigParser) -> ModelSet:
 
 
 def _model_section(
-    parser: configparser.ConfigParser,
+    sections: dict[str, dict[str, str]],
     name: str,
     params: tuple[str, ...],
     parse_expression: Callable[[str], Expression],
@@ -492,25 +543,21 @@ def _model_section(
     section is absent."""
     values: dict[str, float] = {}
     exprs: dict[EventKind, Expression] = {}
-    if parser.has_section(name):
-        for key, value in parser[name].items():
-            if key in params:
-                values[key] = _float_value(name, key, value)
-            elif key in _EVENT_BY_NAME:
-                try:
-                    exprs[_EVENT_BY_NAME[key]] = parse_expression(value)
-                except FlashSimError as exc:
-                    raise ConfigError(f"{name}.{key}: {exc}")
-            else:
-                raise ConfigError(f"unknown key {name}.{key}")
+    for key, value in sections.get(name, {}).items():
+        if key in params:
+            values[key] = _float_value(name, key, value)
+        elif key in _EVENT_BY_NAME:
+            try:
+                exprs[_EVENT_BY_NAME[key]] = parse_expression(value)
+            except FlashSimError as exc:
+                raise ConfigError(f"{name}.{key}: {exc}")
+        else:
+            raise ConfigError(f"unknown key {name}.{key}")
     return values, exprs
 
 
-def _parse_policy(parser: configparser.ConfigParser) -> Policy:
-    if not parser.has_section("policy"):
-        return Policy()
-    section = parser["policy"]
-    _reject_unknown_keys(section, _POLICY_KEYS)
+def _parse_policy(section: dict[str, str]) -> Policy:
+    _reject_unknown_keys("policy", section, _POLICY_KEYS)
     kwargs: dict = {}
     if "violation_severity" in section:
         raw = section["violation_severity"]

@@ -649,6 +649,16 @@ def test_duplicate_config_key_rejected(fixture_paths, capsys, tmp_path):
     assert "dup.ini" in err
 
 
+def test_a_malformed_config_is_reported_at_its_line(fixture_paths, capsys):
+    config, trace = fixture_paths
+    config.write_text(
+        config.read_text().replace("page_size = 4096", "page_size = 4096\nPAGE_SIZE: 2048")
+    )
+    code, out, err = invoke(capsys, "--config", config, "--trace", trace)
+    assert (code, out) == (2, "")
+    assert err == f"{config}:10: malformed config: duplicate key geometry.page_size\n"
+
+
 def test_identical_invocations_identical_bytes(fixture_paths, capsys):
     config, trace = fixture_paths
     code1, out1, err1 = invoke(
@@ -775,9 +785,9 @@ def test_main_leaves_the_collector_as_it_found_it(
     ids=["check", "events", "table"],
 )
 def test_cyclic_garbage_does_not_grow_with_the_trace(fixture_paths, tmp_path, flags):
-    # what main leaves for the cyclic collector (argparse, configparser and
-    # json internals) must not depend on the trace, so that pausing the
-    # collector for a run costs bounded memory
+    # what main leaves for the cyclic collector must not depend on the
+    # trace, so that pausing the collector for a run costs bounded memory
+    # (on these runs, which argparse does not read, it leaves none)
     config, _ = fixture_paths
     geometry = parse_config(config.read_text()).geometry
     traces = {}
@@ -801,6 +811,81 @@ def test_cyclic_garbage_does_not_grow_with_the_trace(fixture_paths, tmp_path, fl
         if collecting:
             gc.enable()
     assert small == large
+
+
+# the command line's options and the values an argv may give them: names,
+# abbreviations, a choice and a non-choice of --format, and values that
+# are empty, start with "-" or hold "=" or a space
+_VALUED_OPTIONS = ("--config", "--trace", "--format", "--out")
+_ARGV_FLAGS = ("--events", "--check", "--strict")
+_ARGV_VALUES = ("c.ini", "t.trace", "table", "structured", "json", "", "-", "-x", "-1",
+                "--check", "a=b", "=x", "a b")
+_ARGV_OTHERS = ("--conf", "--tr", "--form", "-h", "--help", "--", "x", "", "--events=1")
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """An argv of the command line's options in any order, each value
+    given as a separate word or after "=", most with --config and --trace,
+    some with a word that is no option of its own."""
+    options = draw(st.lists(st.sampled_from(_VALUED_OPTIONS + _ARGV_FLAGS), max_size=6))
+    if draw(st.integers(0, 9)):
+        options += ["--config", "--trace"]
+    options = draw(st.permutations(options))
+    argv = []
+    for option in options:
+        if option in _ARGV_FLAGS:
+            argv.append(option)
+            continue
+        value = draw(st.sampled_from(_ARGV_VALUES))
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ARGV_OTHERS)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+@example(["--config", "c.ini", "--trace", "t.trace", "--config=x", "--format", "table"])
+def test_the_fast_argv_reader_reads_what_argparse_reads(argv):
+    # whatever argv the fast path reads, argparse reads to the same options,
+    # without printing a usage error and exiting
+    fast = cli._read_argv(argv)
+    if fast is not None:
+        assert vars(fast) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "c.ini", "--trace", "t.trace"],
+        ["--trace=t.trace", "--check", "--strict", "--config=-c.ini"],
+        ["--config", "c", "--trace", "t", "--format", "table", "--events", "--out", "r"],
+        ["--config", "c", "--trace", "t", "--format=structured", "--out="],
+    ],
+)
+def test_a_canonical_argv_is_read_without_argparse(argv):
+    assert cli._read_argv(argv) is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h"],
+        ["--conf", "c.ini", "--tr", "t.trace"],
+        ["--config", "c.ini", "--trace", "t.trace", "--format", "json"],
+        ["--config", "c.ini"],
+        ["--config", "-x", "--trace", "t.trace"],
+        ["--config", "", "--trace", "t.trace"],
+        ["--config", "c.ini", "--trace", "t.trace", "--"],
+        ["--config", "c.ini", "--trace", "t.trace", "--check=yes"],
+        ["--config", "c.ini", "--trace", "t.trace", "extra"],
+        ["--config", "c.ini", "--trace"],
+    ],
+)
+def test_any_other_argv_is_left_to_argparse(argv):
+    assert cli._read_argv(argv) is None
 
 
 # closed input domain: traces from a small grammar of good and bad fields

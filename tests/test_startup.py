@@ -8,8 +8,12 @@ start-up time; `json` (with its regular expressions), `pathlib` and
 `decimal` cost milliseconds more, and `typing.NamedTuple` compiles each
 field's annotation into a `ForwardRef`. The package's records are named
 tuples declared on `errors.Record`, which keeps their annotations as text,
-and its report writer renders JSON itself. These guards keep it that way:
-they check which modules are loaded, and time nothing, and they check that
+and its report writer renders JSON itself. The config has a reader of the
+package's own, and the command line reads the usual argv without
+`argparse`, which it imports only for help and usage errors; so a run
+loads none of `configparser`, `argparse`, `gettext` and `locale`. These
+guards keep it that way: they check which modules are loaded, and time
+nothing, and they check that
 a record declared on `Record` is the class `typing.NamedTuple` builds from
 the same body. The first probe also checks that importing the package
 leaves Python's cyclic collector on: only a `cli.main` run pauses it, and
@@ -58,6 +62,40 @@ def test_import_loads_no_json_pathlib_decimal_or_dataclasses():
         "print(sorted({'json', 'pathlib', 'decimal', 'dataclasses'} & set(sys.modules)))",
     )
     assert out == "[]"
+
+
+def test_a_run_loads_no_configparser_or_argparse(tmp_path):
+    # the config has a reader of flashsim's own, and a canonical argv is
+    # read without argparse, which would import gettext and locale as well
+    data = SRC.parent / "tests" / "data"
+    inputs = ["--config", str(data / "fixture.ini"), "--trace", str(data / "single_read.trace")]
+    events = [*inputs, "--events", "--out", str(tmp_path / "r.json")]
+    out = _probe(
+        ["-I", "-S"],
+        "import contextlib, io\n"
+        "from flashsim import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [cli.main({events!r}), cli.main({[*inputs, '--check']!r})]\n"
+        "parsers = {'configparser', 'argparse', 'gettext', 'locale'}\n"
+        "print(codes, sorted(parsers & set(sys.modules)))",
+    )
+    assert out == "[0, 0] []"
+    assert (tmp_path / "r.json").read_text().startswith("{")
+
+
+def test_help_is_argparse_s():
+    out = _probe(
+        ["-I", "-S"],
+        "import contextlib, io\n"
+        "from flashsim import cli\n"
+        "help = io.StringIO()\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(help):\n"
+        "        cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules, help.getvalue().splitlines()[0])",
+    )
+    assert out == "0 True usage: flashsim [-h] --config CONFIG --trace TRACE"
 
 
 def test_record_annotations_stay_text():

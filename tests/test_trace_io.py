@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import configparser
 import decimal
+import io
 import math
 import random
 import re
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flashsim.expr
+from flashsim import trace_io
 from flashsim.commands import Command, CommandKind
 from flashsim.engine import Policy
 from flashsim.errors import ConfigError, TraceParseError
@@ -66,8 +69,7 @@ def _edited(*replacements: tuple[str, str], tail: str = "") -> str:
 CONFIG_DIAGNOSTICS = [
     pytest.param(
         "no section\n",
-        "malformed config: File contains no section headers.\n"
-        "file: '<???>', line: 1\n'no section\\n'",
+        "malformed config: a line before the first section header",
         id="malformed",
     ),
     pytest.param(
@@ -776,6 +778,93 @@ class TestParseTrace:
         assert parse_trace(emit_trace(original), geometry) == original
 
 
+# (config text, the line of its syntax error, the exact ConfigError text),
+# one case for each malformed-config diagnostic
+MALFORMED_CONFIGS = [
+    pytest.param(
+        "# no header yet\n\nno section\n",
+        3,
+        "malformed config: a line before the first section header",
+        id="before-first-header",
+    ),
+    pytest.param(
+        _edited(tail="[geometry]\n"),
+        13,
+        "malformed config: duplicate section [geometry]",
+        id="duplicate-section",
+    ),
+    pytest.param(
+        _edited(("channels = 2\n", "channels = 2\nCHANNELS : 3\n")),
+        3,
+        "malformed config: duplicate key geometry.channels",
+        id="duplicate-key",
+    ),
+    pytest.param(
+        "[DEFAULT]\nt_sense = 1\n" + MINIMAL_CONFIG + "[DEFAULT]\nt_sense = 2\n",
+        16,
+        "malformed config: duplicate key DEFAULT.t_sense",
+        id="duplicate-default-key",
+    ),
+    pytest.param(
+        _edited(("channels = 2", "channels 2")),
+        2,
+        "malformed config: expected '[section]' or 'key = value'",
+        id="neither-header-nor-key",
+    ),
+    pytest.param(
+        _edited(tail="[policy]\n: yes\n"),
+        14,
+        "malformed config: no key before ':'",
+        id="no-key",
+    ),
+]
+
+# pieces of INI text near the language configparser reads: every character
+# that opens a header, a comment or a value, both delimiters, keys in both
+# cases, and whitespace that `str.strip` removes but that ends no line
+_INI_PIECES = (
+    "[", "]", "=", ":", "#", ";", " ", "  ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+    "\xa0", "\u3000", "\u2028", "a", "B", "key", "KeY", "\u00df", "\u0130", "\u01c4",
+    "geometry", "DEFAULT", "1",
+)
+
+
+@st.composite
+def ini_texts(draw) -> str:
+    """INI text drawn as a few lines before any header, then sections of
+    lines: headers, key lines with either delimiter, comments, blank lines,
+    deeper-indented lines and junk, each line ended by \\n, by \\r\\n, by
+    \\r (which ends no line) or, at the end, by nothing."""
+    pieces = st.lists(st.sampled_from(_INI_PIECES), max_size=5).map("".join)
+    indent = st.sampled_from(["", "", " ", "  ", "\t", "\u3000", "\x1c"])
+    deeper = st.sampled_from([" ", "   ", "\t", "\u3000", "\x0c "])
+    name = st.sampled_from(["geometry", "commands", "DEFAULT", "DEFAULT", "a", "A", "]", " x "])
+    key = st.sampled_from(["k", "K", "key", "Key", "\u0130", "\u00df"])
+    header = st.tuples(indent, name | name | pieces, pieces | st.just("")).map(
+        lambda t: f"{t[0]}[{t[1]}]{t[2]}"
+    )
+    comment = st.tuples(indent, st.sampled_from(["#", ";"]), pieces).map("".join)
+    blank = st.sampled_from(["", " ", "\t", "\x1c", "\u3000"])
+    key_line = st.tuples(
+        indent, key | key | pieces, st.sampled_from(["=", ":", " = ", " : ", "=:"]), pieces
+    ).map("".join)
+    body = st.one_of(
+        key_line,
+        key_line,
+        st.tuples(deeper, pieces).map("".join),
+        comment,
+        blank,
+        st.tuples(indent, pieces).map("".join),
+    )
+    lines = draw(st.lists(comment | blank | comment | blank | pieces, max_size=2))
+    for first, rest in draw(st.lists(st.tuples(header, st.lists(body, max_size=6)), max_size=4)):
+        lines += [first, *rest]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
 class TestParseConfig:
     def test_minimal_config(self):
         config = parse_config(MINIMAL_CONFIG)
@@ -924,6 +1013,51 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text)
         assert str(excinfo.value) == message
+        # only a syntax error names its line
+        assert (excinfo.value.line is None) == (not message.startswith("malformed config"))
+
+    @pytest.mark.parametrize("text, line, message", MALFORMED_CONFIGS)
+    def test_a_malformed_config_names_its_line(self, text, line, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert (excinfo.value.line, str(excinfo.value)) == (line, message)
+
+    def test_keys_are_lower_cased_and_values_continue_on_deeper_lines(self):
+        config = parse_config(
+            MINIMAL_CONFIG.replace("channels = 2", "CHANNELS: 2").replace(
+                "supported = read, write, erase",
+                "Supported =\n  read,\n\n  # a comment, not a kind\n\twrite,\n erase\n\n",
+            )
+        )
+        plain = parse_config(MINIMAL_CONFIG)
+        assert config._replace(models=None) == plain._replace(models=None)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ini_texts())
+    @example("[a]\nk = 1\n  \n  more\n\n")
+    @example("[a]\n  k = 1\n    deeper\n  next = 2\n")
+    @example("[DEFAULT]\n[DEFAULT]\nk = 1\n[a]\n[DEFAULT]\n")
+    @example("[a]]x\n[]\n")
+    @example("[a]\nk = 1\n\u3000\u3000v\n")
+    def test_the_reader_reads_what_configparser_reads(self, text):
+        # the reader replaced `configparser.ConfigParser(interpolation=None)`:
+        # it must reject exactly the texts that raised there, and read every
+        # other text to the same sections, keys and values, in file order
+        reference = configparser.ConfigParser(interpolation=None)
+        try:
+            reference.read_file(io.StringIO(text))
+        except configparser.Error:
+            with pytest.raises(ConfigError) as excinfo:
+                trace_io._read_ini(text)
+            assert 1 <= excinfo.value.line <= text.count("\n") + 1
+            return
+        sections = trace_io._read_ini(text)
+        assert list(sections.pop("DEFAULT").items()) == list(reference.defaults().items())
+        assert list(sections) == reference.sections()
+        for name, keys in sections.items():
+            # configparser's own store of a section, without [DEFAULT]'s
+            # keys merged in as its public views do
+            assert list(keys.items()) == list(reference._sections[name].items())
 
     def test_every_record_field_and_policy_flag_is_a_key_of_its_section(self):
         geometry = Geometry(3, 2, 2, 2, 4, 8, 2048, 64)
