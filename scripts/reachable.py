@@ -95,12 +95,11 @@ ALLOWED = {
     "topology.SubsystemState.page_state": API,
     "topology.SubsystemState.erase_count": API,
     "engine.ScheduledEvent.end_ns": API,
-    "engine.RunResult.__eq__": API,
     # RunResult.schedule read as a sequence; the command line reads its columns
     "engine.EventLog.__len__": API + "; also perfbench's count of scheduled events",
     "engine.EventLog.__iter__": API,
     "engine.EventLog.__getitem__": API + "; reads the log in order through __iter__",
-    "engine.EventLog.__eq__": API + "; also RunResult.__eq__",
+    "engine.EventLog.__eq__": API + "; also the equality of RunResults",
     "engine.EventLog.of": API + "; write_report's reader of a Report built by hand "
     "with a list of ScheduledEvents",
     "trace_io.emit_trace": API,

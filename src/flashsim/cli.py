@@ -22,24 +22,32 @@ from .errors import (
     TraceParseError,
     ValidationFatal,
 )
-from .stats import build_report, write_report
+from .stats import FORMATS, build_report, write_report
 # unused here: perfbench's tracer hooks cli.emit until it hooks write_report
 # and counts the bytes written (ROADMAP item 1)
 from .stats import emit  # noqa: F401
 from .trace_io import parse_config, parse_trace
 
 
-# Each option `_build_parser` declares: whether it takes a value.
+# The command line's options, in --help order, each with the keywords
+# `_build_parser` declares it by; `_read_argv` reads an argv by the same
+# table. A flag is an option with an `action`; every other takes a value.
 _OPTIONS = {
-    "--config": True,
-    "--trace": True,
-    "--format": True,
-    "--out": True,
-    "--events": False,
-    "--check": False,
-    "--strict": False,
+    "--config": {"required": True, "help": "configuration file (INI)"},
+    "--trace": {"required": True, "help": "command trace file"},
+    "--format": {
+        "choices": tuple(FORMATS),
+        "default": next(iter(FORMATS)),
+        "help": "report format (default: structured JSON)",
+    },
+    "--events": {"action": "store_true", "help": "append the per-event log to the report"},
+    "--check": {
+        "action": "store_true",
+        "help": "validate the trace against the config and constraints; no simulation",
+    },
+    "--strict": {"action": "store_true", "help": "treat constraint warnings as fatal"},
+    "--out": {"help": "write the report to this file instead of stdout"},
 }
-_FORMATS = ("structured", "table")
 
 
 def _build_parser():
@@ -51,26 +59,8 @@ def _build_parser():
         prog="flashsim",
         description="Trace-driven latency and energy simulator for NAND flash subsystems.",
     )
-    parser.add_argument("--config", required=True, help="configuration file (INI)")
-    parser.add_argument("--trace", required=True, help="command trace file")
-    parser.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default="structured",
-        help="report format (default: structured JSON)",
-    )
-    parser.add_argument(
-        "--events", action="store_true", help="append the per-event log to the report"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the trace against the config and constraints; no simulation",
-    )
-    parser.add_argument(
-        "--strict", action="store_true", help="treat constraint warnings as fatal"
-    )
-    parser.add_argument("--out", help="write the report to this file instead of stdout")
+    for option, keywords in _OPTIONS.items():
+        parser.add_argument(option, **keywords)
     return parser
 
 
@@ -80,35 +70,36 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
     Canonical: every option by its full name, each value as `--opt value`
     or `--opt=value`, no separate value that is empty or starts with `-`,
-    every `--format` one of its choices, and both `--config` and `--trace`
+    every value one of its option's choices, and every required option
     given. What is left (help, abbreviations, `--`, and every usage error)
     is argparse's to read, print and exit on.
     """
+    # argparse's defaults: False for a flag, None for an option without one
     values = {
-        "format": "structured",
-        "events": False,
-        "check": False,
-        "strict": False,
-        "out": None,
+        option[2:]: keywords.get("default", False if "action" in keywords else None)
+        for option, keywords in _OPTIONS.items()
     }
     rest = iter(argv)
     for arg in rest:
         option, equals, value = arg.partition("=")
-        takes_value = _OPTIONS.get(option)
-        if takes_value is None or (equals and not takes_value):
+        keywords = _OPTIONS.get(option)
+        if keywords is None:
             return None
-        if not takes_value:
+        if "action" in keywords:
+            if equals:
+                return None
             values[option[2:]] = True
             continue
         if not equals:
             value = next(rest, "")
             if not value or value[0] == "-":
                 return None
-        if option == "--format" and value not in _FORMATS:
+        if "choices" in keywords and value not in keywords["choices"]:
             return None  # argparse checks each one given, not just the last
         values[option[2:]] = value
-    if "config" not in values or "trace" not in values:
-        return None
+    for option, keywords in _OPTIONS.items():
+        if keywords.get("required") and values[option[2:]] is None:
+            return None
     return SimpleNamespace(**values)
 
 

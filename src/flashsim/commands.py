@@ -9,8 +9,8 @@ geometry in, same event DAG out.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import itemgetter
-from typing import Sequence
 
 from .errors import IdentityEnum, Record, Rule, Severity, Violation
 from .topology import FlashAddress, Geometry, Resource, new_address

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from itertools import islice
-from typing import Iterable, Iterator, MutableSequence, Sequence
 
 from .commands import (
     EXTENT,
@@ -231,7 +231,7 @@ class CommandResult(Record):
         return self.completion_ns - self.arrival_ns
 
 
-class RunResult:
+class RunResult(Record):
     """Everything a run produced: per-command results, per-kind energy, busy
     time and, when the run kept one, its event log.
 
@@ -244,30 +244,14 @@ class RunResult:
     its plane events occupied whole dies.
     """
 
-    def __init__(
-        self,
-        results: list[CommandResult],
-        schedule: EventLog,
-        busy_ns: dict[Resource, int],  # occupied nanoseconds per resource, exact
-        first_arrival_ns: int,
-        last_end_ns: int,
-        energy_by_kind: tuple[tuple[EventKind, float], ...],
-        event_log: bool,
-        die_serialization: bool,
-    ):
-        self.results = results
-        self.schedule = schedule
-        self.busy_ns = busy_ns
-        self.first_arrival_ns = first_arrival_ns
-        self.last_end_ns = last_end_ns
-        self.energy_by_kind = energy_by_kind
-        self.event_log = event_log
-        self.die_serialization = die_serialization
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunResult):
-            return NotImplemented
-        return vars(self) == vars(other)
+    results: list[CommandResult]
+    schedule: EventLog
+    busy_ns: dict[Resource, int]  # occupied nanoseconds per resource, exact
+    first_arrival_ns: int
+    last_end_ns: int
+    energy_by_kind: tuple[tuple[EventKind, float], ...]
+    event_log: bool
+    die_serialization: bool
 
     @property
     def warnings(self) -> list[Violation]:

@@ -27,8 +27,8 @@ config text is ever compiled.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping, Sequence
 from functools import cache, cached_property
-from typing import Callable, Mapping, Sequence, Union
 
 from .errors import ExpressionSyntaxError, Record, UnknownIdentifierError
 
@@ -49,8 +49,6 @@ _FUNCTIONS: dict[str, Callable[..., float]] = {"min": min, "max": max}
 MAX_DEPTH = 200
 
 DIVISION_BY_ZERO = "division by zero in expression"
-
-Node = Union["Num", "Var", "Unary", "Binary", "Call"]
 
 
 class Num(Record):
@@ -75,6 +73,9 @@ class Binary(Record):
 class Call(Record):
     func: str
     args: tuple[Node, ...]
+
+
+Node = Num | Var | Unary | Binary | Call
 
 
 class _Token(Record):

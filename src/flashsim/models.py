@@ -36,8 +36,8 @@ the engine places that kind's events without calling it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from functools import partial
-from typing import Callable, Mapping
 
 from .commands import BUS_EVENTS, EventKind
 from .errors import ModelEvaluationError, NegativeResultError, Record

@@ -23,8 +23,8 @@ import io
 import math
 from _json import encode_basestring_ascii as _quote
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .commands import CommandKind, EventKind
 from .engine import CommandResult, EventLog, RunResult, ScheduledEvent
@@ -184,22 +184,20 @@ def _assert_conserved(report: Report) -> None:
         raise AssertionError("energy breakdown does not reproduce the total")
 
 
-def write_report(report: Report, file: TextIO, format: str = "structured") -> None:
+def write_report(report: Report, file: io.TextIOBase, format: str = "structured") -> None:
     """Render a report into the text stream `file` as it goes, one row per
     write (one command's event rows per write) and the stream doing the
     buffering; identical reports always write identical bytes.
 
     The run's event log is appended exactly when the report has one
     (`report.events` is not None); `report._replace(events=None)` renders a
-    logged report without it. An unknown format raises ValueError before
-    anything is written.
+    logged report without it. `format` is a key of `FORMATS`; an unknown
+    format raises ValueError before anything is written.
     """
-    if format == "structured":
-        _write_structured(report, file.write)
-    elif format == "table":
-        _write_table(report, file.write)
-    else:
+    writer = FORMATS.get(format)
+    if writer is None:
         raise ValueError(f"unknown report format '{format}'")
+    writer(report, file.write)
 
 
 def emit(report: Report, format: str = "structured") -> str:
@@ -599,3 +597,8 @@ def _warning_lines(warnings: Iterable[Violation]) -> Iterator[str]:
     for w in warnings:
         where = f"line {w.line}: " if w.line is not None else ""
         yield f"  {where}{w.message} [{w.rule.value}]\n"
+
+
+# The writer of each report format, by name; the command line offers them
+# in this order, the first as its default.
+FORMATS = {"structured": _write_structured, "table": _write_table}

@@ -29,9 +29,9 @@ eagerly so a syntax error surfaces before any simulation starts.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable
 
 from .commands import (
     DIE_LIST,
@@ -388,12 +388,12 @@ def emit_trace(commands: Iterable[Command]) -> str:
 
 
 # The keys of [geometry], [performance] and [power] are the fields of the
-# records they build. [policy]'s boolean keys are named as their Policy field.
-_POLICY_FLAGS = (
-    "die_serialization",
-    "cmd_overhead_on_bus",
-    "initially_written",
-    "multi_plane_same_offsets",
+# records they build. [policy]'s boolean keys are Policy's boolean fields,
+# in field order, but `strict`, which [policy] spells `violation_severity`.
+_POLICY_FLAGS = tuple(
+    field
+    for field, default in Policy._field_defaults.items()
+    if isinstance(default, bool) and field != "strict"
 )
 _POLICY_KEYS = frozenset(("violation_severity", "endurance_limit", *_POLICY_FLAGS))
 _SECTIONS = frozenset({"geometry", "commands", "performance", "power", "policy"})

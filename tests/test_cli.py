@@ -844,6 +844,14 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+def test_the_argv_property_draws_every_option():
+    # an option added to the table joins the property below
+    assert set(_VALUED_OPTIONS + _ARGV_FLAGS) == set(cli._OPTIONS)
+    assert _ARGV_FLAGS == tuple(
+        option for option, keywords in cli._OPTIONS.items() if "action" in keywords
+    )
+
+
 @settings(max_examples=500, deadline=None)
 @given(argvs())
 @example(["--config", "c.ini", "--trace", "t.trace", "--config=x", "--format", "table"])

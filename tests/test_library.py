@@ -6,7 +6,6 @@ exercises one documented name the command line does not reach on its own.
 
 from __future__ import annotations
 
-import copy
 import io
 import json
 import re
@@ -72,8 +71,7 @@ def test_run_results_are_equal_when_all_their_attributes_are():
     assert first == run([READ, WRITE], G, ALL, ModelSet(), Policy())
     assert first != run([READ], G, ALL, ModelSet(), Policy())
     assert first != run([READ, WRITE], G, ALL, ModelSet(), Policy(), event_log=False)
-    later = copy.copy(first)
-    later.last_end_ns += 1
+    later = first._replace(last_end_ns=first.last_end_ns + 1)
     assert first != later
     assert first != first.results
     assert first.__eq__(first.results) is NotImplemented

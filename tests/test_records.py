@@ -1,7 +1,8 @@
 """The records and enums of the package, as `flashsim.errors` declares them.
 
 Every record's `_make` takes exactly one value per field, as a named
-tuple's does. A record whose body defines `_check` is a checked record:
+tuple's does, and `typing.get_type_hints` resolves every record's field
+annotations. A record whose body defines `_check` is a checked record:
 its signature lists its fields and their defaults, and it rejects an
 invalid value with the same `ValueError` text whether it is built, made
 with `_make` or copied with `_replace`. Every enum of the package hashes its members by identity.
@@ -16,6 +17,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import typing
 
 import pytest
 
@@ -79,6 +81,12 @@ def test_make_takes_exactly_one_value_per_field(record):
     with pytest.raises(TypeError) as caught:
         record._make(range(n - 1))
     assert str(caught.value) == f"Expected {n} arguments, got {n - 1}"
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_field_annotation_resolves(record):
+    # the annotations are text naming `collections.abc` types, not `typing`'s
+    assert tuple(typing.get_type_hints(record)) == record._fields
 
 
 @pytest.mark.parametrize("valid, change, text", INVALID)

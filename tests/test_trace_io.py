@@ -108,6 +108,12 @@ CONFIG_DIAGNOSTICS = [
         id="unknown-policy-key",
     ),
     pytest.param(
+        # Policy.strict is read from violation_severity, not by its name
+        _edited(tail="[policy]\nstrict = true\n"),
+        "unknown key policy.strict",
+        id="policy-strict-key",
+    ),
+    pytest.param(
         _edited(("pages_per_block = 8\n", "")),
         "missing required key geometry.pages_per_block",
         id="missing-geometry-key",
