@@ -86,8 +86,12 @@ ALLOWED = {
     "topology.encode": HOOKED + "; " + API,
     # documented library names
     "commands.Command._check": API + "; the command line builds commands in C",
-    "errors._RecordMeta.__new__.<locals>.checked_make": API
+    "errors._checked_make": API
     + "; a checked record's _make, and so its _replace, which the command line never calls",
+    # the methods every record shares, as a named tuple has them
+    "errors._asdict": API,
+    "errors._repr": API,
+    "errors._getnewargs": API + "; copy and pickle call it",
     "commands.Command.__eq__": API,
     "commands.Command.__ne__": API,
     "commands.Command.__hash__": API,

@@ -3,29 +3,105 @@ and `Record`, the base every record of the package is declared on."""
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import _tuplegetter
 from enum import Enum
-from functools import wraps
+from types import CodeType, FunctionType
+
+
+# The methods every record shares. A named tuple's are closures over its
+# fields, made anew for each class; these read the fields from `_fields`.
+def _make(cls, iterable):
+    """Make a record from a sequence or iterable of one value per field."""
+    result = tuple.__new__(cls, iterable)
+    if len(result) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+    return result
+
+
+def _checked_make(cls, iterable):
+    """A checked record's `_make`: `_make`, then the body's `_check`."""
+    self = _make(cls, iterable)
+    cls._check(self)
+    return self
+
+
+def _checked_tuple(cls, values):
+    """A checked record's constructor builds through this: the tuple of
+    `values`, then the body's `_check`."""
+    self = tuple.__new__(cls, values)
+    cls._check(self)
+    return self
+
+
+def _replace(self, /, **changes):
+    """Return a new record replacing the named fields with new values."""
+    result = self._make(map(changes.pop, self._fields, self))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return result
+
+
+def _asdict(self):
+    """Return a new dict which maps field names to their values."""
+    return dict(zip(self._fields, self))
+
+
+def _repr(self):
+    """Return a nicely formatted representation string."""
+    return f"{type(self).__name__}({', '.join(map('%s=%r'.__mod__, zip(self._fields, self)))})"
+
+
+def _getnewargs(self):
+    """Return self as a plain tuple.  Used by copy and pickle."""
+    return tuple(self)
+
+
+# The code of a record's `__new__` for each count of fields, compiled once
+# with positional parameter names that each record renames to its fields.
+# `_tuple` is a global of the function built on it: `tuple.__new__`, or
+# `_checked_tuple` for a checked record.
+_NEW_CODES: dict[int, CodeType] = {}
+_PLAIN_GLOBALS = {"_tuple": tuple.__new__}
+_CHECKED_GLOBALS = {"_tuple": _checked_tuple}
+
+
+def _new_code(count: int) -> CodeType:
+    code = _NEW_CODES.get(count)
+    if code is None:
+        names = [f"_{index}" for index in range(count)]
+        parameters = ", ".join(["_cls", *names])
+        values = "".join(f"{name}, " for name in names)
+        function = eval(f"lambda {parameters}: _tuple(_cls, ({values}))", {})
+        code = _NEW_CODES[count] = function.__code__.replace(co_name="__new__")
+    return code
 
 
 class _RecordMeta(type):
-    """Builds a class declared on `Record` as the `collections.namedtuple`
-    that `typing.NamedTuple` builds from the same body: the same fields,
-    defaults, docstring, methods and properties. Its annotations stay the
-    text the body wrote, which `typing.get_type_hints` still resolves;
-    typing would compile each of them at import.
+    """Builds a class declared on `Record` as the named tuple that
+    `typing.NamedTuple` builds from the same body: a `tuple` subclass with
+    the same fields, defaults, docstring, methods and properties, and a C
+    accessor per field. Its annotations stay the text the body wrote, which
+    `typing.get_type_hints` still resolves; typing would compile each of
+    them at import.
+
+    The class is built here, not by `collections.namedtuple`, which compiles
+    a `__new__` from source for each class. Its `__new__` runs the code
+    `_new_code` compiled once for its count of fields, with the parameters
+    renamed to its fields and its defaults attached, so keywords, defaults
+    and `inspect.signature` work as a named tuple's do; its `_make`,
+    `_replace`, `_asdict`, `__repr__` and `__getnewargs__` are the functions
+    above, shared by every record.
 
     A body that defines `_check(self)` declares a checked record: its
     constructor and its `_make`, and so `_replace`, call `_check` on the
-    built tuple, which raises to reject its values. `_make` is otherwise the
-    named tuple's own, so it takes exactly one value per field, defaults or
-    not. The constructor is wrapped with `functools.wraps`, so
-    `inspect.signature` still lists the fields."""
+    built tuple, which raises to reject its values. `_make` otherwise takes
+    exactly one value per field, defaults or not, as a named tuple's does."""
 
     def __new__(mcls, typename: str, bases: tuple, namespace: dict) -> type:
         annotations = namespace.get("__annotations__", {})
+        fields = tuple(annotations)
         defaulted: list[str] = []
-        for field in annotations:
+        for field in fields:
             if field in namespace:
                 defaulted.append(field)
             elif defaulted:
@@ -33,37 +109,42 @@ class _RecordMeta(type):
                     f"Non-default namedtuple field {field} cannot follow default "
                     f"field{'s' if len(defaulted) > 1 else ''} {', '.join(defaulted)}"
                 )
-        record = namedtuple(
-            typename,
-            annotations,
-            defaults=[namespace[field] for field in defaulted],
-            module=namespace["__module__"],
+        for field in fields:
+            if field.startswith("_"):
+                raise ValueError(f"Field names cannot start with an underscore: {field!r}")
+        defaults = tuple(namespace[field] for field in defaulted)
+        checked = "_check" in namespace
+        new = FunctionType(
+            _new_code(len(fields)).replace(co_varnames=("_cls", *fields)),
+            _CHECKED_GLOBALS if checked else _PLAIN_GLOBALS,
+            "__new__",
+            defaults,
         )
-        record.__new__.__annotations__ = annotations
+        arguments = ", ".join(fields) + ("," if len(fields) == 1 else "")
+        new.__qualname__ = f"{typename}.__new__"
+        new.__doc__ = f"Create new instance of {typename}({arguments})"
+        new.__annotations__ = annotations
+        body = {
+            "__doc__": f"{typename}({arguments})",
+            "__slots__": (),
+            "_fields": fields,
+            "_field_defaults": dict(zip(defaulted, defaults)),
+            "__new__": new,
+            "_make": classmethod(_checked_make if checked else _make),
+            "_replace": _replace,
+            "__repr__": _repr,
+            "_asdict": _asdict,
+            "__getnewargs__": _getnewargs,
+            "__match_args__": fields,
+        }
+        for index, field in enumerate(fields):
+            body[field] = _tuplegetter(index, f"Alias for field number {index}")
         # the body's docstring, methods and properties, and its
         # __annotations__; a field's default is already the record's
         for key, value in namespace.items():
             if key not in annotations:
-                setattr(record, key, value)
-        check = namespace.get("_check")
-        if check is not None:
-            new, make = record.__new__, record._make.__func__
-
-            @wraps(new)
-            def checked_new(cls, *args, **kwargs):
-                self = new(cls, *args, **kwargs)
-                check(self)
-                return self
-
-            @wraps(make)
-            def checked_make(cls, iterable):
-                self = make(cls, iterable)
-                check(self)
-                return self
-
-            record.__new__ = staticmethod(checked_new)
-            record._make = classmethod(checked_make)
-        return record
+                body[key] = value
+        return type(typename, (tuple,), body)
 
 
 # `class R(Record):` with annotated fields declares a named tuple, as

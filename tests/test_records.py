@@ -1,7 +1,9 @@
 """The records and enums of the package, as `flashsim.errors` declares them.
 
-Every record's `_make` takes exactly one value per field, as a named
-tuple's does, and `typing.get_type_hints` resolves every record's field
+Every record keeps the contract of the named tuple with its fields: its
+`_make` takes exactly one value per field, it survives `pickle` and `copy`,
+and its `repr`, `__match_args__`, `_asdict` and `_replace` are the named
+tuple's. And `typing.get_type_hints` resolves every record's field
 annotations. A record whose body defines `_check` is a checked record:
 its signature lists its fields and their defaults, and it rejects an
 invalid value with the same `ValueError` text whether it is built, made
@@ -12,10 +14,13 @@ later is held to the same contract.
 
 from __future__ import annotations
 
+import collections
+import copy
 import enum
 import importlib
 import inspect
 import math
+import pickle
 import pkgutil
 import typing
 
@@ -81,6 +86,38 @@ def test_make_takes_exactly_one_value_per_field(record):
     with pytest.raises(TypeError) as caught:
         record._make(range(n - 1))
     assert str(caught.value) == f"Expected {n} arguments, got {n - 1}"
+
+
+def _instance(record: type) -> tuple:
+    """A record with values its check, if any, accepts; else with texts,
+    which `repr` quotes."""
+    for valid, _, _ in INVALID:
+        if type(valid) is record:
+            return valid
+    return record._make(map(str, range(len(record._fields))))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_survives_pickle_and_copy(record):
+    made = _instance(record)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(made, protocol))
+        assert (type(copied), copied) == (record, made)
+    for copied in (copy.copy(made), copy.deepcopy(made)):
+        assert (type(copied), copied) == (record, made)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_behaves_as_the_named_tuple_of_its_fields(record):
+    made = _instance(record)
+    twin = collections.namedtuple(record.__name__, record._fields)._make(made)
+    assert repr(made) == repr(twin)
+    assert record.__match_args__ == record._fields == twin._fields
+    assert made._asdict() == dict(zip(record._fields, made)) == twin._asdict()
+    for value in (made, twin):
+        with pytest.raises(ValueError) as caught:
+            value._replace(no_such_field=0)
+        assert str(caught.value) == "Got unexpected field names: ['no_such_field']"
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)

@@ -7,14 +7,17 @@ compiles its generated methods at import, which once made up most of the
 start-up time; `json` (with its regular expressions), `pathlib` and
 `decimal` cost milliseconds more, and `typing.NamedTuple` compiles each
 field's annotation into a `ForwardRef`. The package's records are named
-tuples declared on `errors.Record`, which keeps their annotations as text;
-its annotations name the abstract types of `collections.abc`, so it loads
-no `typing` (some 5 ms of its own); and its report writer renders JSON
-itself. The config has a reader of the package's own, and the command
-line reads the usual argv without `argparse`, which it imports only for help and usage errors; so a run
+tuples declared on `errors.Record`, which keeps their annotations as text
+and builds each class itself: `collections.namedtuple` compiles a
+constructor from source for each class, where `Record` compiles one for
+each count of fields. Its annotations name the abstract types of
+`collections.abc`, so it loads no `typing` (some 5 ms of its own); and its
+report writer renders JSON itself. The config has a reader of the
+package's own, and the command line reads the usual argv without
+`argparse`, which it imports only for help and usage errors; so a run
 loads none of `configparser`, `argparse`, `gettext` and `locale`. These
-guards keep it that way: they check which modules are loaded, and time
-nothing, and they check that
+guards keep it that way: they check which modules are loaded and how
+many sources the import compiles, and time nothing, and they check that
 a record declared on `Record` is the class `typing.NamedTuple` builds from
 the same body. The first probe also checks that importing the package
 leaves Python's cyclic collector on: only a `cli.main` run pauses it, and
@@ -23,6 +26,8 @@ only while it runs.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import subprocess
 import sys
 import typing
@@ -35,12 +40,12 @@ from flashsim.errors import Record
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _probe(flags: list[str], code: str) -> str:
-    """What a fresh interpreter run with `flags` prints after importing
-    the package and running `code`."""
+def _probe(flags: list[str], code: str, before: str = "") -> str:
+    """What a fresh interpreter run with `flags` prints after running
+    `before`, importing the package and running `code`."""
     probe = f"import sys; sys.path.insert(0, {str(SRC)!r}); import flashsim, flashsim.cli\n"
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", probe + code],
+        [sys.executable, *flags, "-c", before + probe + code],
         capture_output=True,
         text=True,
         timeout=60,
@@ -125,21 +130,56 @@ def test_help_is_argparse_s():
     assert out == "0 True\n" + HELP.rstrip("\n")
 
 
+# the probe's lines that list the package's records
+_RECORDS = (
+    "records = [cls for name, module in list(sys.modules.items())\n"
+    "           if name.startswith('flashsim.')\n"
+    "           for cls in vars(module).values()\n"
+    "           if isinstance(cls, type) and issubclass(cls, tuple)\n"
+    "           and cls.__module__ == name and '_fields' in vars(cls)]\n"
+)
+
+
 def test_record_annotations_stay_text():
     out = _probe(
         ["-I", "-S"],
-        "records = [cls for name, module in list(sys.modules.items())\n"
-        "           if name.startswith('flashsim.')\n"
-        "           for cls in vars(module).values()\n"
-        "           if isinstance(cls, type) and issubclass(cls, tuple)\n"
-        "           and cls.__module__ == name and '_fields' in vars(cls)]\n"
-        "compiled = sorted(cls.__qualname__ for cls in records\n"
+        _RECORDS
+        + "compiled = sorted(cls.__qualname__ for cls in records\n"
         "                  if not all(isinstance(a, str) for a in cls.__annotations__.values()))\n"
         "print(len(records), compiled)",
     )
     count, compiled = out.split(" ", 1)
     assert int(count) > 0
     assert compiled == "[]"
+
+
+def test_import_builds_no_named_tuple_and_compiles_one_constructor_per_field_count():
+    # -I without -S: site has loaded `functools`, which builds named tuples
+    # of its own, before `collections.namedtuple` is replaced; a call with
+    # a code object is the import system running a module, not a compile
+    before = (
+        "import builtins, collections\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('collections.namedtuple called')\n"
+        "collections.namedtuple = refuse\n"
+        "sources = []\n"
+        "def counted(name, real):\n"
+        "    def call(source, *args, **kwargs):\n"
+        "        if isinstance(source, (str, bytes)):\n"
+        "            sources.append(name)\n"
+        "        return real(source, *args, **kwargs)\n"
+        "    return call\n"
+        "for name in ('eval', 'exec', 'compile'):\n"
+        "    setattr(builtins, name, counted(name, getattr(builtins, name)))\n"
+    )
+    out = _probe(
+        ["-I"],
+        _RECORDS + "print(len(records), len({len(cls._fields) for cls in records}), *sources)",
+        before,
+    )
+    records, counts, *sources = out.split()
+    assert int(records) > int(counts) > 0
+    assert len(sources) <= int(counts), sources
 
 
 class _Typed(typing.NamedTuple):
@@ -187,6 +227,25 @@ def test_a_record_is_the_named_tuple_typing_builds():
         assert made._replace(line=7) == (3, ("a", "b"), 7)
         assert made._asdict() == {"count": 3, "names": ("a", "b"), "line": None}
         assert (made.first(), made.twice, record(1)) == ("a", 6, (1, (), None))
+
+
+def test_a_record_writes_pickles_and_matches_as_typing_s():
+    assert _Built.__match_args__ == _Typed.__match_args__ == ("count", "names", "line")
+    built, typed = _Built(3, ("a", "b")), _Typed(3, ("a", "b"))
+    assert repr(built) == "_Built(count=3, names=('a', 'b'), line=None)"
+    assert repr(typed) == "_Typed(count=3, names=('a', 'b'), line=None)"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        # the two names have the same length, so only the name differs
+        pickled = pickle.dumps(built, protocol)
+        assert pickled == pickle.dumps(typed, protocol).replace(b"_Typed", b"_Built")
+        assert type(pickle.loads(pickled)) is _Built
+    assert [type(copied) for copied in (copy.copy(built), copy.deepcopy(built))] == [_Built] * 2
+    match built:
+        case _Built(count, names, line):
+            matched = (count, names, line)
+        case _:
+            matched = None
+    assert matched == (3, ("a", "b"), None)
 
 
 def test_a_record_rejects_a_field_without_default_after_one_with():

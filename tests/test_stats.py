@@ -26,6 +26,7 @@ from flashsim.models import (
 from flashsim.stats import (
     PERCENTILES,
     REPORT_SCHEMA,
+    _NS_FRACTIONS,
     Report,
     _json_float,
     _json_text,
@@ -562,6 +563,13 @@ def test_structured_rows_escape_as_json_dumps_does(present):
 @example(ns=10**19)
 def test_us_repr_is_repr_of_the_microseconds(ns):
     assert us_repr(ns) == repr(ns / 1000)
+
+
+def test_the_fraction_table_is_each_fraction_as_repr_ends_it():
+    # the expression the table was once built with, one generator step per entry
+    assert _NS_FRACTIONS == tuple(
+        "." + ("%03d" % ns).rstrip("0") if ns else ".0" for ns in range(1000)
+    )
 
 
 # Floats that json.dumps spells in its own way or that sit at the ends of
