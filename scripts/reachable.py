@@ -5,24 +5,23 @@
 
 Run from anywhere inside the repository. ``flashsim.cli.main`` runs in this
 process under ``sys.setprofile``, which records every function it enters,
-over these inputs:
-
-- each benchmark workload's config and trace (generated by
-  ``perfbench/workloads.py``, imported with bytecode writing off, never
-  written to) for seeds 1 and 2, under each of WORKLOAD_FLAGS;
-- each trace of ``tests/data`` and ``sample/`` under each config of those
-  two directories, under each of DATA_FLAGS;
-- ``--help``, the one run that argparse reads (it prints the help, which
-  is thrown away, and exits 0).
+over the argvs of ``scripts/same_bytes.py`` (its ``cases``) for seeds 1
+and 2: every input of that script under each of its flag sets, each
+benchmark workload's own argv, and each of its argv forms. The inputs it
+generates are written to a temporary directory; the argv forms that
+argparse answers (help and usage errors) print, which is thrown away, and
+exit, and only they may.
 
 Every function defined in ``src/flashsim`` that no run enters must be listed
 in ALLOWED with the reason it stays: an error path, a path for input no
-data trace has, a name that perfbench's tracer hooks, or a documented
-library name with a test that calls it as a library user would. Prints each unreached function with its reason, and
-exits 1 when one is not listed, or when a listed name is reached or names no
-function, so that the list stays exact. Stdlib only, Python 3.11 or later
-(it matches code objects by ``co_qualname``); the runs take about 15 s, one
-after another.
+case has, a name that perfbench's tracer hooks, or a documented library
+name with a test that calls it as a library user would. Prints each
+unreached function with its reason, and exits 1 when one is not listed, or
+when a listed name is reached or names no function, so that the list stays
+exact. ``tests/test_reachable_list.py`` checks without a run that every
+listed name is a function. Stdlib only, Python 3.11 or later (it matches
+code objects by ``co_qualname``); the runs take about 10 s, one after
+another.
 """
 
 from __future__ import annotations
@@ -38,23 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flashsim"
 
-WORKLOAD_FLAGS = (
-    (),
-    ("--events",),
-    ("--format", "table"),
-    ("--format", "table", "--events"),
-    ("--strict",),
-    ("--check",),
-    ("--check", "--strict"),
-)
-DATA_FLAGS = (
-    (),
-    ("--events",),
-    ("--format", "table", "--events"),
-    ("--strict",),
-    ("--check",),
-)
-SEEDS = (1, 2)
+SEEDS = [1, 2]
 
 ERROR = "error path"
 HOOKED = "hooked by perfbench/tracer.py; goes with its hook (ROADMAP item 1)"
@@ -64,17 +47,8 @@ API = "documented library API, with a library-style test"
 ALLOWED = {
     "cli.entry": "the `flashsim` console script; it only wraps cli.main",
     # exceptions and messages for inputs the runs above do not have
-    "errors.ConfigError.__init__": ERROR,
-    "errors.TraceParseError.__init__": ERROR,
-    "errors.ExpressionSyntaxError.__init__": ERROR,
-    "errors.UnknownIdentifierError.__init__": ERROR,
-    "errors.ModelEvaluationError.__init__": ERROR,
-    "errors.ModelEvaluationError.located": ERROR,
     "expr._too_deep": ERROR,
-    "models._out_of_range": ERROR,
     "models._overflow": ERROR,
-    "trace_io._parse_address": ERROR + "; parse_trace's writer of address diagnostics, "
-    "and its reader of a flat index, which no data trace has",
     # the pricing adapters and decomposition the tracer still hooks
     "models.EventContext.for_event": HOOKED,
     "models.ModelSet.latency_us": HOOKED,
@@ -95,7 +69,6 @@ ALLOWED = {
     "commands.Command.__eq__": API,
     "commands.Command.__ne__": API,
     "commands.Command.__hash__": API,
-    "topology.decode": API + "; also the command line's reader of a flat trace index",
     "topology.SubsystemState.page_state": API,
     "topology.SubsystemState.erase_count": API,
     "engine.ScheduledEvent.end_ns": API,
@@ -134,33 +107,12 @@ def defined_functions() -> dict[tuple[str, str], str]:
     return out
 
 
-def cases(work: Path) -> list[list[str]]:
-    """Every argv of the pass; writes the workload inputs under `work`."""
-    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-
-    out = []
-    for name, workload in WORKLOADS.items():
-        for seed in SEEDS:
-            config, trace = work / f"{name}-{seed}.ini", work / f"{name}-{seed}.trace"
-            config.write_text(workload.config)
-            trace.write_text(workload.make_trace(seed, workload.commands))
-            for flags in WORKLOAD_FLAGS:
-                out.append(["--config", str(config), "--trace", str(trace), *flags])
-    folders = (ROOT / "tests" / "data", ROOT / "sample")
-    configs = [path for folder in folders for path in sorted(folder.glob("*.ini"))]
-    traces = [path for folder in folders for path in sorted(folder.glob("*.trace"))]
-    for config in configs:
-        for trace in traces:
-            for flags in DATA_FLAGS:
-                out.append(["--config", str(config), "--trace", str(trace), *flags])
-    out.append(["--help"])
-    return out
-
-
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+    sys.dont_write_bytecode = True  # leave no __pycache__ in scripts/
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import same_bytes
+
     functions = defined_functions()
     entered: set[tuple[str, str]] = set()
 
@@ -170,8 +122,10 @@ def main() -> int:
             entered.add((code.co_filename, code.co_qualname))
 
     sys.path.insert(0, str(ROOT / "src"))
+    answered = [same_bytes.form_argv(form) for form in same_bytes.ANSWERED_FORMS]
     with tempfile.TemporaryDirectory(prefix="reachable-") as tmp:
-        argvs = cases(Path(tmp))
+        work = Path(tmp)
+        argvs = [argv for _, argv in same_bytes.cases(work, SEEDS, work / "report.out")]
         sys.setprofile(profile)
         try:
             # import inside the profile, so that what import runs counts
@@ -182,8 +136,8 @@ def main() -> int:
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                     try:
                         flashsim.cli.main(argv)
-                    except SystemExit as exc:  # argparse, after printing the help
-                        if argv != ["--help"] or exc.code != 0:
+                    except SystemExit:  # argparse, after printing help or a usage error
+                        if argv not in answered:
                             raise
         finally:
             sys.setprofile(None)

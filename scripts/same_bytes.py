@@ -39,14 +39,15 @@ Run from anywhere inside the repository. REV's ``src/`` is extracted with
   2^63 ns, which the trace reader rejects.
 
 Each input runs through ``python -m flashsim`` from both trees with no flag,
-``--events``, ``--format table``, ``--format table --events``, ``--check``
-and ``--check --strict``, and the exit code, stdout and stderr of the two
-runs are compared. Each benchmark workload also runs with its own argv,
-as ``perfbench/workloads.py`` builds it, ``--out`` included, and the bytes
-of the file each tree writes are compared as well. Last, each of ARGV_FORMS
-runs once on ``sample/ssd.ini`` and ``sample/mixed.trace``: help, an
-abbreviated option and usage errors, which argparse answers, and an argv
-of ``--config=`` and ``--trace=`` words.
+``--events``, ``--format table``, ``--format table --events``,
+``--strict``, ``--check`` and ``--check --strict``, and the exit code,
+stdout and stderr of the two runs are compared. Each benchmark workload
+also runs with its own argv, as ``perfbench/workloads.py`` builds it,
+``--out`` included, and the bytes of the file each tree writes are compared
+as well. Last, each of ARGV_FORMS runs once on ``sample/ssd.ini`` and
+``sample/mixed.trace``: help and usage errors, which argparse answers, an
+abbreviated option, and an argv of ``--config=`` and ``--trace=`` words.
+``cases`` builds this list; ``scripts/reachable.py`` runs the same list.
 
 Prints one line per case. For a case that differs it prints each side's
 exit code and stdout, stderr and ``--out`` file sha256, and the script
@@ -75,6 +76,7 @@ FLAG_SETS = (
     ("--events",),
     ("--format", "table"),
     ("--format", "table", "--events"),
+    ("--strict",),
     ("--check",),
     ("--check", "--strict"),
 )
@@ -170,18 +172,21 @@ MIXED_PRICING_EDITS = (
     ("#array_sense = 0.030 * duration", "block_erase = -duration"),
 )
 # argvs in the forms the command line reads, with CONFIG and TRACE for
-# SPELLING_CONFIG and EDITED_TRACE: help, abbreviations, a --format outside
-# its choices, a missing --trace and a value that looks like an option go
-# to argparse, which prints help or a usage error; --config=C --trace=T is
-# read without it
-ARGV_FORMS = (
+# SPELLING_CONFIG and EDITED_TRACE. argparse answers ANSWERED_FORMS: it
+# prints the help or a usage error (a --format outside its choices, a
+# missing --trace, a value that looks like an option) and exits. It reads
+# abbreviations and runs on; --config=C --trace=T is read without it.
+ANSWERED_FORMS = (
     ("--help",),
     ("-h",),
-    ("--conf", "CONFIG", "--tr", "TRACE"),
-    ("--config=CONFIG", "--trace=TRACE"),
     ("--config", "CONFIG", "--trace", "TRACE", "--format", "json"),
     ("--config", "CONFIG"),
     ("--config", "-x", "--trace", "TRACE"),
+)
+ARGV_FORMS = (
+    *ANSWERED_FORMS,
+    ("--conf", "CONFIG", "--tr", "TRACE"),
+    ("--config=CONFIG", "--trace=TRACE"),
 )
 EXTENT_ROUNDS = 3
 # microseconds added to every arrival of EDITED_TRACE: starts from just
@@ -403,6 +408,35 @@ def input_sets(
     return out
 
 
+def form_argv(form: tuple[str, ...]) -> list[str]:
+    """The argv of one of ARGV_FORMS."""
+    return [
+        arg.replace("CONFIG", str(SPELLING_CONFIG)).replace("TRACE", str(EDITED_TRACE))
+        for arg in form
+    ]
+
+
+def cases(work: Path, seeds: list[int], out: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) for every case, in the order they run: each input under
+    each of FLAG_SETS, each workload's own argv, which writes its report to
+    `out`, and each of ARGV_FORMS. Writes the generated inputs under `work`."""
+    workloads = workload_inputs(work, seeds)
+    out_cases = [
+        (
+            f"{name} {' '.join(flags) or '(no flag)'}",
+            ["--config", str(config), "--trace", str(trace), *flags],
+        )
+        for name, config, trace in input_sets(work, seeds, workloads)
+        for flags in FLAG_SETS
+    ]
+    out_cases += [
+        (f"{name} perfbench argv", workload.argv(str(config), str(trace), str(out)))
+        for name, workload, config, trace in workloads
+    ]
+    out_cases += [(f"argv {' '.join(form)}", form_argv(form)) for form in ARGV_FORMS]
+    return out_cases
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare this checkout against")
@@ -414,31 +448,8 @@ def main() -> int:
         work = Path(tmp)
         theirs = extract_src(args.rev, work / "rev")
         ours = ROOT / "src"
-        workloads = workload_inputs(work, args.seeds)
         out = work / "report.out"
-        cases = [
-            (
-                f"{name} {' '.join(flags) or '(no flag)'}",
-                ["--config", str(config), "--trace", str(trace), *flags],
-            )
-            for name, config, trace in input_sets(work, args.seeds, workloads)
-            for flags in FLAG_SETS
-        ]
-        cases += [
-            (f"{name} perfbench argv", workload.argv(str(config), str(trace), str(out)))
-            for name, workload, config, trace in workloads
-        ]
-        cases += [
-            (
-                f"argv {' '.join(form)}",
-                [
-                    arg.replace("CONFIG", str(SPELLING_CONFIG)).replace("TRACE", str(EDITED_TRACE))
-                    for arg in form
-                ],
-            )
-            for form in ARGV_FORMS
-        ]
-        for label, argv in cases:
+        for label, argv in cases(work, args.seeds, out):
             before = simulate(theirs, argv, work, out)
             after = simulate(ours, argv, work, out)
             total += 1

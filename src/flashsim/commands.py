@@ -43,15 +43,9 @@ class EventKind(IdentityEnum):
     BUFFER_COPY = "buffer_copy"
 
 
-# Events that run inside a plane's array vs. on the shared channel bus.
-PLANE_EVENTS = frozenset(
-    {
-        EventKind.ARRAY_SENSE,
-        EventKind.ARRAY_PROGRAM,
-        EventKind.BLOCK_ERASE,
-        EventKind.BUFFER_COPY,
-    }
-)
+# Events that run on the shared channel bus. Every other stage runs inside
+# a plane's array, and the command overhead occupies the bus only under
+# `cmd_overhead_on_bus` (see `shape`).
 BUS_EVENTS = frozenset({EventKind.BUS_TRANSFER_IN, EventKind.BUS_TRANSFER_OUT})
 
 # How each kind lays out its operands.

@@ -35,13 +35,12 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Iterator, MutableSequence, Sequence
-from itertools import islice
+from itertools import islice, product
 
 from .commands import (
     EXTENT,
     LAYOUT,
     ROLE_BUS,
-    ROLE_NONE,
     ROLE_PLANE,
     Command,
     CommandKind,
@@ -63,7 +62,7 @@ from .errors import (
     Violation,
 )
 from .models import ModelSet
-from .topology import FlashAddress, Geometry, Resource, SubsystemState, validate_geometry
+from .topology import FlashAddress, Geometry, Resource, SubsystemState
 from .units import TIME_LIMIT_NS
 
 
@@ -306,6 +305,17 @@ def replay(
 # declaration order
 _KIND_SLOTS = {kind: slot for slot, kind in enumerate(EventKind)}
 
+# What a step of each role occupies, by whether plane events occupy whole
+# dies: (resource kind, key length), the resource being keyed by the first
+# `length` indices of the step's operand. A step of a role without an entry
+# (ROLE_NONE: the command overhead off the bus) occupies nothing.
+# `_Placer._compile` reads each step's use here, and `all_resources`
+# enumerates the keys of every kind.
+_OCCUPIES = {
+    dies: {ROLE_PLANE: ("die", 3) if dies else ("plane", 4), ROLE_BUS: ("bus", 1)}
+    for dies in (False, True)
+}
+
 
 def run(
     trace: Iterable[Command],
@@ -318,13 +328,14 @@ def run(
     """Simulate a validated command stream in (arrival, sequence) order.
 
     `trace` is read once, so any iterable in that order works. `replay`
-    checks each command in turn, and a `_Placer` places its event DAG on
-    the timeline per the module's scheduling discipline. A command out of
-    order raises TraceOrderError before its own findings are acted on.
-    Structural validation errors abort the run; warnings abort only under a
-    strict policy. A model binding that fails on an event, or an event that
-    would end at 2**63 ns or later, aborts the run with a
-    ModelEvaluationError located at its command's trace line.
+    checks the geometry (an invalid one raises GeometryError before the
+    trace is read) and then each command in turn, and a `_Placer` places
+    its event DAG on the timeline per the module's scheduling discipline.
+    A command out of order raises TraceOrderError before its own findings
+    are acted on. Structural validation errors abort the run; warnings
+    abort only under a strict policy. A model binding that fails on an
+    event, or an event that would end at 2**63 ns or later, aborts the run
+    with a ModelEvaluationError located at its command's trace line.
 
     Every event's energy is added to its kind's total as it is placed. The
     result's `schedule` holds each event's start, and its price when its
@@ -332,7 +343,6 @@ def run(
     resource slots, and builds no `ScheduledEvent` until one is read; with
     `event_log` false it stays empty.
     """
-    validate_geometry(geometry)
     placer = _Placer(geometry, models, policy, event_log)
     results: list[CommandResult] = []
     arrival = sequence_id = -1
@@ -517,16 +527,13 @@ class _Placer:
         four are what the event log reads of a step; those distinct uses,
         (resource kind, key length, operand), in first-step order;
         `page_count`; and whether some step is priced per event. Starts the
-        energy total of each kind it has. Die serialization coarsens every
-        plane to its die. The pricing function and folded price are the
+        energy total of each kind it has. A step's resource kind and key
+        length are its role's in `_OCCUPIES`, under the run's die
+        serialization. The pricing function and folded price are the
         step's `Pricer.entry`: the folded price is the pair every event of
         the step costs, or None when the function prices each one."""
         policy, kind_energy = self.policy, self.kind_energy
-        occupies = {
-            ROLE_NONE: (None, 0),
-            ROLE_PLANE: ("die", 3) if policy.die_serialization else ("plane", 4),
-            ROLE_BUS: ("bus", 1),
-        }
+        occupies = _OCCUPIES[policy.die_serialization]
         extent = LAYOUT[kind] == EXTENT
         uses: dict[tuple[str | None, int, int], int] = {}
         chain = []
@@ -534,7 +541,7 @@ class _Placer:
             kind, n_operands, page_count, policy.cmd_overhead_on_bus
         ):
             pricing, pair = self.price.entry(event_kind, event_bytes(event_kind, self.geometry))
-            use = (*occupies[role], 0 if extent else index)
+            use = (*occupies.get(role, (None, 0)), 0 if extent else index)
             slot = _KIND_SLOTS[event_kind]
             if kind_energy[slot] is None:
                 kind_energy[slot] = 0.0
@@ -547,19 +554,15 @@ class _Placer:
 
 def all_resources(geometry: Geometry, die_serialization: bool = False) -> list[Resource]:
     """Every scheduling resource the geometry defines, in sorted order: its
-    buses and planes, or its buses and dies under die serialization."""
-    out = [Resource("bus", (ch,)) for ch in range(geometry.channels)]
-    for ch in range(geometry.channels):
-        for chip in range(geometry.chips_per_channel):
-            for die in range(geometry.dies_per_chip):
-                if die_serialization:
-                    out.append(Resource("die", (ch, chip, die)))
-                else:
-                    out.extend(
-                        Resource("plane", (ch, chip, die, plane))
-                        for plane in range(geometry.planes_per_die)
-                    )
-    return sorted(out)
+    buses and planes, or its buses and dies under die serialization. Each
+    kind of `_OCCUPIES`, by name, keyed by every prefix of its length in
+    ascending order."""
+    counts = geometry.counts()
+    return [
+        Resource(kind, key)
+        for kind, length in sorted(_OCCUPIES[die_serialization].values())
+        for key in product(*map(range, counts[:length]))
+    ]
 
 
 def idle_accounting(

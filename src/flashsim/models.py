@@ -56,21 +56,11 @@ from .topology import FlashAddress, Geometry
 from .units import NS_PER_US, TIME_LIMIT_NS
 
 # The variables a binding reads, in the order latency_us and energy_uj pass
-# them: an `EventContext`'s fields 1 to 9, then its duration. Every
-# expression may reference the first nine; power expressions additionally
-# see the event's scheduled duration, which comes last.
-VARIABLE_ORDER = (
-    "byte_count",
-    "page_size",
-    "oob_size",
-    "channel",
-    "chip",
-    "die",
-    "plane",
-    "block",
-    "page",
-    "duration",
-)
+# them: an `EventContext`'s fields 1 to 9, the target's six named as its
+# `FlashAddress` fields, then its duration. Every expression may reference
+# the first nine; power expressions additionally see the event's scheduled
+# duration, which comes last.
+VARIABLE_ORDER = ("byte_count", "page_size", "oob_size", *FlashAddress._fields, "duration")
 _DURATION = VARIABLE_ORDER.index("duration")
 PERF_VARIABLES = frozenset(VARIABLE_ORDER[:_DURATION])
 POWER_VARIABLES = frozenset(VARIABLE_ORDER)

@@ -6,7 +6,6 @@ import pytest
 
 from flashsim.commands import (
     BUS_EVENTS,
-    PLANE_EVENTS,
     Command,
     CommandKind,
     EventKind,
@@ -515,7 +514,12 @@ class TestDecompose:
                 elif event.kind in BUS_EVENTS:
                     assert event.resource == Resource("bus", (event.target.channel,))
                 else:
-                    assert event.kind in PLANE_EVENTS
+                    assert event.kind in {
+                        EventKind.ARRAY_SENSE,
+                        EventKind.ARRAY_PROGRAM,
+                        EventKind.BLOCK_ERASE,
+                        EventKind.BUFFER_COPY,
+                    }
                     assert event.resource == Resource("plane", event.target[:4])
                 # no invented resources: every key is inside the geometry
                 assert all(

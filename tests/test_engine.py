@@ -15,11 +15,13 @@ from flashsim.commands import Command, CommandKind, EventKind
 from flashsim.engine import (
     Policy,
     RunResult,
+    all_resources,
     idle_accounting,
     replay,
     run,
 )
 from flashsim.errors import (
+    GeometryError,
     ModelEvaluationError,
     Rule,
     Severity,
@@ -34,12 +36,12 @@ from flashsim.models import (
     parse_power_expression,
 )
 from flashsim.stats import build_report, write_report
-from flashsim.topology import FlashAddress, Geometry, Resource
+from flashsim.topology import FlashAddress, Geometry, Resource, validate_geometry
 
 from checks import ReferenceState, assert_schedule_legal
 from conftest import ALL_KINDS, A
 from gen import random_trace
-from oracle import engine_events, oracle_events, oracle_schedule
+from oracle import engine_events, enumerated_addresses, oracle_events, oracle_schedule
 
 
 def cmd(kind, *operands, page_count=1, arrival_us=0, seq=0):
@@ -185,6 +187,73 @@ class TestEnergy:
             [0.2048, 0.2048], rel=1e-12
         )
         assert report.total_energy_uj == pytest.approx(6.0056, rel=1e-12)
+
+
+class TestAllResources:
+    """`all_resources` lists the resources a run can occupy, as the
+    addresses of the geometry name them: a bus by its first index, a plane
+    by its first four and a die by its first three."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (2, 2, 2, 2, 4, 8),
+            (1, 1, 1, 1, 1, 1),
+            (3, 1, 2, 1, 2, 1),
+            (1, 3, 1, 3, 1, 2),
+            (2, 1, 1, 4, 1, 1),
+        ],
+        ids=lambda counts: "x".join(map(str, counts)),
+    )
+    @pytest.mark.parametrize("die_serialization", [False, True], ids=["planes", "dies"])
+    def test_every_resource_an_address_names_once_in_sorted_order(
+        self, counts, die_serialization
+    ):
+        g = Geometry(*counts, 4096)
+        addresses = enumerated_addresses(g)
+        core, length = ("die", 3) if die_serialization else ("plane", 4)
+        expected = sorted(
+            {Resource("bus", a[:1]) for a in addresses}
+            | {Resource(core, a[:length]) for a in addresses}
+        )
+        assert all_resources(g, die_serialization) == expected
+
+
+class TestInvalidGeometry:
+    """`run` refuses a geometry that `validate_geometry` refuses, with the
+    same error, before it reads its trace or places an event."""
+
+    @pytest.mark.parametrize(
+        "g, text",
+        [
+            (Geometry(2, 2, 0, 2, 4, 8, 4096), "dies_per_chip must be >= 1, got 0"),
+            (Geometry(2, 2, 2, 2, 4, 8, 0), "page_size must be >= 1, got 0"),
+            (Geometry(2, 2, 2, 2, 4, 8, 4096, -1), "oob_size must be >= 0, got -1"),
+            (
+                Geometry(2**32, 2**32, 1, 1, 1, 1, 4096),
+                "total_pages 18446744073709551616 overflows the flat index domain",
+            ),
+        ],
+        ids=["zero-dies", "zero-page-size", "negative-oob", "overflow"],
+    )
+    @pytest.mark.parametrize("event_log", [True, False], ids=["log", "no-log"])
+    @pytest.mark.parametrize("commands", [0, 1], ids=["empty", "one-read"])
+    def test_the_geometry_error_is_raised_before_anything_is_placed(
+        self, monkeypatch, models, g, text, event_log, commands
+    ):
+        with pytest.raises(GeometryError) as expected:
+            validate_geometry(g)
+        assert str(expected.value) == text
+
+        def place(*args):
+            raise AssertionError("a command was placed")
+
+        monkeypatch.setattr(engine._Placer, "place", place)
+        trace = ReadOnce([cmd(CommandKind.READ, A())][:commands])
+        with pytest.raises(GeometryError) as raised:
+            run(trace, g, ALL_KINDS, models, event_log=event_log)
+        assert str(raised.value) == text
+        assert not trace.iterated
 
 
 class TestScheduleProperties:

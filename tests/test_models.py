@@ -117,6 +117,16 @@ def test_a_context_passes_its_variables_in_binding_order():
     assert EventContext._fields[1:10] == VARIABLE_ORDER[:9]
 
 
+def test_the_config_variables_are_named_as_written():
+    # VARIABLE_ORDER takes the address's names from FlashAddress, so renaming
+    # one of its fields would rename a variable every config may read
+    assert VARIABLE_ORDER == (
+        "byte_count", "page_size", "oob_size",
+        "channel", "chip", "die", "plane", "block", "page",
+        "duration",
+    )
+
+
 # expressions spelling out the built-in equations, one per event kind
 BUILTIN_LATENCY_EXPRS = {
     EventKind.CMD_OVERHEAD: "0",
